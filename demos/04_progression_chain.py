@@ -14,11 +14,11 @@ from pathlib import Path
 from framerisk import (
     CostParameters,
     DesignFactors,
+    RiskModel,
     Scenario,
     design_members,
     emit_csv,
     nlc_member_design,
-    progression_trace,
     validate,
 )
 
@@ -29,7 +29,7 @@ unit = DesignFactors(1.0, 1.0)
 
 
 def show(title, scn, design):
-    rows = progression_trace(scn, design, unit)
+    rows = RiskModel(scn, design).trace(unit)
     print(title)
     print(f"  {'n_fc':>4}  {'p_bend':>8}  {'p_loc':>8}  {'p_glob':>8}  {'reach':>8}  {'E[cost]':>8}  dominant")
     for r in rows:

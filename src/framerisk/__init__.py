@@ -68,14 +68,7 @@ from .reliability import (
     cornell_beta,
     std_normal_cdf,
 )
-from .risk import (
-    ProgressionRow,
-    RiskModel,
-    mode_probabilities,
-    progression_trace,
-    stage_expected_cost,
-    total_expected_cost,
-)
+from .risk import ProgressionRow, RiskModel
 from .studies import (
     StudyDefinition,
     parse_scenario,

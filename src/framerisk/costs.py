@@ -37,12 +37,27 @@ def unit_column_cost(lambda_c: float, costs: CostParameters, r_sf: float, n_s: i
     return (n_s - costs.n_reinf_s) + costs.n_reinf_s * strengthened
 
 
+def construction_coefficients(scenario: Scenario, design: MemberDesign) -> tuple[float, float, float]:
+    """Coefficients ``(c0, cb, cc)`` of the normalized construction cost
+    ``c0 + cb * lambda_b + cc * lambda_c``, which is affine in the design
+    factors: ``c0`` is the cost at zero factors, ``cb``/``cc`` the slopes of
+    the strengthened steel share."""
+    g, c = scenario.geometry, scenario.costs
+    c_ref = reference_cost(g)
+    beams = g.L * (g.n_c - 1)
+    cols = g.H * g.n_c
+    fixed_beams = unit_beam_cost(0.0, c, design.b_sf, g.n_s)
+    fixed_cols = unit_column_cost(0.0, c, design.r_sf, g.n_s)
+    c0 = (beams * fixed_beams + cols * fixed_cols) / c_ref
+    cb = beams * c.n_reinf_s * c.alpha_b * design.b_sf / c_ref
+    cc = cols * c.n_reinf_s * c.alpha_c * design.r_sf / c_ref
+    return c0, cb, cc
+
+
 def construction_cost(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> float:
     """Total construction cost, normalized; equals 1 with no strengthening."""
-    g = scenario.geometry
-    beams = unit_beam_cost(factors.lambda_b, scenario.costs, design.b_sf, g.n_s)
-    cols = unit_column_cost(factors.lambda_c, scenario.costs, design.r_sf, g.n_s)
-    return (g.L * (g.n_c - 1) * beams + g.H * g.n_c * cols) / reference_cost(g)
+    c0, cb, cc = construction_coefficients(scenario, design)
+    return c0 + cb * factors.lambda_b + cc * factors.lambda_c
 
 
 def initial_damage_cost(scenario: Scenario) -> float:

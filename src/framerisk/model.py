@@ -8,6 +8,8 @@ anywhere in the package.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 
 
@@ -46,10 +48,6 @@ class FrameGeometry:
     n_c: int
     L: float = 6.0
     H: float = 3.0
-
-    @property
-    def n_bays(self) -> int:
-        return self.n_c - 1
 
 
 @dataclass(frozen=True)
@@ -156,10 +154,42 @@ def reference_scenario(**overrides) -> Scenario:
     return replace(Scenario(), **overrides) if overrides else Scenario()
 
 
+_LOAD_STATS = ("dead", "live_apt", "live_50", "beam_resistance", "column_resistance")
+_COUNT_FIELDS = ("geometry.n_s", "geometry.n_c", "damage.n_rc0", "damage.n_rs0", "costs.n_reinf_s")
+_REAL_FIELDS = (
+    "geometry.L", "geometry.H", "costs.alpha_b", "costs.alpha_c", "costs.k_ductile", "costs.k_brittle",
+    "p_ld", "psi", "phi_nlc", "phi_apm", "loads.d_n", "loads.l_n",
+) + tuple(f"loads.{name}.{moment}" for name in _LOAD_STATS for moment in ("mean", "std"))
+_counts = operator.attrgetter(*_COUNT_FIELDS)
+_reals = operator.attrgetter(*_REAL_FIELDS)
+
+
+# The exact-type tests come first because the ABC checks that admit NumPy
+# scalars cost about a microsecond each.
+def _is_count(value) -> bool:
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _is_finite(value) -> bool:
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    return math.isfinite(value)
+
+
 def violations(scenario: Scenario) -> list[str]:
-    """Collect every violated invariant of ``scenario`` (empty when valid)."""
-    g, dm, c = scenario.geometry, scenario.damage, scenario.costs
-    out: list[str] = []
+    """Collect every violated invariant of ``scenario`` (empty when valid).
+
+    Counts must be integers and every other number finite; when one is not,
+    only those type violations are reported, since the range checks need
+    numbers to compare.
+    """
+    out = [f"{k} must be an integer ({k}={v!r})" for k, v in zip(_COUNT_FIELDS, _counts(scenario)) if not _is_count(v)]
+    out += [
+        f"{k} must be a finite number ({k}={v!r})" for k, v in zip(_REAL_FIELDS, _reals(scenario)) if not _is_finite(v)
+    ]
+    if out:
+        return out
+    g, dm, c, ld = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
     if g.n_s < 1:
         out.append(f"n_s >= 1 violated (n_s={g.n_s})")
     if g.n_c < 2:
@@ -190,11 +220,10 @@ def violations(scenario: Scenario) -> list[str]:
         out.append(f"0 < phi_nlc <= 1 violated (phi_nlc={scenario.phi_nlc})")
     if not 0 < scenario.phi_apm <= 1:
         out.append(f"0 < phi_apm <= 1 violated (phi_apm={scenario.phi_apm})")
-    ld = scenario.loads
     if ld.d_n < 0 or ld.l_n < 0:
         out.append(f"nominal loads must be nonnegative (d_n={ld.d_n}, l_n={ld.l_n})")
-    for name in ("dead", "live_apt", "live_50", "beam_resistance", "column_resistance"):
-        rv: RandomVarStats = getattr(ld, name)
+    for name in _LOAD_STATS:
+        rv = getattr(ld, name)
         if rv.std < 0:
             out.append(f"std >= 0 violated ({name}.std={rv.std})")
     return out

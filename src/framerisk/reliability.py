@@ -47,10 +47,22 @@ def cornell_beta(
         raise ValueError(f"strength must be positive, got {r}")
     if resistance.mean <= 0:
         raise ValueError("resistance mean must be positive")
-    var = r * r * resistance.std**2 + dead.std**2 + live.std**2
-    if var <= 0.0:
-        raise ValueError("degenerate statistics: all standard deviations are zero")
-    return (r * resistance.mean - (dead.mean + live.mean)) / math.sqrt(var)
+    try:
+        return _moment_index(
+            r, resistance.mean, resistance.std**2, dead.mean + live.mean, dead.std**2 + live.std**2, math.sqrt
+        )
+    except ZeroDivisionError:
+        raise ValueError("degenerate statistics: all standard deviations are zero") from None
+
+
+def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
+    """Index of ``R*r - L`` from the resistance factor's mean and variance
+    and the total load's mean and variance.
+
+    Works elementwise on broadcast arrays when ``sqrt`` is ``np.sqrt``; the
+    expected-cost walk in :mod:`risk` calls it once per failure probability.
+    """
+    return (r * mu_r - mu_l) / sqrt(r * r * var_r + var_l)
 
 
 def _live_stats(scenario: Scenario, live: str) -> RandomVarStats:

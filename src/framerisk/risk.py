@@ -19,8 +19,10 @@ probabilities respond to the design variables.
 
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
-grids and multi-start optimization; the module-level functions mirror it
-for one-shot use.
+grids and multi-start optimization.  One walk over the chain stages serves
+the scalar objective, the vectorized grid, the damage branch and the
+progression trace; only the entry point chooses between float and
+broadcast-array arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from . import costs as costmod
 from . import mechanics
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
+from .reliability import SQRT2, _moment_index
 
 _MODE_TAGS = ("bending", "local_pancake", "global_pancake")
 
@@ -85,18 +88,11 @@ class RiskModel:
         self.mu_lapt = loads.dead.mean + loads.live_apt.mean
         self.var_lapt = loads.dead.std**2 + loads.live_apt.std**2
 
-        # Construction cost is affine in the design factors.
-        c_ref = costmod.reference_cost(g)
-        beams_fixed = (g.n_s - cp.n_reinf_s) + cp.n_reinf_s * (1.0 - cp.alpha_b)
-        cols_fixed = (g.n_s - cp.n_reinf_s) + cp.n_reinf_s * (1.0 - cp.alpha_c)
-        self.const_0 = (g.L * (g.n_c - 1) * beams_fixed + g.H * g.n_c * cols_fixed) / c_ref
-        self.const_b = g.L * (g.n_c - 1) * cp.n_reinf_s * cp.alpha_b * design.b_sf / c_ref
-        self.const_c = g.H * g.n_c * cp.n_reinf_s * cp.alpha_c * design.r_sf / c_ref
-
-        unit = DesignFactors(1.0, 1.0)
-        self.c_const_11 = costmod.construction_cost(scenario, design, unit)
-        self.c_pg = cp.k_brittle * self.c_const_11
-        self.c_nlc_bending = cp.k_ductile * self.c_const_11
+        # Failure costs of the whole frame are held at unit design factors.
+        self.const_0, self.const_b, self.const_c = costmod.construction_coefficients(scenario, design)
+        c_unit = self.construction(1.0, 1.0)
+        self.c_pg = cp.k_brittle * c_unit
+        self.c_nlc_bending = cp.k_ductile * c_unit
         self.c_id = costmod.initial_damage_cost(scenario)
         self.p_ld = scenario.p_ld
 
@@ -118,49 +114,61 @@ class RiskModel:
             self.a_pg.append(mechanics.global_pancake_strength(g, design.r_c_0, j, dm.n_rs0))
             self.c_b.append(costmod.bending_collapse_cost(scenario, design, j))
             self.c_pl.append(costmod.local_pancake_cost(scenario, design, j))
+        self._chain = tuple(zip(self.a_b, self.a_pl, self.a_pg, self.c_b, self.c_pl))
 
-    # -- scalar path -------------------------------------------------------
+    # -- the progression chain ---------------------------------------------
+
+    def _walk(self, lb, lc, sqrt, pf):
+        """Yield ``(p_b, p_pl, p_pg, terms, weight, reach)`` per stage.
+
+        ``terms`` are the expected costs of bending, local pancake and
+        global pancake.  At the initial extent the damage is given, so every
+        term carries its probability and the weight is 1.  At later extents
+        the local-pancake cost is left unweighted because its advance
+        probability sits in the chain weight ``reach * p_pl``, where
+        ``reach`` is the probability that damage got this far at all.
+        """
+        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
+        mu_l, var_l, c_pg = self.mu_lapt, self.var_lapt, self.c_pg
+        reach = None  # until the initial extent is done
+        for a_b, a_pl, a_pg, c_b, c_pl in self._chain:
+            p_b = pf(_moment_index(a_b * lb, mu_rb, var_rb, mu_l, var_l, sqrt))
+            p_pl = pf(_moment_index(a_pl * lc, mu_rc, var_rc, mu_l, var_l, sqrt))
+            p_pg = pf(_moment_index(a_pg * lc, mu_rc, var_rc, mu_l, var_l, sqrt))
+            if reach is None:
+                yield p_b, p_pl, p_pg, (p_b * c_b, p_pl * c_pl, p_pg * c_pg), 1.0, 1.0
+                reach = p_pl
+            else:
+                yield p_b, p_pl, p_pg, (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
+                reach = reach * p_pl
+
+    def _branch(self, lb, lc, sqrt, pf, maximum):
+        """Largest chain-weighted stage cost (0 without a chain)."""
+        best = None
+        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, sqrt, pf):
+            stage = weight * maximum(t_b, maximum(t_pl, t_pg))
+            best = stage if best is None else maximum(best, stage)
+        return 0.0 if best is None else best
+
+    def _total(self, lb, lc, sqrt, pf, maximum):
+        pf_b50 = pf(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, self.mu_l50, self.var_l50, sqrt))
+        pf_pg50 = pf(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50, sqrt))
+        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
+        damage = self.c_id + self._branch(lb, lc, sqrt, pf, maximum)
+        return self.construction(lb, lc) + normal + self.p_ld * damage
+
+    # -- entry points ------------------------------------------------------
 
     def construction(self, lambda_b: float, lambda_c: float) -> float:
         return self.const_0 + self.const_b * lambda_b + self.const_c * lambda_c
 
-    def _beta(self, r: float, mu_r: float, var_r: float, mu_l: float, var_l: float) -> float:
-        return (r * mu_r - mu_l) / math.sqrt(r * r * var_r + var_l)
-
-    def _pf(self, r: float, mu_r: float, var_r: float, mu_l: float, var_l: float) -> float:
-        beta = self._beta(r, mu_r, var_r, mu_l, var_l)
-        return 0.5 * math.erfc(beta / math.sqrt(2.0))
-
-    def stage_probabilities(self, idx: int, lambda_b: float, lambda_c: float) -> tuple[float, float, float]:
-        p_b = self._pf(self.a_b[idx] * lambda_b, self.mu_rb, self.var_rb, self.mu_lapt, self.var_lapt)
-        p_pl = self._pf(self.a_pl[idx] * lambda_c, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-        p_pg = self._pf(self.a_pg[idx] * lambda_c, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-        return p_b, p_pl, p_pg
-
     def damage_branch(self, lambda_b: float, lambda_c: float) -> float:
         """Maximum expected collapse cost over the progression chain."""
-        if not self.stages:
-            return 0.0
-        p_b, p_pl, p_pg = self.stage_probabilities(0, lambda_b, lambda_c)
-        best = max(p_b * self.c_b[0], p_pl * self.c_pl[0], p_pg * self.c_pg)
-        reach = p_pl
-        for idx in range(1, len(self.stages)):
-            p_b, p_pl, p_pg = self.stage_probabilities(idx, lambda_b, lambda_c)
-            stage = max(p_b * self.c_b[idx], self.c_pl[idx], p_pg * self.c_pg)
-            best = max(best, reach * p_pl * stage)
-            reach *= p_pl
-        return best
+        return self._branch(lambda_b, lambda_c, math.sqrt, _pf_float, max)
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
         """Total expected cost at the given design factors."""
-        pf_b50 = self._pf(self.a_b50 * lambda_b, self.mu_rb, self.var_rb, self.mu_l50, self.var_l50)
-        pf_pg50 = self._pf(self.a_pg50 * lambda_c, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50)
-        total = self.construction(lambda_b, lambda_c)
-        total += self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
-        total += self.p_ld * (self.c_id + self.damage_branch(lambda_b, lambda_c))
-        return total
-
-    # -- vectorized path ---------------------------------------------------
+        return self._total(lambda_b, lambda_c, math.sqrt, _pf_float, max)
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -170,68 +178,42 @@ class RiskModel:
         """
         lb = np.asarray(lambda_b, dtype=float)[:, None]
         lc = np.asarray(lambda_c, dtype=float)[None, :]
-
-        def pf(r, mu_r, var_r, mu_l, var_l):
-            return ndtr(-(r * mu_r - mu_l) / np.sqrt(r * r * var_r + var_l))
-
-        total = self.const_0 + self.const_b * lb + self.const_c * lc
-        total = total + self.c_nlc_bending * pf(self.a_b50 * lb, self.mu_rb, self.var_rb, self.mu_l50, self.var_l50)
-        total = total + self.c_pg * pf(self.a_pg50 * lc, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50)
-        if self.stages:
-            p_b = pf(self.a_b[0] * lb, self.mu_rb, self.var_rb, self.mu_lapt, self.var_lapt)
-            p_pl = pf(self.a_pl[0] * lc, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-            p_pg = pf(self.a_pg[0] * lc, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-            best = np.maximum(p_b * self.c_b[0], np.maximum(p_pl * self.c_pl[0], p_pg * self.c_pg))
-            reach = p_pl
-            for idx in range(1, len(self.stages)):
-                p_b = pf(self.a_b[idx] * lb, self.mu_rb, self.var_rb, self.mu_lapt, self.var_lapt)
-                p_pl = pf(self.a_pl[idx] * lc, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-                p_pg = pf(self.a_pg[idx] * lc, self.mu_rc, self.var_rc, self.mu_lapt, self.var_lapt)
-                stage = np.maximum(p_b * self.c_b[idx], np.maximum(self.c_pl[idx], p_pg * self.c_pg))
-                best = np.maximum(best, reach * p_pl * stage)
-                reach = reach * p_pl
-            total = total + self.p_ld * (self.c_id + best)
-        else:
-            total = total + self.p_ld * self.c_id
-        return total
-
-    # -- reporting ---------------------------------------------------------
+        return self._total(lb, lc, np.sqrt, _pf_array, np.maximum)
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
+        """One row per damage extent on the chain, for tables and plots."""
         rows: list[ProgressionRow] = []
-        lb, lc = factors.lambda_b, factors.lambda_c
-        reach = 1.0
         prev_pl = 1.0
-        for idx, j in enumerate(self.stages):
-            p_b, p_pl, p_pg = self.stage_probabilities(idx, lb, lc)
-            initial = idx == 0
-            if initial:
-                terms = (p_b * self.c_b[0], p_pl * self.c_pl[0], p_pg * self.c_pg)
-            else:
-                terms = (p_b * self.c_b[idx], self.c_pl[idx], p_pg * self.c_pg)
+        walk = self._walk(factors.lambda_b, factors.lambda_c, math.sqrt, _pf_float)
+        for idx, (p_b, p_pl, p_pg, terms, weight, reach) in enumerate(walk):
             stage_cost, dominant = _first_max(terms)
-            chain_w = 1.0 if initial else reach * p_pl
-            pair_w = 1.0 if initial else prev_pl * p_pl
             rows.append(
                 ProgressionRow(
-                    n_fc=j,
+                    n_fc=self.stages[idx],
                     p_b=p_b,
                     p_pl=p_pl,
                     p_pg=p_pg,
                     c_b=self.c_b[idx],
                     c_pl=self.c_pl[idx],
                     c_pg=self.c_pg,
-                    chain_probability=chain_w,
-                    pairwise_weight=pair_w,
+                    chain_probability=weight,
+                    pairwise_weight=1.0 if idx == 0 else prev_pl * p_pl,
                     reach_probability=reach,
                     stage_expected_cost=stage_cost,
-                    expected_cost=chain_w * stage_cost,
+                    expected_cost=weight * stage_cost,
                     dominant_mode=dominant,
                 )
             )
-            reach *= p_pl
             prev_pl = p_pl
         return rows
+
+
+def _pf_float(beta: float) -> float:
+    return 0.5 * math.erfc(beta / SQRT2)
+
+
+def _pf_array(beta: np.ndarray) -> np.ndarray:
+    return ndtr(-beta)
 
 
 def _first_max(terms: tuple[float, float, float]) -> tuple[float, str]:
@@ -241,50 +223,3 @@ def _first_max(terms: tuple[float, float, float]) -> tuple[float, str]:
         if value > best:
             best, tag = value, name
     return best, tag
-
-
-def mode_probabilities(
-    scenario: Scenario, design: MemberDesign, factors: DesignFactors, n_fc: int
-) -> tuple[float, float, float]:
-    """Conditional probabilities of bending, local pancake and global
-    pancake collapse at ``n_fc`` failed columns (initial vertical extent
-    held fixed during propagation)."""
-    model = RiskModel(scenario, design)
-    if n_fc not in model.stages:
-        if not 1 <= n_fc <= scenario.geometry.n_c - 2:
-            raise ValueError(f"n_fc must be in [1, n_c - 2], got {n_fc}")
-        raise ValueError(f"n_fc={n_fc} is not on the progression chain {model.stages}")
-    return model.stage_probabilities(model.stages.index(n_fc), factors.lambda_b, factors.lambda_c)
-
-
-def stage_expected_cost(
-    scenario: Scenario,
-    design: MemberDesign,
-    factors: DesignFactors,
-    n_fc: int,
-    is_initial: bool,
-) -> float:
-    """Maximum expected collapse cost among the events competing at one
-    extent.  At the initial extent every term carries its probability; at
-    later extents the local-pancake cost is left unweighted because its
-    advance probability sits in the chain weight."""
-    model = RiskModel(scenario, design)
-    idx = model.stages.index(n_fc)
-    p_b, p_pl, p_pg = model.stage_probabilities(idx, factors.lambda_b, factors.lambda_c)
-    if is_initial:
-        terms = (p_b * model.c_b[idx], p_pl * model.c_pl[idx], p_pg * model.c_pg)
-    else:
-        terms = (p_b * model.c_b[idx], model.c_pl[idx], p_pg * model.c_pg)
-    return _first_max(terms)[0]
-
-
-def total_expected_cost(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> float:
-    """Objective of the design optimization; see the module docstring."""
-    return RiskModel(scenario, design).evaluate(factors.lambda_b, factors.lambda_c)
-
-
-def progression_trace(
-    scenario: Scenario, design: MemberDesign, factors: DesignFactors
-) -> list[ProgressionRow]:
-    """One row per damage extent on the chain, for tables and plots."""
-    return RiskModel(scenario, design).trace(factors)

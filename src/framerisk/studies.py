@@ -32,7 +32,7 @@ from .model import (
 from .optimize import BRACKETED, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
 from .reliability import LIVE_50, LIVE_APT, beta_damaged, beta_intact
-from .risk import progression_trace
+from .risk import RiskModel
 
 _GEOMETRY_KEYS = {"n_s", "n_c", "L", "H"}
 _DAMAGE_KEYS = {"n_rc0", "n_rs0"}
@@ -84,6 +84,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if stat_overrides:
         loads = replace(loads, **stat_overrides)
 
+    catenary = data.get("include_catenary", False)
+    if not isinstance(catenary, bool):
+        raise ValueError(f"include_catenary must be true or false, got {catenary!r}")
+
     scenario = Scenario(
         geometry=geometry,
         loads=loads,
@@ -91,7 +95,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         costs=costs,
         p_ld=float(data.get("p_ld", 0.1)),
         psi=float(data.get("psi", 2.0)),
-        include_catenary=bool(data.get("include_catenary", False)),
+        include_catenary=catenary,
         phi_nlc=float(data.get("phi_nlc", 0.85)),
         phi_apm=float(data.get("phi_apm", 1.0)),
     )
@@ -318,7 +322,7 @@ def trace_table(
             r.expected_cost,
             r.dominant_mode,
         )
-        for r in progression_trace(scenario, design, factors)
+        for r in RiskModel(scenario, design).trace(factors)
     ]
     return header, rows
 

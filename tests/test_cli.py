@@ -65,9 +65,50 @@ def test_unknown_scenario_key_is_data_error(tmp_path, capsys):
 
 def test_numerical_failure_exit_code(tmp_path):
     path = tmp_path / "scn.json"
-    # NaN propagates through the objective; no start point is finite
-    path.write_text('{"loads": {"beam_resistance": {"mean": NaN, "std": 0.2}}}')
+    # finite loads this large overflow the load-effect variances
+    path.write_text('{"loads": {"d_n": 1e308, "l_n": 1e308}}')
     assert run_command(["optimize", "--scenario", str(path)]) == 3
+
+
+def test_string_catenary_flag_is_data_error(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"include_catenary": "false"}))
+    assert run_command(["evaluate", "--scenario", str(path)]) == 2
+    assert "include_catenary" in capsys.readouterr().err
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"geometry": {"n_s": "8"}},
+        {"geometry": {"n_s": 8.5}},
+        {"geometry": {"n_c": True}},
+        {"damage": {"n_rc0": 1.0}},
+        {"damage": {"n_rs0": "1"}},
+        {"costs": {"n_reinf_s": 2.0}},
+        {"loads": {"d_n": _NAN}},
+        {"loads": {"l_n": _NAN}},
+        {"loads": {"dead": {"mean": _NAN, "std": 0.1}}},
+        {"loads": {"live_apt": {"mean": 0.25, "std": _NAN}}},
+        {"loads": {"live_50": {"mean": _NAN, "std": 0.25}}},
+        {"loads": {"beam_resistance": {"mean": _NAN, "std": 0.2}}},
+        {"loads": {"column_resistance": {"mean": 1.2, "std": _NAN}}},
+    ],
+    ids=lambda doc: json.dumps(doc),
+)
+def test_non_integer_count_or_non_finite_load_is_data_error(tmp_path, capsys, doc):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["evaluate", "--scenario", str(path)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_fractional_story_axis_is_data_error(tmp_path, capsys):
+    assert run_command(["sweep", "--axis", "geometry.n_s=8.5", "--outdir", str(tmp_path)]) == 2
+    assert "n_s must be an integer" in capsys.readouterr().err
 
 
 def test_evaluate_prints_breakdown(capsys):

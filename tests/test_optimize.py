@@ -8,7 +8,6 @@ import pytest
 from framerisk import (
     CostParameters,
     DamageScenario,
-    DesignFactors,
     FrameGeometry,
     OptimizationError,
     RandomVarStats,
@@ -16,7 +15,6 @@ from framerisk import (
     Scenario,
     design_members,
     minimize_total_cost,
-    total_expected_cost,
     validate,
 )
 from framerisk.optimize import ALWAYS_STRENGTHEN, BRACKETED, NEVER_STRENGTHEN
@@ -43,7 +41,7 @@ def test_reference_optimum_beats_grid(ref_optimum):
 
 
 def test_never_worse_than_unit_design(ref_optimum, ref_scenario, ref_design):
-    assert ref_optimum.c_te <= total_expected_cost(ref_scenario, ref_design, DesignFactors(1, 1)) + 1e-9
+    assert ref_optimum.c_te <= RiskModel(ref_scenario, ref_design).evaluate(1.0, 1.0) + 1e-9
 
 
 def test_determinism(ref_scenario, ref_design):
@@ -52,6 +50,24 @@ def test_determinism(ref_scenario, ref_design):
     assert a.factors == b.factors
     assert a.c_te == b.c_te
     assert a.starts_used == b.starts_used == 25
+
+
+def test_reference_solve_evaluation_count(monkeypatch, ref_scenario, ref_design):
+    # deterministic work count of the reference solve (25 start checks plus
+    # the simplex evaluations): a change to the search path fails here
+    # even when the optimum still rounds to the same printed digits
+    calls = 0
+    evaluate = RiskModel.evaluate
+
+    def counted(self, lambda_b, lambda_c):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, lambda_b, lambda_c)
+
+    monkeypatch.setattr(RiskModel, "evaluate", counted)
+    result = minimize_total_cost(ref_scenario, ref_design)
+    assert calls == 2092
+    assert result.starts_used == 25
 
 
 def test_optimum_betas_reported(ref_optimum):

@@ -19,11 +19,7 @@ from framerisk import (
     design_members,
     global_pancake_cost,
     initial_damage_cost,
-    mode_probabilities,
     nlc_member_design,
-    progression_trace,
-    stage_expected_cost,
-    total_expected_cost,
     validate,
 )
 from framerisk.risk import _first_max
@@ -32,14 +28,24 @@ UNIT = DesignFactors(1.0, 1.0)
 OPTIMIZED = DesignFactors(0.9, 1.3)
 
 
+def stage_row(scenario, design, factors, n_fc):
+    """Trace row of the chain stage at ``n_fc`` failed columns."""
+    model = RiskModel(scenario, design)
+    return model.trace(factors)[model.stages.index(n_fc)]
+
+
+def total(scenario, design, factors):
+    return RiskModel(scenario, design).evaluate(factors.lambda_b, factors.lambda_c)
+
+
 class TestModeProbabilities:
     def test_local_pancake_at_unit_factors(self, ref_scenario, ref_design):
-        _, p_pl, _ = mode_probabilities(ref_scenario, ref_design, UNIT, 1)
+        p_pl = stage_row(ref_scenario, ref_design, UNIT, 1).p_pl
         # Phi(-1.80) from the published index, CDF table value 0.0359303
         assert p_pl == pytest.approx(0.0359303, abs=2e-3)
 
     def test_bending_at_optimized_factors(self, ref_scenario, ref_design):
-        p_b, _, _ = mode_probabilities(ref_scenario, ref_design, OPTIMIZED, 1)
+        p_b = stage_row(ref_scenario, ref_design, OPTIMIZED, 1).p_b
         # Phi(-1.61) = 0.0536989
         assert p_b == pytest.approx(0.0536989, abs=2e-3)
 
@@ -47,27 +53,21 @@ class TestModeProbabilities:
         # beta saturates near mu_R/sigma_R because resistance uncertainty
         # scales with strength, so the probabilities floor out tiny but
         # positive; the CDF itself clamps exactly (see test_reliability)
-        p_b, p_pl, p_pg = mode_probabilities(ref_scenario, ref_design, DesignFactors(50.0, 50.0), 1)
-        assert p_b < 1e-8
-        assert p_pl < 1e-7
-        assert p_pg < 1e-7
-
-    def test_off_chain_extent_rejected(self, ref_scenario, ref_design):
-        with pytest.raises(ValueError):
-            mode_probabilities(ref_scenario, ref_design, UNIT, 2)  # chain is 1,3,5,7
-        with pytest.raises(ValueError):
-            mode_probabilities(ref_scenario, ref_design, UNIT, 9)
+        row = stage_row(ref_scenario, ref_design, DesignFactors(50.0, 50.0), 1)
+        assert row.p_b < 1e-8
+        assert row.p_pl < 1e-7
+        assert row.p_pg < 1e-7
 
 
 class TestStageExpectedCost:
     def test_vanishing_probabilities_vanish_the_cost(self, ref_scenario, ref_design):
-        value = stage_expected_cost(ref_scenario, ref_design, DesignFactors(50.0, 50.0), 1, True)
+        value = stage_row(ref_scenario, ref_design, DesignFactors(50.0, 50.0), 1).stage_expected_cost
         assert value == pytest.approx(0.0, abs=1e-4)
 
     def test_later_stage_keeps_local_cost_unweighted(self, ref_scenario, ref_design):
         model = RiskModel(ref_scenario, ref_design)
         idx = model.stages.index(3)
-        value = stage_expected_cost(ref_scenario, ref_design, DesignFactors(5.0, 5.0), 3, False)
+        value = model.trace(DesignFactors(5.0, 5.0))[idx].stage_expected_cost
         # with all probabilities driven to ~0 only the bare local term is left
         assert value == pytest.approx(model.c_pl[idx], rel=1e-9)
 
@@ -83,7 +83,7 @@ class TestTotalExpectedCost:
     def test_no_threat_no_strengthening_limit(self, ref_scenario):
         scn = replace(ref_scenario, p_ld=0.0, costs=CostParameters(n_reinf_s=0))
         design = design_members(scn)
-        got = total_expected_cost(scn, design, UNIT)
+        got = total(scn, design, UNIT)
         k_d, k_b = scn.costs.k_ductile, scn.costs.k_brittle
         pf_b = 0.5 * math.erfc(beta_intact(scn, design, UNIT, CollapseMode.BENDING) / math.sqrt(2))
         pf_pg = 0.5 * math.erfc(
@@ -102,13 +102,13 @@ class TestTotalExpectedCost:
             c_id = initial_damage_cost(ref_scenario)
             k_d = ref_scenario.costs.k_ductile
             bound = c_const + k_d * c_11 + c_pg + ref_scenario.p_ld * (c_id + c_pg)
-            assert total_expected_cost(ref_scenario, ref_design, factors) <= bound + 1e-12
+            assert total(ref_scenario, ref_design, factors) <= bound + 1e-12
 
     def test_never_below_construction(self, ref_scenario, ref_design):
         rng = np.random.default_rng(53)
         for _ in range(100):
             factors = DesignFactors(*rng.uniform(0.05, 4.0, size=2))
-            assert total_expected_cost(ref_scenario, ref_design, factors) >= construction_cost(
+            assert total(ref_scenario, ref_design, factors) >= construction_cost(
                 ref_scenario, ref_design, factors
             )
 
@@ -118,7 +118,7 @@ class TestTotalExpectedCost:
             factors = DesignFactors(*rng.uniform(0.2, 2.5, size=2))
             ps = np.sort(rng.uniform(0.0, 1.0, size=5))
             vals = [
-                total_expected_cost(replace(ref_scenario, p_ld=float(p)), ref_design, factors)
+                total(replace(ref_scenario, p_ld=float(p)), ref_design, factors)
                 for p in ps
             ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -148,11 +148,15 @@ class TestTotalExpectedCost:
         design = design_members(scn)
         model = RiskModel(scn, design)
         assert model.stages == [1]
-        assert math.isfinite(total_expected_cost(scn, design, UNIT))
+        assert math.isfinite(total(scn, design, UNIT))
 
     def test_matches_model_evaluate(self, ref_scenario, ref_design):
         model = RiskModel(ref_scenario, ref_design)
-        assert total_expected_cost(ref_scenario, ref_design, OPTIMIZED) == model.evaluate(0.9, 1.3)
+        assert total(ref_scenario, ref_design, OPTIMIZED) == model.evaluate(0.9, 1.3)
+        # the objective is construction, normal-loading failure and the
+        # damage branch, whose maximum the trace rows expose
+        rows = model.trace(OPTIMIZED)
+        assert max(r.expected_cost for r in rows) == model.damage_branch(0.9, 1.3)
 
 
 def test_vectorized_grid_matches_scalar(ref_scenario, ref_design):
@@ -168,14 +172,14 @@ def test_vectorized_grid_matches_scalar(ref_scenario, ref_design):
 
 class TestProgressionTrace:
     def test_reference_chain_layout(self, ref_scenario, ref_design):
-        rows = progression_trace(ref_scenario, ref_design, UNIT)
+        rows = RiskModel(ref_scenario, ref_design).trace(UNIT)
         assert [r.n_fc for r in rows] == [1, 3, 5, 7]
         assert rows[0].chain_probability == 1.0
         assert rows[0].pairwise_weight == 1.0
         assert rows[0].reach_probability == 1.0
 
     def test_chain_weights_consistent(self, ref_scenario, ref_design):
-        rows = progression_trace(ref_scenario, ref_design, OPTIMIZED)
+        rows = RiskModel(ref_scenario, ref_design).trace(OPTIMIZED)
         reach = 1.0
         prev_pl = None
         for row in rows:
@@ -188,28 +192,28 @@ class TestProgressionTrace:
 
     def test_objective_uses_trace_terms(self, ref_scenario, ref_design):
         model = RiskModel(ref_scenario, ref_design)
-        rows = progression_trace(ref_scenario, ref_design, OPTIMIZED)
+        rows = RiskModel(ref_scenario, ref_design).trace(OPTIMIZED)
         assert model.damage_branch(0.9, 1.3) == pytest.approx(
             max(r.expected_cost for r in rows), rel=1e-12
         )
 
     def test_failure_costs_constant_across_design_points(self, ref_scenario, ref_design):
-        low = progression_trace(ref_scenario, ref_design, DesignFactors(0.3, 0.3))
-        high = progression_trace(ref_scenario, ref_design, DesignFactors(2.5, 2.5))
+        low = RiskModel(ref_scenario, ref_design).trace(DesignFactors(0.3, 0.3))
+        high = RiskModel(ref_scenario, ref_design).trace(DesignFactors(2.5, 2.5))
         for a, b in zip(low, high):
             assert a.c_b == b.c_b
             assert a.c_pl == b.c_pl
             assert a.c_pg == b.c_pg
 
     def test_strengthened_plateau_below_normal_frame(self, ref_scenario):
-        strengthened_rows = progression_trace(ref_scenario, design_members(ref_scenario), UNIT)
+        strengthened_rows = RiskModel(ref_scenario, design_members(ref_scenario)).trace(UNIT)
         normal_scn = replace(ref_scenario, costs=CostParameters(n_reinf_s=0))
-        normal_rows = progression_trace(normal_scn, nlc_member_design(normal_scn), UNIT)
+        normal_rows = RiskModel(normal_scn, nlc_member_design(normal_scn)).trace(UNIT)
         for s_row, n_row in zip(strengthened_rows, normal_rows):
             assert s_row.expected_cost < n_row.expected_cost
 
     def test_dominant_mode_reported(self, ref_scenario, ref_design):
-        rows = progression_trace(ref_scenario, ref_design, UNIT)
+        rows = RiskModel(ref_scenario, ref_design).trace(UNIT)
         assert all(r.dominant_mode in ("bending", "local_pancake", "global_pancake") for r in rows)
         # at the initial extent of the strengthened frame the weighted local
         # pancake term is the largest
