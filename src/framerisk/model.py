@@ -198,8 +198,8 @@ def violations(scenario: Scenario) -> list[str]:
         out.append(f"L > 0 violated (L={g.L})")
     if not g.H > 0:
         out.append(f"H > 0 violated (H={g.H})")
-    if not 0 <= dm.n_rc0 <= g.n_c - 2:
-        out.append(f"0 <= n_rc0 <= n_c - 2 violated (n_rc0={dm.n_rc0}, n_c={g.n_c})")
+    if not 1 <= dm.n_rc0 <= g.n_c - 2:
+        out.append(f"1 <= n_rc0 <= n_c - 2 violated (n_rc0={dm.n_rc0}, n_c={g.n_c})")
     if not 0 <= dm.n_rs0 <= g.n_s:
         out.append(f"0 <= n_rs0 <= n_s violated (n_rs0={dm.n_rs0}, n_s={g.n_s})")
     if not 0 <= c.alpha_b <= 1:
@@ -222,10 +222,23 @@ def violations(scenario: Scenario) -> list[str]:
         out.append(f"0 < phi_apm <= 1 violated (phi_apm={scenario.phi_apm})")
     if ld.d_n < 0 or ld.l_n < 0:
         out.append(f"nominal loads must be nonnegative (d_n={ld.d_n}, l_n={ld.l_n})")
+    elif ld.d_n + ld.l_n == 0:
+        out.append("nominal loads must not both be zero (members would have no size)")
     for name in _LOAD_STATS:
         rv = getattr(ld, name)
         if rv.std < 0:
             out.append(f"std >= 0 violated ({name}.std={rv.std})")
+    for name in ("beam_resistance", "column_resistance"):
+        rv = getattr(ld, name)
+        if not rv.mean > 0:
+            out.append(f"{name}.mean > 0 violated ({name}.mean={rv.mean})")
+        # A zero total variance leaves the reliability index undefined.  The
+        # squares are taken as products so that huge stds give inf, not
+        # OverflowError, and tiny ones count as zero where they underflow.
+        for live in ("live_apt", "live_50"):
+            load_std = getattr(ld, live).std
+            if rv.std * rv.std + ld.dead.std * ld.dead.std + load_std * load_std == 0:
+                out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
     return out
 
 

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
 from .reliability import BetaSet, beta_set_damaged, beta_set_intact
 from .risk import RiskModel
+from .simplex import minimize
 
 START_GRID = np.linspace(0.2, 2.5, 5)
 FACTOR_BOUNDS = (0.05, 5.0)
@@ -45,7 +45,9 @@ class OptimizationResult:
     beta_damaged: BetaSet  # conditional on the initial damage, apt live load
     beta_intact: BetaSet  # intact frame, 50-year live load
     starts_used: int
-    converged: bool
+    converged: bool  # the winning start's search met its tolerances
+    evaluations: int  # objective calls, start-point checks included
+    converged_starts: int  # starts whose search met its tolerances
 
 
 @dataclass(frozen=True)
@@ -81,27 +83,26 @@ def minimize_total_cost(scenario: Scenario, design: MemberDesign | None = None) 
         design = design_members(scenario)
     model = RiskModel(scenario, design)
 
-    def objective(x) -> float:
-        return model.evaluate(_clamp(x[0]), _clamp(x[1]))
+    def objective(lambda_b: float, lambda_c: float) -> float:
+        return model.evaluate(_clamp(lambda_b), _clamp(lambda_c))
 
     best: tuple[float, float, float] | None = None
     best_converged = False
-    starts_used = 0
-    for lb0 in START_GRID:
-        for lc0 in START_GRID:
+    starts_used = evaluations = converged_starts = 0
+    grid = START_GRID.tolist()
+    for lb0 in grid:
+        for lc0 in grid:
+            evaluations += 1
             if not math.isfinite(model.evaluate(lb0, lc0)):
                 continue
             starts_used += 1
-            res = minimize(
-                objective,
-                np.array([lb0, lc0]),
-                method="Nelder-Mead",
-                options={"xatol": XTOL, "fatol": FTOL, "maxiter": 2000, "maxfev": 2000},
-            )
-            cand = (float(res.fun), _clamp(float(res.x[0])), _clamp(float(res.x[1])))
+            res = minimize(objective, (lb0, lc0), xatol=XTOL, fatol=FTOL, maxfev=2000)
+            evaluations += res.nfev
+            converged_starts += res.success
+            cand = (res.fun, _clamp(res.x[0]), _clamp(res.x[1]))
             if best is None or cand < best:
                 best = cand
-                best_converged = bool(res.success)
+                best_converged = res.success
     if best is None:
         raise OptimizationError("objective is non-finite at every start point")
     c_te, lam_b, lam_c = best
@@ -113,6 +114,8 @@ def minimize_total_cost(scenario: Scenario, design: MemberDesign | None = None) 
         beta_intact=beta_set_intact(scenario, design, factors),
         starts_used=starts_used,
         converged=best_converged,
+        evaluations=evaluations,
+        converged_starts=converged_starts,
     )
 
 

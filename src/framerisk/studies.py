@@ -11,6 +11,7 @@ deterministic writers.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,11 +49,31 @@ def _check_keys(data: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _stats_from_dict(data: dict, where: str) -> RandomVarStats:
-    _check_keys(data, _STATS_KEYS, where)
-    if "mean" not in data or "std" not in data:
+def _section(data: dict, key: str, allowed: set[str], where: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    _check_keys(value, allowed, where)
+    return dict(value)
+
+
+def _real(value, where: str) -> float:
+    # a JSON string or boolean is not a number, as it is not a count
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _stats_from_dict(data: dict, key: str) -> RandomVarStats:
+    where = f"loads.{key}"
+    stats = _section(data, key, _STATS_KEYS, where)
+    if "mean" not in stats or "std" not in stats:
         raise ValueError(f"{where} needs both 'mean' and 'std'")
-    return RandomVarStats(float(data["mean"]), float(data["std"]), str(data.get("dist", "normal")))
+    return RandomVarStats(
+        _real(stats["mean"], f"{where}.mean"),
+        _real(stats["std"], f"{where}.std"),
+        str(stats.get("dist", "normal")),
+    )
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -61,26 +82,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValueError(f"scenario document must be a JSON object, got {type(data).__name__}")
     _check_keys(data, _TOP_KEYS, "scenario")
 
-    geo = dict(data.get("geometry", {}))
-    _check_keys(geo, _GEOMETRY_KEYS, "geometry")
-    geometry = replace(FrameGeometry(8, 9), **geo)
+    geometry = replace(FrameGeometry(8, 9), **_section(data, "geometry", _GEOMETRY_KEYS, "geometry"))
+    damage = replace(DamageScenario(), **_section(data, "damage", _DAMAGE_KEYS, "damage"))
+    costs = replace(CostParameters(), **_section(data, "costs", _COST_KEYS, "costs"))
 
-    dmg = dict(data.get("damage", {}))
-    _check_keys(dmg, _DAMAGE_KEYS, "damage")
-    damage = replace(DamageScenario(), **dmg)
-
-    cst = dict(data.get("costs", {}))
-    _check_keys(cst, _COST_KEYS, "costs")
-    costs = replace(CostParameters(), **cst)
-
-    lds = dict(data.get("loads", {}))
-    _check_keys(lds, _LOAD_KEYS, "loads")
-    stat_overrides = {
-        key: _stats_from_dict(dict(lds.pop(key)), f"loads.{key}")
-        for key in list(lds)
-        if key in ("dead", "live_apt", "live_50", "beam_resistance", "column_resistance")
-    }
-    loads = LoadModel(d_n=float(lds.get("d_n", 1.0)), l_n=float(lds.get("l_n", 1.0)))
+    lds = _section(data, "loads", _LOAD_KEYS, "loads")
+    stat_overrides = {key: _stats_from_dict(lds, key) for key in lds if key not in ("d_n", "l_n")}
+    loads = LoadModel(d_n=_real(lds.get("d_n", 1.0), "loads.d_n"), l_n=_real(lds.get("l_n", 1.0), "loads.l_n"))
     if stat_overrides:
         loads = replace(loads, **stat_overrides)
 
@@ -93,11 +101,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         loads=loads,
         damage=damage,
         costs=costs,
-        p_ld=float(data.get("p_ld", 0.1)),
-        psi=float(data.get("psi", 2.0)),
+        p_ld=_real(data.get("p_ld", 0.1), "p_ld"),
+        psi=_real(data.get("psi", 2.0), "psi"),
         include_catenary=catenary,
-        phi_nlc=float(data.get("phi_nlc", 0.85)),
-        phi_apm=float(data.get("phi_apm", 1.0)),
+        phi_nlc=_real(data.get("phi_nlc", 0.85), "phi_nlc"),
+        phi_apm=_real(data.get("phi_apm", 1.0), "phi_apm"),
     )
     return validate(scenario)
 

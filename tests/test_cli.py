@@ -106,6 +106,61 @@ def test_non_integer_count_or_non_finite_load_is_data_error(tmp_path, capsys, do
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"p_ld": None}, "p_ld"),
+        ({"psi": [2.0]}, "psi"),
+        ({"p_ld": "0.5"}, "p_ld"),
+        ({"psi": True}, "psi"),
+        ({"loads": {"l_n": "1"}}, "loads.l_n"),
+        ({"loads": {"dead": {"mean": 1.0, "std": False}}}, "loads.dead.std"),
+        ({"geometry": 5}, "geometry"),
+        ({"geometry": None}, "geometry"),
+        ({"damage": [1, 1]}, "damage"),
+        ({"costs": "cheap"}, "costs"),
+        ({"loads": 5}, "loads"),
+        ({"loads": {"dead": 5}}, "loads.dead"),
+        ({"loads": {"d_n": None}}, "loads.d_n"),
+        ({"loads": {"live_50": {"mean": None, "std": 0.25}}}, "loads.live_50.mean"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
+)
+def test_wrongly_typed_value_or_section_is_data_error(tmp_path, capsys, doc, where):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["evaluate", "--scenario", str(path)]) == 2
+    assert f"{where} must be" in capsys.readouterr().err
+
+
+_ZERO_STDS = {name: {"mean": 1.0, "std": 0.0} for name in ("dead", "live_apt", "live_50")}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"loads": {"beam_resistance": {"mean": -1.22, "std": 0.2}}}, "beam_resistance.mean > 0"),
+        ({"loads": {"column_resistance": {"mean": 0.0, "std": 0.22}}}, "column_resistance.mean > 0"),
+        (
+            {"loads": {**_ZERO_STDS, "beam_resistance": {"mean": 1.22, "std": 0.0}}},
+            "beam_resistance.std, dead.std and live_apt.std must not all be zero",
+        ),
+        ({"loads": {"d_n": 0.0, "l_n": 0.0}}, "nominal loads must not both be zero"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
+)
+def test_unevaluable_scenario_is_data_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["evaluate", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_no_initial_damage_is_data_error(capsys):
+    assert run_command(["evaluate", "--damage", "0x0"]) == 2
+    assert "1 <= n_rc0" in capsys.readouterr().err
+
+
 def test_fractional_story_axis_is_data_error(tmp_path, capsys):
     assert run_command(["sweep", "--axis", "geometry.n_s=8.5", "--outdir", str(tmp_path)]) == 2
     assert "n_s must be an integer" in capsys.readouterr().err

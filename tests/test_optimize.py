@@ -68,6 +68,9 @@ def test_reference_solve_evaluation_count(monkeypatch, ref_scenario, ref_design)
     result = minimize_total_cost(ref_scenario, ref_design)
     assert calls == 2092
     assert result.starts_used == 25
+    # the run record reports the same calls and every start converging
+    assert result.evaluations == calls
+    assert result.converged_starts == 25
 
 
 def test_optimum_betas_reported(ref_optimum):
