@@ -47,7 +47,6 @@ from .model import (
     Scenario,
     ValidationError,
     annual_from_lifetime,
-    reference_scenario,
     validate,
     violations,
 )

@@ -218,7 +218,6 @@ def _cmd_sweep(args) -> int:
         base=scenario,
         axes=axes,
         outdir=Path(args.outdir),
-        write_csv=True,
         write_svg=args.svg,
         with_threshold=args.threshold,
         jobs=max(1, jobs),

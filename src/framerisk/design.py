@@ -1,10 +1,9 @@
 """Member sizing: normal loading condition and alternate-path strengthening.
 
 ``design_nlc`` sizes beams and columns for ordinary gravity design
-(1.2D + 1.6L by default).  ``strengthen_apm`` re-sizes them so the frame can
-bridge over the discretionary element removal (1.2D + 0.5L), keeping the
-normal-condition column strength as a floor.  Load combinations are
-overridable for codes with different factors.
+(1.2D + 1.6L).  ``strengthen_apm`` re-sizes them so the frame can bridge over
+the discretionary element removal (1.2D + 0.5L), keeping the
+normal-condition column strength as a floor.
 """
 
 from __future__ import annotations
@@ -40,18 +39,13 @@ def factored_load(loads: LoadModel, combo: tuple[float, float]) -> float:
     return dead_f * loads.d_n + live_f * loads.l_n
 
 
-def design_nlc(
-    geom: FrameGeometry,
-    loads: LoadModel,
-    phi: float,
-    combo: tuple[float, float] = NLC_COMBO,
-) -> tuple[float, float]:
+def design_nlc(geom: FrameGeometry, loads: LoadModel, phi: float) -> tuple[float, float]:
     """Required beam moment (kNm) and column capacity (kN) under normal
     loading, i.e. the intact-frame strength equations inverted at the
     factored design load."""
     if not 0 < phi <= 1:
         raise ValueError(f"phi must be in (0, 1], got {phi}")
-    q = factored_load(loads, combo)
+    q = factored_load(loads, NLC_COMBO)
     b_y = geom.L**2 / (16.0 * phi) * q
     r_c = geom.L * geom.n_s * (geom.n_c - 1) / (phi * geom.n_c) * q
     return b_y, r_c
@@ -63,7 +57,6 @@ def strengthen_apm(
     damage: DamageScenario,
     phi: float,
     r_c_nlc: float,
-    combo: tuple[float, float] = REMOVAL_COMBO,
 ) -> tuple[float, float]:
     """Required capacities for bridging over the removed elements.
 
@@ -77,7 +70,7 @@ def strengthen_apm(
         raise ValueError("strengthening requires n_rc0 >= 1; size with design_nlc instead")
     if damage.n_rc0 > geom.n_c - 2:
         raise ValueError(f"n_rc0 must leave two intact columns (n_rc0={damage.n_rc0}, n_c={geom.n_c})")
-    q = factored_load(loads, combo)
+    q = factored_load(loads, REMOVAL_COMBO)
     b_y_0 = damage.n_rc0 * geom.L**2 / (4.0 * phi) * q
     share = 2.0 - (geom.n_c - 1) / geom.n_c + damage.n_rc0 * (1.0 - damage.n_rs0 / geom.n_s)
     r_c_0 = max(r_c_nlc, geom.L * geom.n_s / phi * share * q)
@@ -90,20 +83,16 @@ def strengthening_factors(design: MemberDesign) -> tuple[float, float]:
     return design.b_y_0 / design.b_y_nlc, design.r_c_0 / design.r_c_nlc
 
 
-def design_members(
-    scenario: Scenario,
-    nlc_combo: tuple[float, float] = NLC_COMBO,
-    removal_combo: tuple[float, float] = REMOVAL_COMBO,
-) -> MemberDesign:
+def design_members(scenario: Scenario) -> MemberDesign:
     """Full sizing pipeline for a scenario: NLC design, then strengthening
     for the scenario's discretionary damage."""
-    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc, nlc_combo)
-    b_y_0, r_c_0 = strengthen_apm(
-        scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc, removal_combo
-    )
+    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
+    b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
     if b_y_0 < b_y_nlc:
         # The removal condition has no floor at the normal-condition beam
-        # strength; flag the unusual geometry (short bays) where it binds.
+        # strength.  L cancels from b_y_0/b_y_nlc =
+        # 4 n_rc0 (phi_nlc/phi_apm) (1.2d + 0.5l)/(1.2d + 1.6l), so whatever
+        # the bay length this binds only for phi_nlc/phi_apm < 0.8/n_rc0.
         warnings.warn(
             f"strengthened beam requirement {b_y_0:.4g} kNm is below the "
             f"normal-condition requirement {b_y_nlc:.4g} kNm",

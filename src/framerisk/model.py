@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, is_dataclass
+from typing import get_type_hints
 
 
 class ValidationError(ValueError):
@@ -149,44 +151,54 @@ class Scenario:
         return self.psi if self.include_catenary else 0.0
 
 
-def reference_scenario(**overrides) -> Scenario:
-    """The 8-story, 8-bay base case with all default parameters."""
-    return replace(Scenario(), **overrides) if overrides else Scenario()
-
-
-_LOAD_STATS = ("dead", "live_apt", "live_50", "beam_resistance", "column_resistance")
-_COUNT_FIELDS = ("geometry.n_s", "geometry.n_c", "damage.n_rc0", "damage.n_rs0", "costs.n_reinf_s")
-_REAL_FIELDS = (
-    "geometry.L", "geometry.H", "costs.alpha_b", "costs.alpha_c", "costs.k_ductile", "costs.k_brittle",
-    "p_ld", "psi", "phi_nlc", "phi_apm", "loads.d_n", "loads.l_n",
-) + tuple(f"loads.{name}.{moment}" for name in _LOAD_STATS for moment in ("mean", "std"))
-_counts = operator.attrgetter(*_COUNT_FIELDS)
-_reals = operator.attrgetter(*_REAL_FIELDS)
+def _scalar_fields(cls, prefix: str = ""):
+    """Dotted name and annotated type of every scalar field under ``cls``."""
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            yield from _scalar_fields(hint, f"{prefix}{name}.")
+        else:
+            yield prefix + name, hint
 
 
 # The exact-type tests come first because the ABC checks that admit NumPy
-# scalars cost about a microsecond each.
+# scalars cost about a microsecond each.  An int beyond float range counts as
+# neither a count nor a finite number: the pipeline cannot compute with it.
 def _is_count(value) -> bool:
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def _is_finite(value) -> bool:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# The type rule of every scalar field follows from its annotation.
+_TYPE_RULES = {
+    int: (_is_count, "an integer"),
+    float: (_is_finite, "a finite number"),
+    bool: (lambda value: type(value) is bool, "a boolean"),
+    str: (lambda value: isinstance(value, str), "a string"),
+}
+_TYPED_FIELDS = tuple((name, *_TYPE_RULES[hint]) for name, hint in _scalar_fields(Scenario))
+_scalars = operator.attrgetter(*(name for name, _, _ in _TYPED_FIELDS))
+_LOAD_STATS = tuple(name for name, hint in get_type_hints(LoadModel).items() if hint is RandomVarStats)
 
 
 def violations(scenario: Scenario) -> list[str]:
     """Collect every violated invariant of ``scenario`` (empty when valid).
 
-    Counts must be integers and every other number finite; when one is not,
-    only those type violations are reported, since the range checks need
-    numbers to compare.
+    Every scalar field must hold its annotated type: counts integers, other
+    numbers finite, ``include_catenary`` a boolean and distribution names
+    strings.  When one does not, only those type violations are reported,
+    since the range checks need numbers to compare.
     """
-    out = [f"{k} must be an integer ({k}={v!r})" for k, v in zip(_COUNT_FIELDS, _counts(scenario)) if not _is_count(v)]
-    out += [
-        f"{k} must be a finite number ({k}={v!r})" for k, v in zip(_REAL_FIELDS, _reals(scenario)) if not _is_finite(v)
-    ]
+    out = [f"{k} must be {what} ({k}={v!r})" for (k, ok, what), v in zip(_TYPED_FIELDS, _scalars(scenario)) if not ok(v)]
     if out:
         return out
     g, dm, c, ld = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
@@ -233,11 +245,11 @@ def violations(scenario: Scenario) -> list[str]:
         if not rv.mean > 0:
             out.append(f"{name}.mean > 0 violated ({name}.mean={rv.mean})")
         # A zero total variance leaves the reliability index undefined.  The
-        # squares are taken as products so that huge stds give inf, not
+        # squares are taken as float products so that huge stds give inf, not
         # OverflowError, and tiny ones count as zero where they underflow.
         for live in ("live_apt", "live_50"):
-            load_std = getattr(ld, live).std
-            if rv.std * rv.std + ld.dead.std * ld.dead.std + load_std * load_std == 0:
+            s_r, s_d, s_l = float(rv.std), float(ld.dead.std), float(getattr(ld, live).std)
+            if s_r * s_r + s_d * s_d + s_l * s_l == 0:
                 out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
     return out
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .catalog import FRAME_CATALOG
 from .design import MemberDesign, design_members, nlc_member_design
 from .mechanics import CollapseMode
 from .model import (
-    CostParameters,
     DamageScenario,
     DesignFactors,
     FrameGeometry,
@@ -33,81 +33,75 @@ from .model import (
 from .optimize import BRACKETED, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
 from .reliability import LIVE_50, LIVE_APT, beta_damaged, beta_intact
-from .risk import RiskModel
+from .risk import ProgressionRow, RiskModel
 
-_GEOMETRY_KEYS = {"n_s", "n_c", "L", "H"}
-_DAMAGE_KEYS = {"n_rc0", "n_rs0"}
-_COST_KEYS = {"alpha_b", "alpha_c", "k_ductile", "k_brittle", "n_reinf_s"}
-_LOAD_KEYS = {"d_n", "l_n", "dead", "live_apt", "live_50", "beam_resistance", "column_resistance"}
-_STATS_KEYS = {"mean", "std", "dist"}
-_TOP_KEYS = {"geometry", "loads", "damage", "costs", "p_ld", "psi", "include_catenary", "phi_nlc", "phi_apm"}
+_DEFAULT = Scenario()
 
 
-def _check_keys(data: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+def _keys(dataclass_or_instance) -> frozenset[str]:
+    return frozenset(f.name for f in fields(dataclass_or_instance))
 
 
-def _section(data: dict, key: str, allowed: set[str], where: str) -> dict:
-    value = data.get(key, {})
+# The JSON keys of each level of the field tree and the fields a sweep axis
+# may set (every scalar above the load statistics), built once from the
+# dataclasses so that neither can drift from them.
+_TOP_KEYS = _keys(Scenario)
+_SECTIONS = {name: _keys(getattr(_DEFAULT, name)) for name in _TOP_KEYS if is_dataclass(getattr(_DEFAULT, name))}
+_STATS = frozenset(name for name in _SECTIONS["loads"] if is_dataclass(getattr(_DEFAULT.loads, name)))
+_STATS_KEYS = _keys(RandomVarStats)
+_STATS_REQUIRED = frozenset(f.name for f in fields(RandomVarStats) if f.default is MISSING)
+_NOMINAL_LOADS = _SECTIONS["loads"] - _STATS
+_AXES = (_TOP_KEYS - _SECTIONS.keys()) | {
+    f"{section}.{key}" for section, keys in _SECTIONS.items() for key in keys - _STATS
+}
+
+
+def _section(value, allowed: frozenset[str], where: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
-    _check_keys(value, allowed, where)
-    return dict(value)
+    unknown = sorted(value.keys() - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    return value
 
 
 def _real(value, where: str) -> float:
     # a JSON string or boolean is not a number, as it is not a count
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} must be a finite number, got an integer beyond float range") from None
 
 
-def _stats_from_dict(data: dict, key: str) -> RandomVarStats:
-    where = f"loads.{key}"
-    stats = _section(data, key, _STATS_KEYS, where)
-    if "mean" not in stats or "std" not in stats:
-        raise ValueError(f"{where} needs both 'mean' and 'std'")
-    return RandomVarStats(
-        _real(stats["mean"], f"{where}.mean"),
-        _real(stats["std"], f"{where}.std"),
-        str(stats.get("dist", "normal")),
-    )
+def _stats_from_dict(value, where: str) -> RandomVarStats:
+    stats = _section(value, _STATS_KEYS, where)
+    if not _STATS_REQUIRED <= stats.keys():
+        raise ValueError(f"{where} needs {' and '.join(map(repr, sorted(_STATS_REQUIRED)))}")
+    return RandomVarStats(**stats)
+
+
+def _loads_from_dict(value) -> LoadModel:
+    # LoadModel derives the load statistics from the nominal loads as it is
+    # built, so those two must be numbers before it is
+    loads = _section(value, _SECTIONS["loads"], "loads")
+    return LoadModel(**{
+        key: _stats_from_dict(item, f"loads.{key}") if key in _STATS else _real(item, f"loads.{key}")
+        for key, item in loads.items()
+    })
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a scenario from a (possibly partial) dict."""
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario document must be a JSON object, got {type(data).__name__}")
-    _check_keys(data, _TOP_KEYS, "scenario")
-
-    geometry = replace(FrameGeometry(8, 9), **_section(data, "geometry", _GEOMETRY_KEYS, "geometry"))
-    damage = replace(DamageScenario(), **_section(data, "damage", _DAMAGE_KEYS, "damage"))
-    costs = replace(CostParameters(), **_section(data, "costs", _COST_KEYS, "costs"))
-
-    lds = _section(data, "loads", _LOAD_KEYS, "loads")
-    stat_overrides = {key: _stats_from_dict(lds, key) for key in lds if key not in ("d_n", "l_n")}
-    loads = LoadModel(d_n=_real(lds.get("d_n", 1.0), "loads.d_n"), l_n=_real(lds.get("l_n", 1.0), "loads.l_n"))
-    if stat_overrides:
-        loads = replace(loads, **stat_overrides)
-
-    catenary = data.get("include_catenary", False)
-    if not isinstance(catenary, bool):
-        raise ValueError(f"include_catenary must be true or false, got {catenary!r}")
-
-    scenario = Scenario(
-        geometry=geometry,
-        loads=loads,
-        damage=damage,
-        costs=costs,
-        p_ld=_real(data.get("p_ld", 0.1), "p_ld"),
-        psi=_real(data.get("psi", 2.0), "psi"),
-        include_catenary=catenary,
-        phi_nlc=_real(data.get("phi_nlc", 0.85), "phi_nlc"),
-        phi_apm=_real(data.get("phi_apm", 1.0), "phi_apm"),
-    )
-    return validate(scenario)
+    kwargs = {}
+    for key, value in _section(data, _TOP_KEYS, "scenario document").items():
+        if key == "loads":
+            value = _loads_from_dict(value)
+        elif key in _SECTIONS:
+            value = replace(getattr(_DEFAULT, key), **_section(value, _SECTIONS[key], key))
+        kwargs[key] = value
+    return validate(Scenario(**kwargs))
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -117,30 +111,23 @@ def parse_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(data)
 
 
-_NESTED_GROUPS = {"geometry", "loads", "damage", "costs"}
-
-
 def set_scenario_field(scenario: Scenario, name: str, value) -> Scenario:
-    """Return a copy of ``scenario`` with one (possibly dotted) field set.
+    """Return a copy of ``scenario`` with one scalar field set, by its
+    dotted name (``p_ld``, ``geometry.n_s``, ``loads.l_n``, ...).
 
-    Setting a nominal load re-derives the dependent load statistics.
+    Setting a nominal load re-derives the dependent load statistics.  Type
+    and range rules are left to :func:`validate`.
     """
-    parts = name.split(".")
-    if len(parts) == 1:
-        if parts[0] not in {"p_ld", "psi", "include_catenary", "phi_nlc", "phi_apm"}:
-            raise ValueError(f"unknown scenario field {name!r}")
-        return replace(scenario, **{parts[0]: value})
-    if len(parts) != 2 or parts[0] not in _NESTED_GROUPS:
-        raise ValueError(f"unknown scenario field {name!r}")
-    group, attr = parts
-    target = getattr(scenario, group)
-    if group == "loads" and attr in ("d_n", "l_n"):
-        nominal = {"d_n": target.d_n, "l_n": target.l_n}
-        nominal[attr] = value
+    if name not in _AXES:
+        raise ValueError(f"{name!r} is not a scalar scenario field; a sweep axis sets one of {sorted(_AXES)}")
+    section, _, key = name.rpartition(".")
+    if not section:
+        return replace(scenario, **{key: value})
+    if section == "loads":
+        nominal = {k: getattr(scenario.loads, k) for k in _NOMINAL_LOADS}
+        nominal[key] = _real(value, name)
         return replace(scenario, loads=LoadModel(**nominal))
-    if not hasattr(target, attr):
-        raise ValueError(f"unknown scenario field {name!r}")
-    return replace(scenario, **{group: replace(target, **{attr: value})})
+    return replace(scenario, **{section: replace(getattr(scenario, section), **{key: value})})
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,6 @@ class StudyDefinition:
     base: Scenario
     axes: tuple[tuple[str, tuple], ...]
     outdir: Path
-    write_csv: bool = True
     write_svg: bool = False
     with_threshold: bool = False
     jobs: int = 1
@@ -215,8 +201,7 @@ def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
         rows = [_evaluate_point(t) for t in tasks]
 
     outdir = Path(study.outdir)
-    if study.write_csv:
-        emit_csv(outdir / "sweep.csv", header, rows)
+    emit_csv(outdir / "sweep.csv", header, rows)
     if study.write_svg and len(study.axes) == 1:
         axis_name = study.axes[0][0]
         xs = [row[0] for row in rows]
@@ -292,6 +277,10 @@ def strengthening_table(
     return header, rows
 
 
+_TRACE_COLUMNS = tuple(f.name for f in fields(ProgressionRow))
+_trace_row = operator.attrgetter(*_TRACE_COLUMNS)
+
+
 def trace_table(
     scenario: Scenario, design: MemberDesign | None = None, factors: DesignFactors | None = None
 ) -> tuple[list[str], list[tuple]]:
@@ -299,40 +288,7 @@ def trace_table(
         design = design_members(scenario)
     if factors is None:
         factors = DesignFactors(1.0, 1.0)
-    header = [
-        "n_fc",
-        "p_b",
-        "p_pl",
-        "p_pg",
-        "c_b",
-        "c_pl",
-        "c_pg",
-        "chain_probability",
-        "pairwise_weight",
-        "reach_probability",
-        "stage_expected_cost",
-        "expected_cost",
-        "dominant_mode",
-    ]
-    rows = [
-        (
-            r.n_fc,
-            r.p_b,
-            r.p_pl,
-            r.p_pg,
-            r.c_b,
-            r.c_pl,
-            r.c_pg,
-            r.chain_probability,
-            r.pairwise_weight,
-            r.reach_probability,
-            r.stage_expected_cost,
-            r.expected_cost,
-            r.dominant_mode,
-        )
-        for r in RiskModel(scenario, design).trace(factors)
-    ]
-    return header, rows
+    return list(_TRACE_COLUMNS), [_trace_row(r) for r in RiskModel(scenario, design).trace(factors)]
 
 
 _CURVE_FRAMES = ("16x4", "4x16")

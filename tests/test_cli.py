@@ -123,6 +123,10 @@ def test_non_integer_count_or_non_finite_load_is_data_error(tmp_path, capsys, do
         ({"loads": {"dead": 5}}, "loads.dead"),
         ({"loads": {"d_n": None}}, "loads.d_n"),
         ({"loads": {"live_50": {"mean": None, "std": 0.25}}}, "loads.live_50.mean"),
+        pytest.param({"p_ld": 10**400}, "p_ld", id="p_ld beyond float range"),
+        pytest.param({"loads": {"l_n": 10**400}}, "loads.l_n", id="l_n beyond float range"),
+        pytest.param({"geometry": {"n_s": 10**400}}, "geometry.n_s", id="n_s beyond float range"),
+        ({"loads": {"dead": {"mean": 1.0, "std": 0.1, "dist": 5}}}, "loads.dead.dist"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
 )
@@ -161,9 +165,20 @@ def test_no_initial_damage_is_data_error(capsys):
     assert "1 <= n_rc0" in capsys.readouterr().err
 
 
-def test_fractional_story_axis_is_data_error(tmp_path, capsys):
-    assert run_command(["sweep", "--axis", "geometry.n_s=8.5", "--outdir", str(tmp_path)]) == 2
-    assert "n_s must be an integer" in capsys.readouterr().err
+_BAD_AXES = [
+    ("geometry.n_s=8.5", "n_s must be an integer"),
+    ("loads.dead=1.5", "'loads.dead' is not a scalar scenario field"),
+    ("geometry.__class__=1", "'geometry.__class__' is not a scalar scenario field"),
+    ("include_catenary=0.5", "include_catenary must be a boolean"),
+]
+
+
+@pytest.mark.parametrize("axis, message", _BAD_AXES, ids=[axis for axis, _ in _BAD_AXES])
+def test_fractional_story_axis_is_data_error(tmp_path, capsys, axis, message):
+    assert run_command(["sweep", "--axis", axis, "--outdir", str(tmp_path), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_evaluate_prints_breakdown(capsys):

@@ -100,12 +100,14 @@ def test_no_initial_damage_is_a_domain_error(ref_scenario):
         )
 
 
-def test_weak_removal_combo_warns(ref_scenario):
+def test_weak_removal_combo_warns():
     # The removal condition has no floor against normal-condition beam
-    # strength; a custom combo that undershoots it must be flagged.
+    # strength; a low phi_nlc makes the removal requirement undershoot it
+    # (b_y_0 = 15.3 kNm against b_y_nlc = 31.5 kNm), which must be flagged.
     with pytest.warns(UserWarning, match="below the normal-condition"):
-        d = design_members(ref_scenario, removal_combo=(0.1, 0.05))
-    assert d.b_y_0 < d.b_y_nlc
+        d = design_members(validate(Scenario(phi_nlc=0.2)))
+    assert d.b_y_0 == pytest.approx(15.3)
+    assert d.b_y_nlc == pytest.approx(31.5)
 
 
 def test_nlc_member_design(ref_scenario):

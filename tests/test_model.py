@@ -49,6 +49,21 @@ def test_all_violations_collected_at_once():
     assert err.value.violations == found
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"include_catenary": "no"}, "include_catenary must be a boolean"),
+        ({"include_catenary": 1}, "include_catenary must be a boolean"),
+        ({"p_ld": 10**400}, "p_ld must be a finite number"),
+        ({"geometry": FrameGeometry(10**400, 9)}, "geometry.n_s must be an integer"),
+    ],
+    ids=["catenary 'no'", "catenary 1", "p_ld beyond float range", "n_s beyond float range"],
+)
+def test_wrongly_typed_field_rejected(changes, message):
+    with pytest.raises(ValidationError, match=message):
+        validate(replace(Scenario(), **changes))
+
+
 def test_damage_extent_bounds():
     scn = Scenario()
     assert violations(replace(scn, damage=replace(scn.damage, n_rc0=8)))  # n_c - 2 = 7
