@@ -10,10 +10,8 @@ element removal pays off.
 
 from .catalog import DAMAGE_VARIANTS, FRAME_CATALOG, parse_damage_token, parse_frame_token
 from .costs import (
-    CostBreakdown,
     bending_collapse_cost,
     construction_cost,
-    cost_breakdown,
     global_pancake_cost,
     initial_damage_cost,
     local_pancake_cost,
@@ -65,9 +63,8 @@ from .reliability import (
     beta_set_damaged,
     beta_set_intact,
     cornell_beta,
-    std_normal_cdf,
 )
-from .risk import ProgressionRow, RiskModel
+from .risk import ExpectedCost, ProgressionRow, RiskModel
 from .studies import (
     StudyDefinition,
     parse_scenario,

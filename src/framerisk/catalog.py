@@ -28,22 +28,6 @@ DAMAGE_VARIANTS: tuple[DamageScenario, ...] = (
     DamageScenario(3, 2),
 )
 
-# (k_ductile, k_brittle) study variants.
-COST_MULTIPLIER_VARIANTS: tuple[tuple[float, float], ...] = (
-    (20.0, 40.0),
-    (40.0, 40.0),
-    (40.0, 80.0),
-    (50.0, 200.0),
-)
-
-# (alpha_b, alpha_c, n_reinf_s or None for all stories).
-STRENGTHENING_COST_VARIANTS: tuple[tuple[float, float, int | None], ...] = (
-    (0.7, 0.7, 2),
-    (0.9, 0.9, 2),
-    (0.5, 0.9, 2),
-    (0.7, 0.7, None),
-)
-
 
 def parse_frame_token(token: str) -> FrameGeometry:
     """``"SxB"`` -> geometry with S stories and B bays (catalog L and H)."""

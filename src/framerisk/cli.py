@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,7 +61,18 @@ def _resolve_scenario(args) -> Scenario:
 
 
 def _factors(args) -> DesignFactors:
+    for flag, value in (("--lambda-b", args.lambda_b), ("--lambda-c", args.lambda_c)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
     return DesignFactors(args.lambda_b, args.lambda_c)
+
+
+def _jobs(args) -> int:
+    if args.jobs is None:
+        return os.cpu_count() or 1
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _print_table(header: list[str], rows: list[tuple]) -> None:
@@ -159,16 +172,13 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    scenario = _resolve_scenario(args)
-    model = RiskModel(scenario)
-    lb, lc = args.lambda_b, args.lambda_c
-    branch = model.damage_branch(lb, lc)
-    total = model.evaluate(lb, lc)
-    print(f"construction            = {model.construction(lb, lc):.6f}")
-    print(f"normal-loading failure  = {total - model.construction(lb, lc) - scenario.p_ld * (model.c_id + branch):.6f}")
-    print(f"initial damage cost     = {model.c_id:.6f}")
-    print(f"damage branch (max E[C])= {branch:.6f}")
-    print(f"total expected cost     = {total:.6f}")
+    factors = _factors(args)
+    cost = RiskModel(_resolve_scenario(args)).breakdown(factors.lambda_b, factors.lambda_c)
+    print(f"construction            = {cost.construction:.6f}")
+    print(f"normal-loading failure  = {cost.normal_loading:.6f}")
+    print(f"initial damage cost     = {cost.initial_damage:.6f}")
+    print(f"damage branch (max E[C])= {cost.damage_branch:.6f}")
+    print(f"total expected cost     = {cost.total:.6f}")
     return 0
 
 
@@ -209,18 +219,15 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import os
-
     scenario = _resolve_scenario(args)
     axes = tuple(_parse_axis(spec) for spec in args.axis)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     study = StudyDefinition(
         base=scenario,
         axes=axes,
         outdir=Path(args.outdir),
         write_svg=args.svg,
         with_threshold=args.threshold,
-        jobs=max(1, jobs),
+        jobs=_jobs(args),
     )
     header, rows = run_study(study)
     print(f"wrote {Path(args.outdir) / 'sweep.csv'} ({len(rows)} rows)")
@@ -228,10 +235,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_paper_tables(args) -> int:
-    import os
-
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    for path in write_study_tables(args.outdir, jobs=max(1, jobs)):
+    for path in write_study_tables(args.outdir, jobs=_jobs(args)):
         print(f"wrote {path}")
     return 0
 

@@ -11,8 +11,6 @@ during optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .design import MemberDesign
 from .model import CostParameters, DesignFactors, FrameGeometry, Scenario
 
@@ -90,27 +88,3 @@ def local_pancake_cost(scenario: Scenario, design: MemberDesign, n_fc: int) -> f
 def global_pancake_cost(scenario: Scenario, design: MemberDesign) -> float:
     """Brittle collapse of the whole frame."""
     return scenario.costs.k_brittle * construction_cost(scenario, design, DesignFactors(1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """All cost terms of a scenario at one design point (normalized)."""
-
-    c_ref: float
-    c_construction: float
-    c_initial_damage: float
-    c_bending: float  # at the initial damage extent
-    c_local_pancake: float
-    c_global_pancake: float
-
-
-def cost_breakdown(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> CostBreakdown:
-    n0 = scenario.damage.n_rc0
-    return CostBreakdown(
-        c_ref=reference_cost(scenario.geometry),
-        c_construction=construction_cost(scenario, design, factors),
-        c_initial_damage=initial_damage_cost(scenario),
-        c_bending=bending_collapse_cost(scenario, design, n0),
-        c_local_pancake=local_pancake_cost(scenario, design, n0),
-        c_global_pancake=global_pancake_cost(scenario, design),
-    )

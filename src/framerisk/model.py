@@ -190,6 +190,12 @@ _scalars = operator.attrgetter(*(name for name, _, _ in _TYPED_FIELDS))
 _LOAD_STATS = tuple(name for name, hint in get_type_hints(LoadModel).items() if hint is RandomVarStats)
 
 
+# The progression chain has a stage for every second column, and RiskModel
+# builds all of them up front (about 3 s at a million columns); the widest
+# catalog frame has 17.
+MAX_COLUMNS = 1000
+
+
 def violations(scenario: Scenario) -> list[str]:
     """Collect every violated invariant of ``scenario`` (empty when valid).
 
@@ -204,8 +210,8 @@ def violations(scenario: Scenario) -> list[str]:
     g, dm, c, ld = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
     if g.n_s < 1:
         out.append(f"n_s >= 1 violated (n_s={g.n_s})")
-    if g.n_c < 2:
-        out.append(f"n_c >= 2 violated (n_c={g.n_c})")
+    if not 2 <= g.n_c <= MAX_COLUMNS:
+        out.append(f"2 <= n_c <= {MAX_COLUMNS} violated (n_c={g.n_c})")
     if not g.L > 0:
         out.append(f"L > 0 violated (L={g.L})")
     if not g.H > 0:

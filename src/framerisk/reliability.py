@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import ndtr
+
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
@@ -22,14 +25,6 @@ SQRT2 = math.sqrt(2.0)
 # Live-load horizons.
 LIVE_50 = "50yr"
 LIVE_APT = "apt"
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    if math.isnan(x):
-        raise ValueError("std_normal_cdf requires a finite argument")
-    p = 0.5 * math.erfc(-x / SQRT2)
-    return min(max(p, 0.0), 1.0)
 
 
 def cornell_beta(
@@ -63,6 +58,18 @@ def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
     expected-cost walk in :mod:`risk` calls it once per failure probability.
     """
     return (r * mu_r - mu_l) / sqrt(r * r * var_r + var_l)
+
+
+# The failure probability Phi(-beta) of an index, on floats and on broadcast
+# arrays.  The two can differ in the last bit, so each path keeps to one:
+# the scalar objective, and with it the optimizer's trajectories, to the
+# float form and the grid to the array form.
+def _pf_float(beta: float) -> float:
+    return 0.5 * math.erfc(beta / SQRT2)
+
+
+def _pf_array(beta: np.ndarray) -> np.ndarray:
+    return ndtr(-beta)
 
 
 def _live_stats(scenario: Scenario, live: str) -> RandomVarStats:
@@ -166,32 +173,23 @@ class BetaSet:
     beta_cat: float | None = None
 
 
-def beta_set_intact(
-    scenario: Scenario, design: MemberDesign, factors: DesignFactors, live: str = LIVE_50
-) -> BetaSet:
+def beta_set_intact(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> BetaSet:
+    """Indexes of the intact frame over the 50-year horizon."""
     return BetaSet(
-        beta_b=beta_intact(scenario, design, factors, CollapseMode.BENDING, live),
-        beta_pg=beta_intact(scenario, design, factors, CollapseMode.GLOBAL_PANCAKE, live),
+        beta_b=beta_intact(scenario, design, factors, CollapseMode.BENDING),
+        beta_pg=beta_intact(scenario, design, factors, CollapseMode.GLOBAL_PANCAKE),
         beta_pl=None,
-        beta_cat=beta_intact(scenario, design, factors, CollapseMode.CATENARY, live),
+        beta_cat=beta_intact(scenario, design, factors, CollapseMode.CATENARY),
     )
 
 
-def beta_set_damaged(
-    scenario: Scenario,
-    design: MemberDesign,
-    factors: DesignFactors,
-    n_rc: int | None = None,
-    n_rs: int | None = None,
-    live: str = LIVE_APT,
-) -> BetaSet:
-    if n_rc is None:
-        n_rc = scenario.damage.n_rc0
-    if n_rs is None:
-        n_rs = scenario.damage.n_rs0
+def beta_set_damaged(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> BetaSet:
+    """Indexes given the scenario's initial damage, over the
+    arbitrary-point-in-time horizon."""
+    n_rc, n_rs = scenario.damage.n_rc0, scenario.damage.n_rs0
     return BetaSet(
-        beta_b=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.BENDING, live),
-        beta_pg=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.GLOBAL_PANCAKE, live),
-        beta_pl=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.LOCAL_PANCAKE, live),
-        beta_cat=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.CATENARY, live),
+        beta_b=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.BENDING),
+        beta_pg=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.GLOBAL_PANCAKE),
+        beta_pl=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.LOCAL_PANCAKE),
+        beta_cat=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.CATENARY),
     )

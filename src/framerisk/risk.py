@@ -31,13 +31,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import costs as costmod
 from . import mechanics
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import SQRT2, _moment_index
+from .reliability import _moment_index, _pf_array, _pf_float
 
 _MODE_TAGS = ("bending", "local_pancake", "global_pancake")
 
@@ -67,6 +66,23 @@ class ProgressionRow:
     stage_expected_cost: float
     expected_cost: float
     dominant_mode: str
+
+
+@dataclass(frozen=True)
+class ExpectedCost:
+    """The terms of the total expected cost at one design point.
+
+    ``total = construction + normal_loading + p_ld * (initial_damage +
+    damage_branch)``: the intact frame's expected collapse cost under normal
+    loading, and, given local damage, its own cost plus the largest
+    chain-weighted expected collapse cost (see :meth:`RiskModel.damage_branch`).
+    """
+
+    construction: float
+    normal_loading: float
+    initial_damage: float
+    damage_branch: float
+    total: float
 
 
 class RiskModel:
@@ -103,18 +119,18 @@ class RiskModel:
         # Progression extents: the initial extent, then two more columns at
         # a time, never beyond n_c - 2 (two columns must remain).
         self.stages = list(range(dm.n_rc0, g.n_c - 1, 2)) if dm.n_rc0 >= 1 else []
-        self.a_b = []
-        self.a_pl = []
-        self.a_pg = []
-        self.c_b = []
-        self.c_pl = []
-        for j in self.stages:
-            self.a_b.append(mechanics.damaged_bending_strength(g, design.b_y_0, j, psi))
-            self.a_pl.append(mechanics.local_pancake_strength(g, design.r_c_0, j, dm.n_rs0))
-            self.a_pg.append(mechanics.global_pancake_strength(g, design.r_c_0, j, dm.n_rs0))
-            self.c_b.append(costmod.bending_collapse_cost(scenario, design, j))
-            self.c_pl.append(costmod.local_pancake_cost(scenario, design, j))
-        self._chain = tuple(zip(self.a_b, self.a_pl, self.a_pg, self.c_b, self.c_pl))
+        self.c_b = [costmod.bending_collapse_cost(scenario, design, j) for j in self.stages]
+        self.c_pl = [costmod.local_pancake_cost(scenario, design, j) for j in self.stages]
+        self._chain = tuple(
+            (
+                mechanics.damaged_bending_strength(g, design.b_y_0, j, psi),
+                mechanics.local_pancake_strength(g, design.r_c_0, j, dm.n_rs0),
+                mechanics.global_pancake_strength(g, design.r_c_0, j, dm.n_rs0),
+                c_b,
+                c_pl,
+            )
+            for j, c_b, c_pl in zip(self.stages, self.c_b, self.c_pl)
+        )
 
     # -- the progression chain ---------------------------------------------
 
@@ -150,12 +166,19 @@ class RiskModel:
             best = stage if best is None else maximum(best, stage)
         return 0.0 if best is None else best
 
-    def _total(self, lb, lc, sqrt, pf, maximum):
+    def _normal(self, lb, lc, sqrt, pf):
+        """Expected collapse cost of the intact frame under normal loading."""
         pf_b50 = pf(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, self.mu_l50, self.var_l50, sqrt))
         pf_pg50 = pf(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50, sqrt))
-        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
-        damage = self.c_id + self._branch(lb, lc, sqrt, pf, maximum)
-        return self.construction(lb, lc) + normal + self.p_ld * damage
+        return self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
+
+    def _sum(self, construction, normal, branch):
+        """The objective from its terms; the one place they are added up."""
+        return construction + normal + self.p_ld * (self.c_id + branch)
+
+    def _total(self, lb, lc, sqrt, pf, maximum):
+        normal = self._normal(lb, lc, sqrt, pf)
+        return self._sum(self.construction(lb, lc), normal, self._branch(lb, lc, sqrt, pf, maximum))
 
     # -- entry points ------------------------------------------------------
 
@@ -169,6 +192,14 @@ class RiskModel:
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
         """Total expected cost at the given design factors."""
         return self._total(lambda_b, lambda_c, math.sqrt, _pf_float, max)
+
+    def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
+        """The terms of :meth:`evaluate` at the given design factors; the
+        record's ``total`` equals ``evaluate`` bit for bit."""
+        construction = self.construction(lambda_b, lambda_c)
+        normal = self._normal(lambda_b, lambda_c, math.sqrt, _pf_float)
+        branch = self.damage_branch(lambda_b, lambda_c)
+        return ExpectedCost(construction, normal, self.c_id, branch, self._sum(construction, normal, branch))
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -206,14 +237,6 @@ class RiskModel:
             )
             prev_pl = p_pl
         return rows
-
-
-def _pf_float(beta: float) -> float:
-    return 0.5 * math.erfc(beta / SQRT2)
-
-
-def _pf_array(beta: np.ndarray) -> np.ndarray:
-    return ndtr(-beta)
 
 
 def _first_max(terms: tuple[float, float, float]) -> tuple[float, str]:

@@ -17,13 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-from .catalog import FRAME_CATALOG
+from .catalog import DAMAGE_VARIANTS, FRAME_CATALOG
 from .design import MemberDesign, design_members, nlc_member_design
 from .mechanics import CollapseMode
 from .model import (
-    DamageScenario,
     DesignFactors,
-    FrameGeometry,
     LoadModel,
     RandomVarStats,
     Scenario,
@@ -50,7 +48,8 @@ _SECTIONS = {name: _keys(getattr(_DEFAULT, name)) for name in _TOP_KEYS if is_da
 _STATS = frozenset(name for name in _SECTIONS["loads"] if is_dataclass(getattr(_DEFAULT.loads, name)))
 _STATS_KEYS = _keys(RandomVarStats)
 _STATS_REQUIRED = frozenset(f.name for f in fields(RandomVarStats) if f.default is MISSING)
-_NOMINAL_LOADS = _SECTIONS["loads"] - _STATS
+# The statistics LoadModel derives from the nominal loads when left unset.
+_DERIVED_STATS = dict.fromkeys((f.name for f in fields(LoadModel) if f.default is None), None)
 _AXES = (_TOP_KEYS - _SECTIONS.keys()) | {
     f"{section}.{key}" for section, keys in _SECTIONS.items() for key in keys - _STATS
 }
@@ -115,8 +114,9 @@ def set_scenario_field(scenario: Scenario, name: str, value) -> Scenario:
     """Return a copy of ``scenario`` with one scalar field set, by its
     dotted name (``p_ld``, ``geometry.n_s``, ``loads.l_n``, ...).
 
-    Setting a nominal load re-derives the dependent load statistics.  Type
-    and range rules are left to :func:`validate`.
+    Setting a nominal load re-derives the load statistics that follow from
+    it (dead and live) and keeps the resistance statistics.  Type and range
+    rules are left to :func:`validate`.
     """
     if name not in _AXES:
         raise ValueError(f"{name!r} is not a scalar scenario field; a sweep axis sets one of {sorted(_AXES)}")
@@ -124,9 +124,7 @@ def set_scenario_field(scenario: Scenario, name: str, value) -> Scenario:
     if not section:
         return replace(scenario, **{key: value})
     if section == "loads":
-        nominal = {k: getattr(scenario.loads, k) for k in _NOMINAL_LOADS}
-        nominal[key] = _real(value, name)
-        return replace(scenario, loads=LoadModel(**nominal))
+        return replace(scenario, loads=replace(scenario.loads, **{key: _real(value, name)}, **_DERIVED_STATS))
     return replace(scenario, **{section: replace(getattr(scenario, section), **{key: value})})
 
 
@@ -180,6 +178,20 @@ def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
     return tuple(row)
 
 
+def _map_tasks(jobs: int, *batches: tuple) -> list[list]:
+    """Results of each ``(fn, tasks)`` batch, in input order.
+
+    With more than one worker to use, all batches share one process pool of
+    at most ``min(jobs, number of tasks)`` workers: under the fork start
+    method the pool forks all of them at the first task, idle or not.
+    """
+    workers = min(jobs, sum(len(tasks) for _, tasks in batches))
+    if workers <= 1:
+        return [[fn(task) for task in tasks] for fn, tasks in batches]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [list(pool.map(fn, tasks)) for fn, tasks in batches]
+
+
 def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
     """Execute every grid point (optionally in parallel) in input order."""
     header = [name for name, _ in study.axes] + [
@@ -194,11 +206,7 @@ def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
     if study.with_threshold:
         header += ["threshold_status", "p_ld_th"]
     tasks = [(coords, scn, study.with_threshold) for coords, scn in _study_points(study)]
-    if study.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=study.jobs) as pool:
-            rows = list(pool.map(_evaluate_point, tasks))
-    else:
-        rows = [_evaluate_point(t) for t in tasks]
+    (rows,) = _map_tasks(study.jobs, (_evaluate_point, tasks))
 
     outdir = Path(study.outdir)
     emit_csv(outdir / "sweep.csv", header, rows)
@@ -258,19 +266,12 @@ def reliability_grid(
     return header, rows
 
 
-def strengthening_table(
-    frames: dict[str, FrameGeometry] | None = None,
-    damages: tuple[DamageScenario, ...] | None = None,
-) -> tuple[list[str], list[tuple]]:
-    """Strengthening factors for every frame/damage combination."""
-    from .catalog import DAMAGE_VARIANTS
-
-    frames = frames or FRAME_CATALOG
-    damages = damages or DAMAGE_VARIANTS
+def strengthening_table() -> tuple[list[str], list[tuple]]:
+    """Strengthening factors for every catalog frame and damage variant."""
     header = ["frame", "damage", "b_sf", "r_sf"]
     rows = []
-    for frame_name, geometry in frames.items():
-        for dmg in damages:
+    for frame_name, geometry in FRAME_CATALOG.items():
+        for dmg in DAMAGE_VARIANTS:
             scn = validate(Scenario(geometry=geometry, damage=dmg))
             d = design_members(scn)
             rows.append((frame_name, f"{dmg.n_rc0}x{dmg.n_rs0}", d.b_sf, d.r_sf))
@@ -338,13 +339,7 @@ def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
 
     curve_tasks = [(frame, p) for frame in _CURVE_FRAMES for p in _CURVE_P_GRID]
     threshold_tasks = list(FRAME_CATALOG)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            curve_rows = list(pool.map(_curve_point, curve_tasks))
-            threshold_rows = list(pool.map(_threshold_point, threshold_tasks))
-    else:
-        curve_rows = [_curve_point(t) for t in curve_tasks]
-        threshold_rows = [_threshold_point(f) for f in threshold_tasks]
+    curve_rows, threshold_rows = _map_tasks(jobs, (_curve_point, curve_tasks), (_threshold_point, threshold_tasks))
 
     header = ["frame", "p_ld", "lambda_b_star", "lambda_c_star", "beta_b_star", "beta_pl_star", "beta_pg_star"]
     written.append(emit_csv(outdir / "optimal_factors_vs_p.csv", header, curve_rows))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from framerisk import RiskModel, Scenario, cli, studies, validate
 from framerisk.cli import run_command
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -160,6 +161,19 @@ def test_unevaluable_scenario_is_data_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["frame-token", "json"])
+def test_too_many_columns_is_data_error(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(cli, "RiskModel", None)  # validation rejects before any model is built
+    if source == "frame-token":
+        argv = ["--frame", "8x100000000000"]
+    else:
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"geometry": {"n_c": 10**12}}))
+        argv = ["--scenario", str(path)]
+    assert run_command(["evaluate", *argv]) == 2
+    assert "n_c <= 1000 violated" in capsys.readouterr().err
+
+
 def test_no_initial_damage_is_data_error(capsys):
     assert run_command(["evaluate", "--damage", "0x0"]) == 2
     assert "1 <= n_rc0" in capsys.readouterr().err
@@ -186,6 +200,24 @@ def test_evaluate_prints_breakdown(capsys):
     out = capsys.readouterr().out
     assert "total expected cost" in out
     assert "1.167" in out
+    cost = RiskModel(validate(Scenario())).breakdown(0.9, 1.3)
+    assert out.splitlines() == [
+        f"construction            = {cost.construction:.6f}",
+        f"normal-loading failure  = {cost.normal_loading:.6f}",
+        f"initial damage cost     = {cost.initial_damage:.6f}",
+        f"damage branch (max E[C])= {cost.damage_branch:.6f}",
+        f"total expected cost     = {cost.total:.6f}",
+    ]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
+@pytest.mark.parametrize("flag", ["--lambda-b", "--lambda-c"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_nonpositive_or_non_finite_factor_is_data_error(capsys, command, flag, value):
+    assert run_command([command, f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be a finite number > 0" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_beta_grid_stdout(capsys):
@@ -244,6 +276,57 @@ def test_sweep_cli(tmp_path, capsys):
     )
     assert (tmp_path / "sweep.csv").exists()
     assert (tmp_path / "sweep.svg").exists()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool with one that records its worker count and
+    maps in this process; returns the recorded counts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(studies, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_has_at_most_one_worker_per_task(tmp_path, pool_sizes):
+    argv = ["sweep", "--axis", "p_ld=0.05,0.1", "--outdir", str(tmp_path), "--jobs", "64"]
+    assert run_command(argv) == 0
+    assert pool_sizes == [2]
+    # the paper tables share one pool over all their batches: 14 + 7 tasks
+    assert studies._map_tasks(64, (abs, list(range(-14, 0))), (str, list(range(7)))) == [
+        list(range(14, 0, -1)),
+        [str(i) for i in range(7)],
+    ]
+    assert pool_sizes == [2, 21]
+    # one task, or one job, runs in this process
+    assert studies._map_tasks(64, (abs, [-1])) == [[1]]
+    assert studies._map_tasks(1, (abs, [-1, -2])) == [[1, 2]]
+    assert pool_sizes == [2, 21]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--axis", "p_ld=0.1"], ["paper-tables"]],
+    ids=["sweep", "paper-tables"],
+)
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, pool_sizes, argv, jobs):
+    assert run_command([*argv, "--outdir", str(tmp_path), "--jobs", jobs]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert pool_sizes == [] and not any(tmp_path.iterdir())
 
 
 def test_bad_axis_spec_is_data_error(tmp_path):

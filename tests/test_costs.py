@@ -12,7 +12,6 @@ from framerisk import (
     FrameGeometry,
     bending_collapse_cost,
     construction_cost,
-    cost_breakdown,
     global_pancake_cost,
     initial_damage_cost,
     local_pancake_cost,
@@ -136,21 +135,3 @@ class TestFailureCosts:
 
     def test_reference_global_value(self, ref_scenario, ref_design):
         assert global_pancake_cost(ref_scenario, ref_design) == pytest.approx(45.15, abs=0.15)
-
-
-def test_breakdown_fields(ref_scenario, ref_design):
-    b = cost_breakdown(ref_scenario, ref_design, UNIT)
-    assert b.c_ref == pytest.approx(600.0)
-    assert b.c_construction == pytest.approx(1.129, abs=0.003)
-    assert b.c_initial_damage == pytest.approx(0.025)
-    assert b.c_global_pancake >= b.c_local_pancake >= b.c_bending
-
-
-def test_failure_costs_are_design_point_invariant(ref_scenario, ref_design):
-    # failure costs are defined at unit factors; they take no factor
-    # argument, and the global term must not move when the trial design does
-    scn_a = cost_breakdown(ref_scenario, ref_design, DesignFactors(0.2, 0.2))
-    scn_b = cost_breakdown(ref_scenario, ref_design, DesignFactors(3.0, 3.0))
-    assert scn_a.c_bending == scn_b.c_bending
-    assert scn_a.c_local_pancake == scn_b.c_local_pancake
-    assert scn_a.c_global_pancake == scn_b.c_global_pancake

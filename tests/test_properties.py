@@ -1,10 +1,17 @@
-"""Property tests of the scenario schema: whatever a sweep axis or a JSON
-document carries, the scenario is either accepted or rejected with a
-``ValueError`` (a data error, exit 2), never with another exception."""
+"""Property tests.  Whatever a sweep axis or a JSON document carries, the
+scenario is either accepted or rejected with a ``ValueError`` (a data error,
+exit 2), never with another exception, and ``framerisk evaluate`` on such a
+document keeps to its exit codes.  Every collapse strength is homogeneous of
+degree one in its capacity.  None of them runs the optimizer."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +20,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from framerisk import Scenario, scenario_from_dict, set_scenario_field, validate  # noqa: E402
+from framerisk import (  # noqa: E402
+    FrameGeometry,
+    Scenario,
+    damaged_bending_strength,
+    global_pancake_strength,
+    intact_bending_strength,
+    intact_pancake_strength,
+    local_pancake_strength,
+    scenario_from_dict,
+    set_scenario_field,
+    validate,
+)
+from framerisk.cli import run_command  # noqa: E402
 
 
 def _field_names(instance, prefix: str = ""):
@@ -75,3 +94,41 @@ def test_scenario_document_is_accepted_or_a_data_error(doc):
     except ValueError:
         return
     assert validate(scenario) is scenario
+
+
+@given(doc=_either(_documents(Scenario()), json_scalars, st.lists(json_scalars, max_size=3)))
+def test_evaluate_on_any_document_keeps_to_the_exit_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["evaluate", "--scenario", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def frames(draw):
+    """A damaged frame: geometry, removed columns (two must remain),
+    damaged stories and a catenary parameter."""
+    n_s, n_c = draw(st.integers(1, 30)), draw(st.integers(3, 60))
+    geom = FrameGeometry(n_s, n_c, draw(st.floats(1.0, 20.0)), draw(st.floats(1.0, 10.0)))
+    return geom, draw(st.integers(1, n_c - 2)), draw(st.integers(0, n_s)), draw(st.floats(0.0, 4.0))
+
+
+@given(frame=frames(), capacity=positive, k=positive)
+def test_strengths_are_homogeneous_of_degree_one(frame, capacity, k):
+    geom, n_rc, n_rs, psi = frame
+    strengths = [
+        lambda c: intact_bending_strength(geom, c, psi),
+        lambda c: damaged_bending_strength(geom, c, n_rc, psi),
+        lambda c: intact_pancake_strength(geom, c),
+        lambda c: local_pancake_strength(geom, c, n_rc, n_rs),
+        lambda c: global_pancake_strength(geom, c, n_rc, n_rs),
+    ]
+    for strength in strengths:
+        assert strength(k * capacity) == pytest.approx(k * strength(capacity), rel=1e-12)

@@ -150,6 +150,36 @@ class TestTotalExpectedCost:
         assert model.stages == [1]
         assert math.isfinite(total(scn, design, UNIT))
 
+    @pytest.mark.parametrize("catenary", [False, True])
+    @pytest.mark.parametrize(
+        "frame, damage", [((8, 9), (1, 1)), ((16, 5), (3, 2)), ((4, 17), (2, 1)), ((3, 4), (1, 0))]
+    )
+    def test_breakdown_adds_up_to_evaluate(self, frame, damage, catenary):
+        geometry, damage = FrameGeometry(*frame), DamageScenario(*damage)
+        scn = validate(Scenario(geometry=geometry, damage=damage, include_catenary=catenary))
+        model = RiskModel(scn)
+        rng = np.random.default_rng(67)
+        for lb, lc in rng.uniform(0.05, 4.0, size=(40, 2)):
+            cost = model.breakdown(lb, lc)
+            assert cost.total == model.evaluate(lb, lc)
+            assert cost.construction == model.construction(lb, lc)
+            assert cost.initial_damage == model.c_id
+            assert cost.damage_branch == model.damage_branch(lb, lc)
+            damage = cost.initial_damage + cost.damage_branch
+            assert cost.total == cost.construction + cost.normal_loading + scn.p_ld * damage
+
+    def test_breakdown_normal_loading_term(self, ref_scenario, ref_design):
+        # the intact frame's two failure modes at the 50-year horizon, priced
+        # at the ductile and brittle multiples of the unit-factor construction
+        cost = RiskModel(ref_scenario, ref_design).breakdown(0.9, 1.3)
+        c_11 = construction_cost(ref_scenario, ref_design, UNIT)
+        k_d, k_b = ref_scenario.costs.k_ductile, ref_scenario.costs.k_brittle
+        pf_b = 0.5 * math.erfc(beta_intact(ref_scenario, ref_design, OPTIMIZED, CollapseMode.BENDING) / math.sqrt(2))
+        pf_pg = 0.5 * math.erfc(
+            beta_intact(ref_scenario, ref_design, OPTIMIZED, CollapseMode.GLOBAL_PANCAKE) / math.sqrt(2)
+        )
+        assert cost.normal_loading == pytest.approx(c_11 * (k_d * pf_b + k_b * pf_pg), rel=1e-12)
+
     def test_matches_model_evaluate(self, ref_scenario, ref_design):
         model = RiskModel(ref_scenario, ref_design)
         assert total(ref_scenario, ref_design, OPTIMIZED) == model.evaluate(0.9, 1.3)

@@ -7,6 +7,7 @@ import pytest
 
 from framerisk import (
     FrameGeometry,
+    RandomVarStats,
     Scenario,
     StudyDefinition,
     ValidationError,
@@ -81,6 +82,14 @@ class TestSetScenarioField:
         scn = set_scenario_field(ref_scenario, "loads.l_n", 2.0)
         assert scn.loads.live_apt.mean == pytest.approx(0.5)
         assert scn.loads.live_50.std == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", ["loads.d_n", "loads.l_n"])
+    def test_nominal_load_keeps_resistance_overrides(self, name):
+        scn = scenario_from_dict({"loads": {"beam_resistance": {"mean": 1.1, "std": 0.3}}})
+        swept = set_scenario_field(scn, name, 2.0)
+        assert swept.loads.beam_resistance == RandomVarStats(1.1, 0.3)
+        assert swept.loads.column_resistance == scn.loads.column_resistance
+        assert getattr(swept.loads, name.partition(".")[2]) == 2.0
 
     def test_unknown_field_rejected(self, ref_scenario):
         with pytest.raises(ValueError):
