@@ -203,6 +203,7 @@ def _cmd_optimize(args) -> int:
     print(f"beta (damaged, apt): bending {bd.beta_b:.3f}  local pancake {bd.beta_pl:.3f}  global pancake {bd.beta_pg:.3f}")
     print(f"beta (intact, 50yr): bending {bi.beta_b:.3f}  global pancake {bi.beta_pg:.3f}")
     print(f"starts used = {result.starts_used}, converged = {result.converged}")
+    print(f"evaluations = {result.evaluations}, memo hits = {result.memo_hits}")
     return 0
 
 
@@ -215,6 +216,7 @@ def _cmd_threshold(args) -> int:
     else:
         print(f"status   = {result.status}")
         print(f"beta_b* at p=1e-6: {result.g_low:.3f}; at p=1: {result.g_high:.3f}")
+    print(f"evaluations = {result.evaluations}, memo hits = {result.memo_hits}")
     return 0
 
 

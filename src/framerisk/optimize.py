@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import MemberDesign, design_members
+from .design import MemberDesign
 from .model import DesignFactors, Scenario
 from .reliability import BetaSet, beta_set_damaged, beta_set_intact
 from .risk import RiskModel
@@ -48,6 +48,7 @@ class OptimizationResult:
     converged: bool  # the winning start's search met its tolerances
     evaluations: int  # objective calls, start-point checks included
     converged_starts: int  # starts whose search met its tolerances
+    memo_hits: int  # objective calls answered from the model's memo
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class ThresholdResult:
     g_high: float
     optimum_low: OptimizationResult
     optimum_high: OptimizationResult
+    evaluations: int  # objective calls, summed over the probes
+    memo_hits: int  # of which answered from the memo
 
 
 def _clamp(x: float) -> float:
@@ -73,15 +76,18 @@ def _clamp(x: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def minimize_total_cost(scenario: Scenario, design: MemberDesign | None = None) -> OptimizationResult:
+def minimize_total_cost(
+    scenario: Scenario, design: MemberDesign | None = None, model: RiskModel | None = None
+) -> OptimizationResult:
     """Best local minimum of the total expected cost over the design factors.
 
     Deterministic: fixed 5x5 start grid, simplex search per start, ties
-    broken by objective value then lexicographic factors.
+    broken by objective value then lexicographic factors.  A prebuilt
+    ``model`` of the scenario at any ``p_ld`` (and its design) is used through
+    a view at the scenario's; a view passed in lends its memo to the solve.
     """
-    if design is None:
-        design = design_members(scenario)
-    model = RiskModel(scenario, design)
+    model = (RiskModel(scenario, design) if model is None else model).at(scenario.p_ld)
+    design = model.design
 
     def objective(lambda_b: float, lambda_c: float) -> float:
         return model.evaluate(_clamp(lambda_b), _clamp(lambda_c))
@@ -116,35 +122,40 @@ def minimize_total_cost(scenario: Scenario, design: MemberDesign | None = None) 
         converged=best_converged,
         evaluations=evaluations,
         converged_starts=converged_starts,
+        memo_hits=model.memo_hits,
     )
 
 
-def _beta_b_at_optimum(scenario: Scenario, design: MemberDesign, p_ld: float) -> tuple[float, OptimizationResult]:
-    result = minimize_total_cost(replace(scenario, p_ld=p_ld), design)
-    return result.beta_damaged.beta_b, result
-
-
-def threshold_probability(scenario: Scenario, design: MemberDesign | None = None) -> ThresholdResult:
+def threshold_probability(
+    scenario: Scenario, design: MemberDesign | None = None, model: RiskModel | None = None
+) -> ThresholdResult:
     """Bisection on log10(p_ld) for the zero of the optimal bending index.
 
     Every evaluation runs the full multi-start so basin hopping near the
-    indifference point resolves the same way at every probe.
+    indifference point resolves the same way at every probe.  All probes
+    share one model and memo (from ``model``, as in :func:`minimize_total_cost`).
     """
-    if design is None:
-        design = design_members(scenario)
+    frame = (RiskModel(scenario, design) if model is None else model).at(scenario.p_ld)
+    probes: list[OptimizationResult] = []
+
+    def beta_b_at_optimum(log10_p: float) -> float:
+        probes.append(minimize_total_cost(replace(scenario, p_ld=10.0**log10_p), model=frame))
+        return probes[-1].beta_damaged.beta_b
+
     lo, hi = LOG10_P_RANGE
-    g_lo, opt_lo = _beta_b_at_optimum(scenario, design, 10.0**lo)
-    g_hi, opt_hi = _beta_b_at_optimum(scenario, design, 10.0**hi)
+    g_lo, g_hi = beta_b_at_optimum(lo), beta_b_at_optimum(hi)
+    status, p_th = BRACKETED, None
     if g_lo > 0.0 and g_hi > 0.0:
-        return ThresholdResult(ALWAYS_STRENGTHEN, None, g_lo, g_hi, opt_lo, opt_hi)
-    if g_lo < 0.0 and g_hi < 0.0:
-        return ThresholdResult(NEVER_STRENGTHEN, None, g_lo, g_hi, opt_lo, opt_hi)
-    low_negative = g_lo < 0.0
-    while hi - lo > LOG10_P_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid, _ = _beta_b_at_optimum(scenario, design, 10.0**mid)
-        if (g_mid < 0.0) == low_negative:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(BRACKETED, 10.0 ** (0.5 * (lo + hi)), g_lo, g_hi, opt_lo, opt_hi)
+        status = ALWAYS_STRENGTHEN
+    elif g_lo < 0.0 and g_hi < 0.0:
+        status = NEVER_STRENGTHEN
+    else:
+        while hi - lo > LOG10_P_TOL:
+            mid = 0.5 * (lo + hi)
+            if (beta_b_at_optimum(mid) < 0.0) == (g_lo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+        p_th = 10.0 ** (0.5 * (lo + hi))
+    evaluations, memo_hits = sum(p.evaluations for p in probes), sum(p.memo_hits for p in probes)
+    return ThresholdResult(status, p_th, g_lo, g_hi, probes[0], probes[1], evaluations, memo_hits)

@@ -27,8 +27,10 @@ broadcast-array arithmetic.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,7 +93,6 @@ class RiskModel:
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
         if design is None:
             design = design_members(scenario)
-        self.scenario = scenario
         self.design = design
         g, dm, cp, loads = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
         psi = scenario.bending_psi()
@@ -131,6 +132,11 @@ class RiskModel:
             )
             for j, c_b, c_pl in zip(self.stages, self.c_b, self.c_pl)
         )
+        # Suffix caps: _caps[k] >= 0 and >= every unweighted stage cost from stage k on.
+        caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))
+        self._caps = list(caps)[::-1]
+        self._memo = None
+        self.memo_hits = 0
 
     # -- the progression chain ---------------------------------------------
 
@@ -158,12 +164,19 @@ class RiskModel:
                 yield p_b, p_pl, p_pg, (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
                 reach = reach * p_pl
 
-    def _branch(self, lb, lc, sqrt, pf, maximum):
-        """Largest chain-weighted stage cost (0 without a chain)."""
+    def _branch(self, lb, lc, sqrt, pf, maximum, caps=None):
+        """Largest chain-weighted stage cost (0 without a chain).
+
+        Given the suffix ``caps`` (floats only), the walk stops once no later
+        stage, weighted by at most the reach past this one, can beat ``best``;
+        float ``*`` and ``max`` are monotone, so the result keeps its bits.
+        """
         best = None
-        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, sqrt, pf):
+        for k, (_, p_pl, _, (t_b, t_pl, t_pg), weight, _) in enumerate(self._walk(lb, lc, sqrt, pf), 1):
             stage = weight * maximum(t_b, maximum(t_pl, t_pg))
-            best = stage if best is None else maximum(best, stage)
+            best, next_reach = (stage, p_pl) if best is None else (maximum(best, stage), weight)
+            if caps is not None and next_reach * caps[k] <= best:
+                break
         return 0.0 if best is None else best
 
     def _normal(self, lb, lc, sqrt, pf):
@@ -172,13 +185,16 @@ class RiskModel:
         pf_pg50 = pf(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50, sqrt))
         return self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
 
-    def _sum(self, construction, normal, branch):
-        """The objective from its terms; the one place they are added up."""
-        return construction + normal + self.p_ld * (self.c_id + branch)
+    def _sum(self, a, b):
+        """The objective from its p_ld-free parts ``a = construction + normal``
+        and ``b = c_id + branch``: Python adds the written-out sum left to
+        right, so this has its bits, and ``(a, b)`` hold for any ``p_ld``."""
+        return a + self.p_ld * b
 
-    def _total(self, lb, lc, sqrt, pf, maximum):
+    def _parts(self, lb, lc, sqrt, pf, maximum, caps=None):
+        """The ``(a, b)`` of :meth:`_sum` at one point or on a grid."""
         normal = self._normal(lb, lc, sqrt, pf)
-        return self._sum(self.construction(lb, lc), normal, self._branch(lb, lc, sqrt, pf, maximum))
+        return self.construction(lb, lc) + normal, self.c_id + self._branch(lb, lc, sqrt, pf, maximum, caps)
 
     # -- entry points ------------------------------------------------------
 
@@ -187,11 +203,28 @@ class RiskModel:
 
     def damage_branch(self, lambda_b: float, lambda_c: float) -> float:
         """Maximum expected collapse cost over the progression chain."""
-        return self._branch(lambda_b, lambda_c, math.sqrt, _pf_float, max)
+        return self._branch(lambda_b, lambda_c, math.sqrt, _pf_float, max, self._caps)
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
         """Total expected cost at the given design factors."""
-        return self._total(lambda_b, lambda_c, math.sqrt, _pf_float, max)
+        parts = self._memo.get((lambda_b, lambda_c)) if self._memo else None
+        if parts is None:
+            parts = self._parts(lambda_b, lambda_c, math.sqrt, _pf_float, max, self._caps)
+            if self._memo is not None:
+                self._memo[lambda_b, lambda_c] = parts
+        else:
+            self.memo_hits += 1
+        return self._sum(*parts)
+
+    def at(self, p_ld: float) -> RiskModel:
+        """A view of this model at ``p_ld`` whose ``evaluate`` keeps the
+        p_ld-free parts of each point in a memo.  A constructed model keeps
+        none; its first view starts one, shared by all views taken from that
+        view and gone with them.  ``memo_hits`` counts the view's own hits."""
+        view = copy.copy(self)
+        view.p_ld = p_ld
+        view.memo_hits, view._memo = 0, ({} if self._memo is None else self._memo)
+        return view
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
         """The terms of :meth:`evaluate` at the given design factors; the
@@ -199,7 +232,7 @@ class RiskModel:
         construction = self.construction(lambda_b, lambda_c)
         normal = self._normal(lambda_b, lambda_c, math.sqrt, _pf_float)
         branch = self.damage_branch(lambda_b, lambda_c)
-        return ExpectedCost(construction, normal, self.c_id, branch, self._sum(construction, normal, branch))
+        return ExpectedCost(construction, normal, self.c_id, branch, self._sum(construction + normal, self.c_id + branch))
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -209,7 +242,7 @@ class RiskModel:
         """
         lb = np.asarray(lambda_b, dtype=float)[:, None]
         lc = np.asarray(lambda_c, dtype=float)[None, :]
-        return self._total(lb, lc, np.sqrt, _pf_array, np.maximum)
+        return self._sum(*self._parts(lb, lc, np.sqrt, _pf_array, np.maximum))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots."""

@@ -161,8 +161,8 @@ def _study_points(study: StudyDefinition) -> list[tuple[tuple, Scenario]]:
 
 def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
     coords, scenario, with_threshold = args
-    design = design_members(scenario)
-    opt = minimize_total_cost(scenario, design)
+    model = RiskModel(scenario).at(scenario.p_ld)  # the threshold probes share its memo
+    opt = minimize_total_cost(scenario, model=model)
     row = list(coords) + [
         opt.factors.lambda_b,
         opt.factors.lambda_c,
@@ -173,23 +173,23 @@ def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
         opt.converged,
     ]
     if with_threshold:
-        th = threshold_probability(scenario, design)
+        th = threshold_probability(scenario, model=model)
         row += [th.status, th.p_th if th.p_th is not None else ""]
     return tuple(row)
 
 
-def _map_tasks(jobs: int, *batches: tuple) -> list[list]:
-    """Results of each ``(fn, tasks)`` batch, in input order.
+def _map_tasks(jobs: int, fn, tasks: list) -> list:
+    """``fn`` over ``tasks``, results in input order.
 
-    With more than one worker to use, all batches share one process pool of
-    at most ``min(jobs, number of tasks)`` workers: under the fork start
-    method the pool forks all of them at the first task, idle or not.
+    With more than one worker to use, the tasks run in a process pool of at
+    most ``min(jobs, len(tasks))`` workers: under the fork start method the
+    pool forks all of them at the first task, idle or not.
     """
-    workers = min(jobs, sum(len(tasks) for _, tasks in batches))
+    workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [[fn(task) for task in tasks] for fn, tasks in batches]
+        return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [list(pool.map(fn, tasks)) for fn, tasks in batches]
+        return list(pool.map(fn, tasks))
 
 
 def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
@@ -206,7 +206,7 @@ def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
     if study.with_threshold:
         header += ["threshold_status", "p_ld_th"]
     tasks = [(coords, scn, study.with_threshold) for coords, scn in _study_points(study)]
-    (rows,) = _map_tasks(study.jobs, (_evaluate_point, tasks))
+    rows = _map_tasks(study.jobs, _evaluate_point, tasks)
 
     outdir = Path(study.outdir)
     emit_csv(outdir / "sweep.csv", header, rows)
@@ -296,27 +296,19 @@ _CURVE_FRAMES = ("16x4", "4x16")
 _CURVE_P_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _curve_point(args: tuple[str, float]) -> tuple:
-    frame_name, p_ld = args
-    scn = validate(Scenario(geometry=FRAME_CATALOG[frame_name], p_ld=p_ld))
-    opt = minimize_total_cost(scn)
-    return (
-        frame_name,
-        p_ld,
-        opt.factors.lambda_b,
-        opt.factors.lambda_c,
-        opt.beta_damaged.beta_b,
-        opt.beta_damaged.beta_pl,
-        opt.beta_damaged.beta_pg,
-    )
-
-
-def _threshold_point(frame_name: str) -> tuple:
+def _frame_task(frame_name: str) -> tuple[tuple, list[tuple]]:
+    """Threshold row and (curve frames only) curve rows of one frame, solved on one model and memo."""
     scn = validate(Scenario(geometry=FRAME_CATALOG[frame_name]))
-    th = threshold_probability(scn)
+    model = RiskModel(scn).at(scn.p_ld)
+    th = threshold_probability(scn, model=model)
     p_th = th.p_th if th.status == BRACKETED else ""
     annual = annual_from_lifetime(th.p_th) if th.status == BRACKETED else ""
-    return (frame_name, th.status, p_th, annual)
+    curve = []
+    for p_ld in _CURVE_P_GRID if frame_name in _CURVE_FRAMES else ():
+        opt = minimize_total_cost(validate(replace(scn, p_ld=p_ld)), model=model)
+        bd = opt.beta_damaged
+        curve.append((frame_name, p_ld, opt.factors.lambda_b, opt.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg))
+    return (frame_name, th.status, p_th, annual), curve
 
 
 def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
@@ -337,9 +329,11 @@ def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
     header, rows = strengthening_table()
     written.append(emit_csv(outdir / "strengthening_factors.csv", header, rows))
 
-    curve_tasks = [(frame, p) for frame in _CURVE_FRAMES for p in _CURVE_P_GRID]
-    threshold_tasks = list(FRAME_CATALOG)
-    curve_rows, threshold_rows = _map_tasks(jobs, (_curve_point, curve_tasks), (_threshold_point, threshold_tasks))
+    # one task per frame, the curve frames (the longest tasks) first
+    frames = sorted(FRAME_CATALOG, key=lambda frame: frame not in _CURVE_FRAMES)
+    by_frame = dict(zip(frames, _map_tasks(jobs, _frame_task, frames)))
+    threshold_rows = [by_frame[frame][0] for frame in FRAME_CATALOG]
+    curve_rows = [row for frame in _CURVE_FRAMES for row in by_frame[frame][1]]
 
     header = ["frame", "p_ld", "lambda_b_star", "lambda_c_star", "beta_b_star", "beta_pl_star", "beta_pg_star"]
     written.append(emit_csv(outdir / "optimal_factors_vs_p.csv", header, curve_rows))

@@ -248,6 +248,7 @@ def test_optimize_reference(capsys):
     out = capsys.readouterr().out
     assert "lambda_b* = 0.899" in out
     assert "lambda_c* = 1.296" in out
+    assert out.splitlines()[-1] == "evaluations = 2092, memo hits = 28"
 
 
 def test_threshold_tall_frame(capsys):
@@ -256,6 +257,7 @@ def test_threshold_tall_frame(capsys):
     assert "p_ld_th" in out
     value = float(out.splitlines()[0].split("=")[1])
     assert 3e-4 <= value <= 3e-3
+    assert out.splitlines()[-1] == "evaluations = 26692, memo hits = 10123"
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -305,16 +307,13 @@ def test_pool_has_at_most_one_worker_per_task(tmp_path, pool_sizes):
     argv = ["sweep", "--axis", "p_ld=0.05,0.1", "--outdir", str(tmp_path), "--jobs", "64"]
     assert run_command(argv) == 0
     assert pool_sizes == [2]
-    # the paper tables share one pool over all their batches: 14 + 7 tasks
-    assert studies._map_tasks(64, (abs, list(range(-14, 0))), (str, list(range(7)))) == [
-        list(range(14, 0, -1)),
-        [str(i) for i in range(7)],
-    ]
-    assert pool_sizes == [2, 21]
+    # the paper tables run one task per catalog frame
+    assert studies._map_tasks(64, abs, list(range(-7, 0))) == list(range(7, 0, -1))
+    assert pool_sizes == [2, 7]
     # one task, or one job, runs in this process
-    assert studies._map_tasks(64, (abs, [-1])) == [[1]]
-    assert studies._map_tasks(1, (abs, [-1, -2])) == [[1, 2]]
-    assert pool_sizes == [2, 21]
+    assert studies._map_tasks(64, abs, [-1]) == [1]
+    assert studies._map_tasks(1, abs, [-1, -2]) == [1, 2]
+    assert pool_sizes == [2, 7]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from framerisk import (
+    FRAME_CATALOG,
     CostParameters,
     DamageScenario,
     FrameGeometry,
@@ -15,8 +16,10 @@ from framerisk import (
     Scenario,
     design_members,
     minimize_total_cost,
+    threshold_probability,
     validate,
 )
+from framerisk import optimize
 from framerisk.optimize import ALWAYS_STRENGTHEN, BRACKETED, NEVER_STRENGTHEN
 
 
@@ -71,6 +74,76 @@ def test_reference_solve_evaluation_count(monkeypatch, ref_scenario, ref_design)
     # the run record reports the same calls and every start converging
     assert result.evaluations == calls
     assert result.converged_starts == 25
+
+
+def test_reference_threshold_counts(monkeypatch, ref_scenario, ref_design):
+    # deterministic work counts of the reference threshold search: objective
+    # calls summed over its probes, and those the frame's memo answered
+    calls = 0
+    evaluate = RiskModel.evaluate
+
+    def counted(self, lambda_b, lambda_c):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, lambda_b, lambda_c)
+
+    monkeypatch.setattr(RiskModel, "evaluate", counted)
+    result = threshold_probability(ref_scenario, ref_design)
+    assert calls == result.evaluations == 26024
+    assert result.memo_hits == 9387
+    # within one solve the memo answers only the points a search revisits
+    assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 28
+
+
+def threshold_bits(result):
+    def factors(opt):
+        return opt.factors.lambda_b.hex(), opt.factors.lambda_c.hex()
+
+    p_th = None if result.p_th is None else result.p_th.hex()
+    return (result.status, p_th, result.g_low.hex(), result.g_high.hex(),
+            factors(result.optimum_low), factors(result.optimum_high), result.evaluations)
+
+
+@pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+def test_shared_model_threshold_matches_fresh_models(monkeypatch, frame):
+    scn = validate(Scenario(geometry=FRAME_CATALOG[frame]))
+    shared = threshold_probability(scn)
+    solve = optimize.minimize_total_cost
+    # every probe builds its own model, as before the probes shared one
+    monkeypatch.setattr(optimize, "minimize_total_cost", lambda scenario, model: solve(scenario))
+    fresh = threshold_probability(scn)
+    assert threshold_bits(shared) == threshold_bits(fresh)
+    assert shared.memo_hits > fresh.memo_hits
+
+
+def test_view_evaluate_matches_fresh_model(ref_scenario, ref_design):
+    points = np.random.default_rng(11).uniform(0.05, 5.0, size=(30, 2)).tolist()
+    view = RiskModel(ref_scenario, ref_design)
+    for p_ld in (1e-6, 1e-3, 0.1, 1.0):
+        view = view.at(p_ld)  # shares the memo of the views before it
+        fresh = RiskModel(replace(ref_scenario, p_ld=p_ld), ref_design)
+        for lb, lc in points + points[:10]:
+            assert view.evaluate(lb, lc).hex() == fresh.evaluate(lb, lc).hex()
+        assert view.memo_hits == (10 if p_ld == 1e-6 else 40)
+    assert view.p_ld == 1.0
+
+
+def test_memo_lives_as_long_as_its_solve(ref_scenario, ref_design):
+    model = RiskModel(ref_scenario, ref_design)
+    for _ in range(3):
+        model.evaluate(0.9, 1.3)
+    # a model a caller builds keeps no memo, whatever it is used for
+    assert model.memo_hits == 0 and model._memo is None
+    first = minimize_total_cost(ref_scenario, ref_design, model=model)
+    second = minimize_total_cost(ref_scenario, ref_design, model=model)
+    assert model._memo is None
+    assert (second.evaluations, second.memo_hits) == (first.evaluations, first.memo_hits) == (2092, 28)
+    # a view passed in lends its memo, which then answers a repeated solve
+    view = model.at(ref_scenario.p_ld)
+    minimize_total_cost(ref_scenario, ref_design, model=view)
+    again = minimize_total_cost(ref_scenario, ref_design, model=view)
+    assert again.memo_hits == again.evaluations
+    assert again.c_te.hex() == first.c_te.hex()
 
 
 def test_optimum_betas_reported(ref_optimum):

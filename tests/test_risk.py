@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from framerisk import (
+    DAMAGE_VARIANTS,
+    FRAME_CATALOG,
     CollapseMode,
     CostParameters,
     DamageScenario,
@@ -198,6 +200,86 @@ def test_vectorized_grid_matches_scalar(ref_scenario, ref_design):
     for i in (0, 7, 22):
         for j in (0, 11, 18):
             assert grid[i, j] == pytest.approx(model.evaluate(float(lb[i]), float(lc[j])), rel=1e-12)
+
+
+def unpruned(model, lb, lc):
+    """Damage branch and objective with every chain stage walked: the
+    largest trace row plus the objective's own sum."""
+    branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
+    normal = model.breakdown(lb, lc).normal_loading
+    return branch, model._sum(model.construction(lb, lc) + normal, model.c_id + branch)
+
+
+def walked_stages(model, lb, lc):
+    """Chain stages the scalar damage branch visits before it stops."""
+    walk, count = model._walk, 0
+
+    def counted(*args):
+        nonlocal count
+        for stage in walk(*args):
+            count += 1
+            yield stage
+
+    model._walk = counted
+    try:
+        model.damage_branch(lb, lc)
+    finally:
+        del model._walk
+    return count
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("catenary", [False, True])
+    @pytest.mark.parametrize("damage", DAMAGE_VARIANTS, ids=lambda d: f"{d.n_rc0}x{d.n_rs0}")
+    @pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+    def test_matches_unpruned_walk(self, frame, damage, catenary):
+        base = validate(Scenario(geometry=FRAME_CATALOG[frame], damage=damage, include_catenary=catenary))
+        design = design_members(base)
+        rng = np.random.default_rng(2022)
+        stopped = 0
+        for p_ld in (1e-6, 1e-3, 0.1, 1.0):
+            model = RiskModel(replace(base, p_ld=p_ld), design)
+            for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
+                branch, objective = unpruned(model, lb, lc)
+                assert model.damage_branch(lb, lc).hex() == branch.hex()
+                assert model.evaluate(lb, lc).hex() == objective.hex()
+                stopped += walked_stages(model, lb, lc) < len(model.stages)
+        if len(model.stages) > 1:
+            assert stopped > 0  # the exit is taken, not only harmless
+
+    def test_exit_on_a_tied_bound(self):
+        # raise one suffix cap to the largest value whose bound still equals
+        # the best stage cost: the walk stops right there (``<=``), one ulp
+        # more walks on, and both keep the unpruned bits
+        scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
+        model = RiskModel(scn)
+        rng = np.random.default_rng(5)
+        for lb, lc in rng.uniform(0.05, 5.0, size=(200, 2)).tolist():
+            rows = model.trace(DesignFactors(lb, lc))
+            k = walked_stages(model, lb, lc)
+            if k >= len(rows):
+                continue
+            best = max(row.expected_cost for row in rows[:k])
+            next_reach = rows[0].p_pl if k == 1 else rows[k - 1].chain_probability
+            cap = best / next_reach
+            while next_reach * cap > best:
+                cap = math.nextafter(cap, 0.0)
+            while next_reach * math.nextafter(cap, math.inf) <= best:
+                cap = math.nextafter(cap, math.inf)
+            if next_reach * cap == best:
+                break
+        else:
+            pytest.fail("no exit whose bound can tie the best stage cost")
+        assert cap >= model._caps[k]
+        branch, objective = unpruned(model, lb, lc)
+        caps = model._caps
+        model._caps = [*caps[:k], cap, *caps[k + 1 :]]
+        assert walked_stages(model, lb, lc) == k
+        assert model.damage_branch(lb, lc).hex() == branch.hex()
+        assert model.evaluate(lb, lc).hex() == objective.hex()
+        model._caps = [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]]
+        assert walked_stages(model, lb, lc) > k
+        assert model.damage_branch(lb, lc).hex() == branch.hex()
 
 
 class TestProgressionTrace:
