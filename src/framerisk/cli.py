@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -60,10 +59,16 @@ def _resolve_scenario(args) -> Scenario:
     return validate(scenario)
 
 
+# Far above any design the model means (the optimizer searches [0.05, 5]);
+# the reliability index squares the factored strength, which overflows
+# from about 1e154 and loses every digit long before.
+MAX_FACTOR = 1e6
+
+
 def _factors(args) -> DesignFactors:
     for flag, value in (("--lambda-b", args.lambda_b), ("--lambda-c", args.lambda_c)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{flag} must be a finite number > 0, got {value}")
+        if not 0 < value <= MAX_FACTOR:
+            raise ValueError(f"{flag} must be a finite number > 0 and <= {MAX_FACTOR:g}, got {value}")
     return DesignFactors(args.lambda_b, args.lambda_c)
 
 

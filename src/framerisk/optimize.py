@@ -85,12 +85,17 @@ def minimize_total_cost(
     broken by objective value then lexicographic factors.  A prebuilt
     ``model`` of the scenario at any ``p_ld`` (and its design) is used through
     a view at the scenario's; a view passed in lends its memo to the solve.
+    Without one the solve runs on a model of its own and keeps no memo: a
+    lone search revisits too few points to pay for one.
     """
-    model = (RiskModel(scenario, design) if model is None else model).at(scenario.p_ld)
+    model = RiskModel(scenario, design) if model is None else model.at(scenario.p_ld)
     design = model.design
+    evaluate, (lo, hi) = model.evaluate, FACTOR_BOUNDS
 
     def objective(lambda_b: float, lambda_c: float) -> float:
-        return model.evaluate(_clamp(lambda_b), _clamp(lambda_c))
+        # _clamp written out: this runs once per objective call
+        return evaluate(lo if lambda_b < lo else hi if lambda_b > hi else lambda_b,
+                        lo if lambda_c < lo else hi if lambda_c > hi else lambda_c)
 
     best: tuple[float, float, float] | None = None
     best_converged = False
@@ -99,7 +104,7 @@ def minimize_total_cost(
     for lb0 in grid:
         for lc0 in grid:
             evaluations += 1
-            if not math.isfinite(model.evaluate(lb0, lc0)):
+            if not math.isfinite(evaluate(lb0, lc0)):
                 continue
             starts_used += 1
             res = minimize(objective, (lb0, lc0), xatol=XTOL, fatol=FTOL, maxfev=2000)

@@ -20,9 +20,9 @@ probabilities respond to the design variables.
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
 grids and multi-start optimization.  One walk over the chain stages serves
-the scalar objective, the vectorized grid, the damage branch and the
-progression trace; only the entry point chooses between float and
-broadcast-array arithmetic.
+the vectorized grid and the progression trace; the scalar objective, damage
+branch and breakdown run on one float kernel, the same arithmetic written
+out in one frame with an exact early exit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import costs as costmod
 from . import mechanics
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import _moment_index, _pf_array, _pf_float
+from .reliability import SQRT2, _moment_index, _pf_array, _pf_float
 
 _MODE_TAGS = ("bending", "local_pancake", "global_pancake")
 
@@ -164,26 +164,43 @@ class RiskModel:
                 yield p_b, p_pl, p_pg, (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
                 reach = reach * p_pl
 
-    def _branch(self, lb, lc, sqrt, pf, maximum, caps=None):
-        """Largest chain-weighted stage cost (0 without a chain).
-
-        Given the suffix ``caps`` (floats only), the walk stops once no later
-        stage, weighted by at most the reach past this one, can beat ``best``;
-        float ``*`` and ``max`` are monotone, so the result keeps its bits.
+    def _float_parts(self, lb, lc):
+        """``(normal, branch)`` at one point, written out in one frame because
+        the objective runs it thousands of times per solve.  Each probability is
+        ``_pf_float(_moment_index(...))`` in the same operation order and
+        ``y if y > x else x`` is the builtin ``max(x, y)``, so the bits are those
+        of the walk.  The chain stops once no later stage, weighted by at most
+        the reach past this one and costing at most the suffix cap, can beat
+        ``best``: float ``*`` and ``max`` are monotone, so the exit is exact.
         """
-        best = None
-        for k, (_, p_pl, _, (t_b, t_pl, t_pg), weight, _) in enumerate(self._walk(lb, lc, sqrt, pf), 1):
-            stage = weight * maximum(t_b, maximum(t_pl, t_pg))
-            best, next_reach = (stage, p_pl) if best is None else (maximum(best, stage), weight)
-            if caps is not None and next_reach * caps[k] <= best:
+        sqrt, erfc = math.sqrt, math.erfc
+        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
+        mu_l, var_l, c_pg = self.mu_l50, self.var_l50, self.c_pg
+        r = self.a_b50 * lb
+        pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2)
+        r = self.a_pg50 * lc
+        pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2)
+        normal = self.c_nlc_bending * pf_b + c_pg * pf_pg
+        mu_l, var_l, caps = self.mu_lapt, self.var_lapt, self._caps
+        best = reach = None
+        for k, (a_b, a_pl, a_pg, c_b, c_pl) in enumerate(self._chain, 1):
+            r = a_b * lb
+            t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
+            r = a_pl * lc
+            p_pl = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2)
+            r = a_pg * lc
+            t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
+            if reach is None:  # the initial extent: weight 1, every term weighted
+                t_pl, reach = p_pl * c_pl, p_pl
+                top = t_pg if t_pg > t_pl else t_pl
+                best = top if top > t_b else t_b
+            else:  # local pancake's advance probability is in the weight
+                top, reach = (t_pg if t_pg > c_pl else c_pl), reach * p_pl
+                stage = reach * (top if top > t_b else t_b)
+                best = stage if stage > best else best
+            if reach * caps[k] <= best:
                 break
-        return 0.0 if best is None else best
-
-    def _normal(self, lb, lc, sqrt, pf):
-        """Expected collapse cost of the intact frame under normal loading."""
-        pf_b50 = pf(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, self.mu_l50, self.var_l50, sqrt))
-        pf_pg50 = pf(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, self.mu_l50, self.var_l50, sqrt))
-        return self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
+        return normal, 0.0 if best is None else best
 
     def _sum(self, a, b):
         """The objective from its p_ld-free parts ``a = construction + normal``
@@ -191,10 +208,18 @@ class RiskModel:
         right, so this has its bits, and ``(a, b)`` hold for any ``p_ld``."""
         return a + self.p_ld * b
 
-    def _parts(self, lb, lc, sqrt, pf, maximum, caps=None):
-        """The ``(a, b)`` of :meth:`_sum` at one point or on a grid."""
-        normal = self._normal(lb, lc, sqrt, pf)
-        return self.construction(lb, lc) + normal, self.c_id + self._branch(lb, lc, sqrt, pf, maximum, caps)
+    def _parts(self, lb, lc):
+        """The ``(a, b)`` of :meth:`_sum` on a grid, every chain stage walked
+        (the damage branch is 0 without a chain)."""
+        mu_l, var_l = self.mu_l50, self.var_l50
+        pf_b50 = _pf_array(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, np.sqrt))
+        pf_pg50 = _pf_array(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt))
+        best = None
+        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, np.sqrt, _pf_array):
+            stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
+            best = stage if best is None else np.maximum(best, stage)
+        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
+        return self.construction(lb, lc) + normal, self.c_id + (0.0 if best is None else best)
 
     # -- entry points ------------------------------------------------------
 
@@ -203,15 +228,17 @@ class RiskModel:
 
     def damage_branch(self, lambda_b: float, lambda_c: float) -> float:
         """Maximum expected collapse cost over the progression chain."""
-        return self._branch(lambda_b, lambda_c, math.sqrt, _pf_float, max, self._caps)
+        return self._float_parts(lambda_b, lambda_c)[1]
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
         """Total expected cost at the given design factors."""
-        parts = self._memo.get((lambda_b, lambda_c)) if self._memo else None
+        memo = self._memo
+        parts = memo.get((lambda_b, lambda_c)) if memo else None
         if parts is None:
-            parts = self._parts(lambda_b, lambda_c, math.sqrt, _pf_float, max, self._caps)
-            if self._memo is not None:
-                self._memo[lambda_b, lambda_c] = parts
+            normal, branch = self._float_parts(lambda_b, lambda_c)
+            parts = self.construction(lambda_b, lambda_c) + normal, self.c_id + branch
+            if memo is not None:
+                memo[lambda_b, lambda_c] = parts
         else:
             self.memo_hits += 1
         return self._sum(*parts)
@@ -230,8 +257,7 @@ class RiskModel:
         """The terms of :meth:`evaluate` at the given design factors; the
         record's ``total`` equals ``evaluate`` bit for bit."""
         construction = self.construction(lambda_b, lambda_c)
-        normal = self._normal(lambda_b, lambda_c, math.sqrt, _pf_float)
-        branch = self.damage_branch(lambda_b, lambda_c)
+        normal, branch = self._float_parts(lambda_b, lambda_c)
         return ExpectedCost(construction, normal, self.c_id, branch, self._sum(construction + normal, self.c_id + branch))
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
@@ -242,7 +268,7 @@ class RiskModel:
         """
         lb = np.asarray(lambda_b, dtype=float)[:, None]
         lc = np.asarray(lambda_c, dtype=float)[None, :]
-        return self._sum(*self._parts(lb, lc, np.sqrt, _pf_array, np.maximum))
+        return self._sum(*self._parts(lb, lc))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots."""

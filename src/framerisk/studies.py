@@ -161,7 +161,8 @@ def _study_points(study: StudyDefinition) -> list[tuple[tuple, Scenario]]:
 
 def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
     coords, scenario, with_threshold = args
-    model = RiskModel(scenario).at(scenario.p_ld)  # the threshold probes share its memo
+    # the threshold probes share the memo of this view; a lone solve keeps none
+    model = RiskModel(scenario).at(scenario.p_ld) if with_threshold else None
     opt = minimize_total_cost(scenario, model=model)
     row = list(coords) + [
         opt.factors.lambda_b,

@@ -220,6 +220,19 @@ def test_nonpositive_or_non_finite_factor_is_data_error(capsys, command, flag, v
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["evaluate", "--lambda-b=1e308"], ["trace", "--lambda-c=1e300"], ["beta", "--lambda-b=1e200"]]
+)
+def test_factor_above_bound_is_data_error(capsys, argv):
+    # finite factors this large overflow or flatten the reliability index
+    # (nan costs, p = 0.5 at every stage, an optimized index of 0)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert f"must be a finite number > 0 and <= {cli.MAX_FACTOR:g}" in err
+    assert len(err.splitlines()) == 1
+    assert run_command([argv[0], argv[1].split("=")[0] + f"={cli.MAX_FACTOR}"]) == 0
+
+
 def test_beta_grid_stdout(capsys):
     assert run_command(["beta", "--lambda-b", "0.9", "--lambda-c", "1.3"]) == 0
     out = capsys.readouterr().out
@@ -248,7 +261,8 @@ def test_optimize_reference(capsys):
     out = capsys.readouterr().out
     assert "lambda_b* = 0.899" in out
     assert "lambda_c* = 1.296" in out
-    assert out.splitlines()[-1] == "evaluations = 2092, memo hits = 28"
+    # a lone solve keeps no memo
+    assert out.splitlines()[-1] == "evaluations = 2092, memo hits = 0"
 
 
 def test_threshold_tall_frame(capsys):

@@ -91,8 +91,9 @@ def test_reference_threshold_counts(monkeypatch, ref_scenario, ref_design):
     result = threshold_probability(ref_scenario, ref_design)
     assert calls == result.evaluations == 26024
     assert result.memo_hits == 9387
-    # within one solve the memo answers only the points a search revisits
-    assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 28
+    # a solve handed no model keeps no memo (one kept for a lone search
+    # answered only the 28 points it revisits)
+    assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 0
 
 
 def threshold_bits(result):
@@ -213,6 +214,19 @@ def test_optimal_bending_index_monotone_in_threat(ref_scenario, ref_design):
         result = minimize_total_cost(replace(ref_scenario, p_ld=float(p)), ref_design)
         betas.append(result.beta_damaged.beta_b)
     assert all(b >= a - 1e-9 for a, b in zip(betas, betas[1:]))
+
+
+@pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+def test_optimal_cost_does_not_fall_as_threat_rises(frame):
+    # c_te* = min over the factors of A + p_ld * B with B >= 0, so the global
+    # minimum cannot fall as p_ld rises; the multistart must keep that exactly
+    scn = validate(Scenario(geometry=FRAME_CATALOG[frame]))
+    model = RiskModel(scn).at(scn.p_ld)  # one model and memo for the frame
+    costs = [
+        minimize_total_cost(validate(replace(scn, p_ld=p)), model=model).c_te
+        for p in np.logspace(-6.0, 0.0, 13).tolist()
+    ]
+    assert all(b >= a for a, b in zip(costs, costs[1:])), costs
 
 
 def test_all_starts_nonfinite_raises(ref_scenario):

@@ -211,20 +211,21 @@ def unpruned(model, lb, lc):
 
 
 def walked_stages(model, lb, lc):
-    """Chain stages the scalar damage branch visits before it stops."""
-    walk, count = model._walk, 0
+    """Chain stages the scalar damage branch (the float kernel behind
+    ``evaluate``) reads from the model's chain table before it stops."""
+    chain, count = model._chain, 0
 
-    def counted(*args):
+    def counted():
         nonlocal count
-        for stage in walk(*args):
+        for stage in chain:
             count += 1
             yield stage
 
-    model._walk = counted
+    model._chain = counted()
     try:
         model.damage_branch(lb, lc)
     finally:
-        del model._walk
+        model._chain = chain
     return count
 
 
