@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .design import MemberDesign
 from .model import DesignFactors, Scenario
 from .reliability import BetaSet, beta_set_damaged, beta_set_intact
 from .risk import RiskModel
 from .simplex import minimize
 
-START_GRID = np.linspace(0.2, 2.5, 5)
+# the floats of np.linspace(0.2, 2.5, 5), bit for bit
+START_GRID = tuple(0.2 + i * ((2.5 - 0.2) / 4) for i in range(5))
 FACTOR_BOUNDS = (0.05, 5.0)
 XTOL = 1e-4
 FTOL = 1e-8
@@ -100,9 +99,8 @@ def minimize_total_cost(
     best: tuple[float, float, float] | None = None
     best_converged = False
     starts_used = evaluations = converged_starts = 0
-    grid = START_GRID.tolist()
-    for lb0 in grid:
-        for lc0 in grid:
+    for lb0 in START_GRID:
+        for lc0 in START_GRID:
             evaluations += 1
             if not math.isfinite(evaluate(lb0, lc0)):
                 continue

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import ndtr
+from typing import TYPE_CHECKING
 
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
 from .model import DesignFactors, RandomVarStats, Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,13 +64,20 @@ def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
 # The failure probability Phi(-beta) of an index, on floats and on broadcast
 # arrays.  The two can differ in the last bit, so each path keeps to one:
 # the scalar objective, and with it the optimizer's trajectories, to the
-# float form and the grid to the array form.
+# float form and the grid to the array form.  Only the grid needs scipy, so
+# ``ndtr`` is imported on the first array call.
 def _pf_float(beta: float) -> float:
     return 0.5 * math.erfc(beta / SQRT2)
 
 
+_ndtr = None
+
+
 def _pf_array(beta: np.ndarray) -> np.ndarray:
-    return ndtr(-beta)
+    global _ndtr
+    if _ndtr is None:
+        from scipy.special import ndtr as _ndtr
+    return _ndtr(-beta)
 
 
 def _live_stats(scenario: Scenario, live: str) -> RandomVarStats:

@@ -31,14 +31,16 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import costs as costmod
 from . import mechanics
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
 from .reliability import SQRT2, _moment_index, _pf_array, _pf_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MODE_TAGS = ("bending", "local_pancake", "global_pancake")
 
@@ -208,19 +210,6 @@ class RiskModel:
         right, so this has its bits, and ``(a, b)`` hold for any ``p_ld``."""
         return a + self.p_ld * b
 
-    def _parts(self, lb, lc):
-        """The ``(a, b)`` of :meth:`_sum` on a grid, every chain stage walked
-        (the damage branch is 0 without a chain)."""
-        mu_l, var_l = self.mu_l50, self.var_l50
-        pf_b50 = _pf_array(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, np.sqrt))
-        pf_pg50 = _pf_array(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt))
-        best = None
-        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, np.sqrt, _pf_array):
-            stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
-            best = stage if best is None else np.maximum(best, stage)
-        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
-        return self.construction(lb, lc) + normal, self.c_id + (0.0 if best is None else best)
-
     # -- entry points ------------------------------------------------------
 
     def construction(self, lambda_b: float, lambda_c: float) -> float:
@@ -264,11 +253,23 @@ class RiskModel:
         """Objective on the outer grid of the two factor vectors.
 
         Returns an array of shape ``(len(lambda_b), len(lambda_c))``; used
-        for brute-force minima and for surface plots.
+        for brute-force minima and for surface plots.  Every chain stage is
+        walked (the damage branch is 0 without a chain).  Only the grid needs
+        numpy, so it is imported here.
         """
+        import numpy as np
+
         lb = np.asarray(lambda_b, dtype=float)[:, None]
         lc = np.asarray(lambda_c, dtype=float)[None, :]
-        return self._sum(*self._parts(lb, lc))
+        mu_l, var_l = self.mu_l50, self.var_l50
+        pf_b50 = _pf_array(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, np.sqrt))
+        pf_pg50 = _pf_array(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt))
+        best = None
+        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, np.sqrt, _pf_array):
+            stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
+            best = stage if best is None else np.maximum(best, stage)
+        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
+        return self._sum(self.construction(lb, lc) + normal, self.c_id + (0.0 if best is None else best))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots."""

@@ -1,0 +1,50 @@
+"""Cold start: importing the package and running the scalar commands loads
+neither numpy nor scipy; the first objective grid loads both.
+
+pytest itself has numpy loaded, so the import checks run in a fresh
+interpreter.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import framerisk
+from framerisk.optimize import START_GRID
+
+COLD_RUN = """
+import contextlib, io, json, sys
+import framerisk, framerisk.cli
+from framerisk.cli import run_command
+
+def arrays():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
+
+codes = {}
+for command in ("design", "evaluate", "optimize", "trace", "beta"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = run_command([command])
+scalar = arrays()
+framerisk.RiskModel(framerisk.Scenario()).evaluate_grid([1.0], [1.0])
+print(json.dumps({"codes": codes, "scalar": scalar, "grid": arrays()}))
+"""
+
+
+def test_scalar_commands_load_no_array_library_and_the_grid_loads_both():
+    env = dict(os.environ, PYTHONPATH=str(Path(framerisk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True, check=True, env=env)
+    run = json.loads(out.stdout)
+    assert set(run["codes"].values()) == {0}
+    assert run["scalar"] == []
+    assert "numpy" in run["grid"]
+    assert "scipy.special" in run["grid"]
+
+
+def test_start_grid_is_the_linspace_floats():
+    assert START_GRID == tuple(np.linspace(0.2, 2.5, 5).tolist())

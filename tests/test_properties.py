@@ -1,29 +1,33 @@
 """Property tests.  Whatever a sweep axis or a JSON document carries, the
 scenario is either accepted or rejected with a ``ValueError`` (a data error,
 exit 2), never with another exception, and ``framerisk evaluate`` on such a
-document keeps to its exit codes.  Every collapse strength is homogeneous of
-degree one in its capacity.  None of them runs the optimizer."""
+document keeps to its exit codes.  An accepted document sizes, builds and
+evaluates to finite terms.  Every collapse strength is homogeneous of degree
+one in its capacity.  None of them runs the optimizer."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import tempfile
-from dataclasses import fields, is_dataclass
+from dataclasses import astuple, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
     FrameGeometry,
+    RiskModel,
     Scenario,
     damaged_bending_strength,
+    design_members,
     global_pancake_strength,
     intact_bending_strength,
     intact_pancake_strength,
@@ -94,6 +98,19 @@ def test_scenario_document_is_accepted_or_a_data_error(doc):
     except ValueError:
         return
     assert validate(scenario) is scenario
+
+
+# about one document in eleven is accepted, hence the larger budget
+@settings(max_examples=500)
+@given(doc=_documents(Scenario()))
+def test_accepted_scenario_evaluates_to_finite_terms(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValueError:
+        return
+    model = RiskModel(scenario, design_members(scenario))
+    assert math.isfinite(model.evaluate(1.0, 1.0))
+    assert all(math.isfinite(term) for term in astuple(model.breakdown(1.0, 1.0)))
 
 
 @given(doc=_either(_documents(Scenario()), json_scalars, st.lists(json_scalars, max_size=3)))

@@ -49,8 +49,8 @@ def _objective(scenario):
 @pytest.mark.parametrize("p_ld", [1e-6, 1e-2, 1.0])
 def test_catalog_starts_match_scipy(frame, p_ld):
     f = _objective(validate(Scenario(geometry=FRAME_CATALOG[frame], p_ld=p_ld)))
-    for lb0 in START_GRID.tolist():
-        for lc0 in START_GRID.tolist():
+    for lb0 in START_GRID:
+        for lc0 in START_GRID:
             _assert_same(*_both(f, (lb0, lc0)))
 
 
