@@ -171,9 +171,12 @@ class RiskModel:
         the objective runs it thousands of times per solve.  Each probability is
         ``_pf_float(_moment_index(...))`` in the same operation order and
         ``y if y > x else x`` is the builtin ``max(x, y)``, so the bits are those
-        of the walk.  The chain stops once no later stage, weighted by at most
-        the reach past this one and costing at most the suffix cap, can beat
-        ``best``: float ``*`` and ``max`` are monotone, so the exit is exact.
+        of the walk.  The chain stops once no stage from here on, weighted by at
+        most the reach into it and costing at most the suffix cap, can beat
+        ``best``: float ``*`` and ``max`` are monotone, so the exits are exact.
+        Past the initial extent that is checked as soon as ``p_pl`` gives the
+        reach, and bending's probability is left out where its cost cannot top
+        the stage (``t_b <= c_b <= top``).
         """
         sqrt, erfc = math.sqrt, math.erfc
         mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
@@ -186,19 +189,28 @@ class RiskModel:
         mu_l, var_l, caps = self.mu_lapt, self.var_lapt, self._caps
         best = reach = None
         for k, (a_b, a_pl, a_pg, c_b, c_pl) in enumerate(self._chain, 1):
-            r = a_b * lb
-            t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
             r = a_pl * lc
             p_pl = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2)
-            r = a_pg * lc
-            t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
             if reach is None:  # the initial extent: weight 1, every term weighted
+                r = a_b * lb
+                t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
+                r = a_pg * lc
+                t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
                 t_pl, reach = p_pl * c_pl, p_pl
                 top = t_pg if t_pg > t_pl else t_pl
                 best = top if top > t_b else t_b
             else:  # local pancake's advance probability is in the weight
-                top, reach = (t_pg if t_pg > c_pl else c_pl), reach * p_pl
-                stage = reach * (top if top > t_b else t_b)
+                reach = reach * p_pl
+                if reach * caps[k - 1] <= best:
+                    break
+                r = a_pg * lc
+                t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
+                top = t_pg if t_pg > c_pl else c_pl
+                if c_b > top:
+                    r = a_b * lb
+                    t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
+                    top = top if top > t_b else t_b
+                stage = reach * top
                 best = stage if stage > best else best
             if reach * caps[k] <= best:
                 break
@@ -220,17 +232,21 @@ class RiskModel:
         return self._float_parts(lambda_b, lambda_c)[1]
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
-        """Total expected cost at the given design factors."""
+        """Total expected cost at the given design factors.  The sums of
+        :meth:`construction` and :meth:`_sum` are written out in their order,
+        so each optimizer call costs one kernel call and no other."""
         memo = self._memo
-        parts = memo.get((lambda_b, lambda_c)) if memo else None
-        if parts is None:
-            normal, branch = self._float_parts(lambda_b, lambda_c)
-            parts = self.construction(lambda_b, lambda_c) + normal, self.c_id + branch
-            if memo is not None:
-                memo[lambda_b, lambda_c] = parts
-        else:
-            self.memo_hits += 1
-        return self._sum(*parts)
+        if memo is not None:
+            parts = memo.get((lambda_b, lambda_c))
+            if parts is not None:
+                self.memo_hits += 1
+                return parts[0] + self.p_ld * parts[1]
+        normal, branch = self._float_parts(lambda_b, lambda_c)
+        a = self.const_0 + self.const_b * lambda_b + self.const_c * lambda_c + normal
+        b = self.c_id + branch
+        if memo is not None:
+            memo[lambda_b, lambda_c] = a, b
+        return a + self.p_ld * b
 
     def at(self, p_ld: float) -> RiskModel:
         """A view of this model at ``p_ld`` whose ``evaluate`` keeps the

@@ -27,7 +27,7 @@ def arrays():
     return sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
 
 codes = {}
-for command in ("design", "evaluate", "optimize", "trace", "beta"):
+for command in ("design", "evaluate", "optimize", "threshold", "trace", "beta"):
     with contextlib.redirect_stdout(io.StringIO()):
         codes[command] = run_command([command])
 scalar = arrays()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,26 @@ def test_reference_threshold_counts(monkeypatch, ref_scenario, ref_design):
     # a solve handed no model keeps no memo (one kept for a lone search
     # answered only the 28 points it revisits)
     assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 0
+
+
+def test_reference_normal_cdf_counts(monkeypatch, ref_scenario, ref_design):
+    # failure probabilities (math.erfc calls) computed by the reference solve
+    # and threshold search: a bound of the float kernel that stops cutting
+    # its chain walk short fails here, though the bits and calls hold
+    calls = 0
+    erfc = math.erfc
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return erfc(x)
+
+    monkeypatch.setattr(math, "erfc", counted)
+    minimize_total_cost(ref_scenario, ref_design)
+    assert calls == 12607
+    calls = 0
+    threshold_probability(ref_scenario, ref_design)
+    assert calls == 87883
 
 
 def threshold_bits(result):

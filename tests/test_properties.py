@@ -2,8 +2,10 @@
 scenario is either accepted or rejected with a ``ValueError`` (a data error,
 exit 2), never with another exception, and ``framerisk evaluate`` on such a
 document keeps to its exit codes.  An accepted document sizes, builds and
-evaluates to finite terms.  Every collapse strength is homogeneous of degree
-one in its capacity.  None of them runs the optimizer."""
+evaluates to finite terms, and its float kernel, which prunes the chain
+walk, keeps the bits of the walk over every stage.  Every collapse strength
+is homogeneous of degree one in its capacity.  None of them runs the
+optimizer."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import astuple, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
+    DesignFactors,
     FrameGeometry,
     RiskModel,
     Scenario,
@@ -37,6 +40,7 @@ from framerisk import (  # noqa: E402
     validate,
 )
 from framerisk.cli import run_command  # noqa: E402
+from framerisk.optimize import FACTOR_BOUNDS  # noqa: E402
 
 
 def _field_names(instance, prefix: str = ""):
@@ -71,15 +75,31 @@ def _either(*strategies) -> st.SearchStrategy:
     return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
 
 
-def _documents(instance) -> st.SearchStrategy:
-    """JSON objects over the keys of a dataclass instance.  A key maps to its
-    default or to any JSON scalar and, where the field is itself a
-    dataclass, as often to a document of that field's own keys."""
-    entries = {}
+def _documents(instance, junk: st.SearchStrategy | None) -> st.SearchStrategy:
+    """JSON objects over the keys of a dataclass instance.  A key maps to a
+    valid value or, as often when ``junk`` is given, to a draw from it.  The
+    valid value of a number is its default scaled by a factor in [1/2, 1],
+    which keeps every rule of :func:`validate`, and that of a dataclass field
+    a document of the field's own keys.  Keys of fields without a default
+    are always present."""
+    required, optional = {}, {}
     for f in fields(instance):
         value = getattr(instance, f.name)
-        entries[f.name] = _either(_documents(value) if is_dataclass(value) else st.just(value), json_scalars)
-    return st.fixed_dictionaries({}, optional=entries)
+        if is_dataclass(value):
+            valid = _documents(value, junk)
+        elif type(value) is int:
+            valid = st.integers((value + 1) // 2, value)
+        elif type(value) is float:
+            valid = st.floats(value / 2, value)
+        else:
+            valid = st.just(value)
+        keys = required if f.default is MISSING and f.default_factory is MISSING else optional
+        keys[f.name] = valid if junk is None else _either(valid, junk)
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+# half the documents carry valid values only, so that more than half are accepted
+scenario_documents = _either(_documents(Scenario(), None), _documents(Scenario(), json_scalars))
 
 
 @given(name=st.sampled_from(FIELD_NAMES + JUNK_NAMES), value=json_scalars)
@@ -91,7 +111,7 @@ def test_sweep_field_is_accepted_or_a_data_error(name, value):
         pass
 
 
-@given(doc=_either(_documents(Scenario()), json_scalars))
+@given(doc=_either(scenario_documents, json_scalars))
 def test_scenario_document_is_accepted_or_a_data_error(doc):
     try:
         scenario = scenario_from_dict(doc)
@@ -100,9 +120,8 @@ def test_scenario_document_is_accepted_or_a_data_error(doc):
     assert validate(scenario) is scenario
 
 
-# about one document in eleven is accepted, hence the larger budget
-@settings(max_examples=500)
-@given(doc=_documents(Scenario()))
+@settings(max_examples=200)
+@given(doc=scenario_documents)
 def test_accepted_scenario_evaluates_to_finite_terms(doc):
     try:
         scenario = scenario_from_dict(doc)
@@ -113,7 +132,29 @@ def test_accepted_scenario_evaluates_to_finite_terms(doc):
     assert all(math.isfinite(term) for term in astuple(model.breakdown(1.0, 1.0)))
 
 
-@given(doc=_either(_documents(Scenario()), json_scalars, st.lists(json_scalars, max_size=3)))
+positive = st.floats(min_value=1e-3, max_value=1e3)
+factors = st.tuples(st.floats(*FACTOR_BOUNDS), st.floats(*FACTOR_BOUNDS))
+
+
+# k_ductile and k_brittle are drawn on their own, so that k_ductile >
+# k_brittle occurs: then c_b > c_pl at later stages, and the kernel computes
+# bending's probability there
+@settings(max_examples=200)
+@given(doc=scenario_documents, k_ductile=positive, k_brittle=positive, points=st.lists(factors, min_size=1, max_size=4))
+def test_kernel_matches_unpruned_walk(doc, k_ductile, k_brittle, points):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValueError:
+        return
+    model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
+    for lb, lc in points:
+        branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
+        normal = model.breakdown(lb, lc).normal_loading
+        assert model.damage_branch(lb, lc).hex() == branch.hex()
+        assert model.evaluate(lb, lc).hex() == model._sum(model.construction(lb, lc) + normal, model.c_id + branch).hex()
+
+
+@given(doc=_either(scenario_documents, json_scalars, st.lists(json_scalars, max_size=3)))
 def test_evaluate_on_any_document_keeps_to_the_exit_codes(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -123,9 +164,6 @@ def test_evaluate_on_any_document_keeps_to_the_exit_codes(doc):
             code = run_command(["evaluate", "--scenario", str(path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
-
-
-positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
 @st.composite

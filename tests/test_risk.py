@@ -210,23 +210,45 @@ def unpruned(model, lb, lc):
     return branch, model._sum(model.construction(lb, lc) + normal, model.c_id + branch)
 
 
-def walked_stages(model, lb, lc):
-    """Chain stages the scalar damage branch (the float kernel behind
-    ``evaluate``) reads from the model's chain table before it stops."""
-    chain, count = model._chain, 0
+def stage_phis(model, lb, lc):
+    """Failure probabilities (``math.erfc`` calls) the float kernel behind
+    ``damage_branch`` computes in each chain stage it reads, in chain order.
+    A later stage left with one, its ``p_pl``, was cut by the bound in the
+    stage; one with two or three is complete."""
+    chain, erfc, counts = model._chain, math.erfc, []
 
-    def counted():
-        nonlocal count
+    def counted_stages():
         for stage in chain:
-            count += 1
+            counts.append(0)
             yield stage
 
-    model._chain = counted()
+    def counted_erfc(x):
+        if counts:
+            counts[-1] += 1
+        return erfc(x)
+
+    model._chain, math.erfc = counted_stages(), counted_erfc
     try:
         model.damage_branch(lb, lc)
     finally:
-        model._chain = chain
-    return count
+        model._chain, math.erfc = chain, erfc
+    return counts
+
+
+def walked_stages(model, lb, lc):
+    """Chain stages the scalar damage branch (the float kernel behind
+    ``evaluate``) reads from the model's chain table before it stops."""
+    return len(stage_phis(model, lb, lc))
+
+
+def tied_cap(reach, best):
+    """The largest cap whose bound ``reach * cap`` equals ``best``, if any."""
+    cap = best / reach
+    while reach * cap > best:
+        cap = math.nextafter(cap, 0.0)
+    while reach * math.nextafter(cap, math.inf) <= best:
+        cap = math.nextafter(cap, math.inf)
+    return cap if reach * cap == best else None
 
 
 class TestEarlyExit:
@@ -249,38 +271,68 @@ class TestEarlyExit:
             assert stopped > 0  # the exit is taken, not only harmless
 
     def test_exit_on_a_tied_bound(self):
-        # raise one suffix cap to the largest value whose bound still equals
-        # the best stage cost: the walk stops right there (``<=``), one ulp
-        # more walks on, and both keep the unpruned bits
+        # Both bounds compare reach * cap[k] with the best stage cost so far,
+        # by ``<=``: after stage k with the reach past it, and in stage k + 1
+        # with the reach into it, once its p_pl is known.  Raise cap[k] to the
+        # largest value at which the bound that stopped the walk ties the best
+        # cost: the walk stops at the same place, one ulp more walks on, and
+        # both keep the unpruned bits.
         scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
         model = RiskModel(scn)
-        rng = np.random.default_rng(5)
-        for lb, lc in rng.uniform(0.05, 5.0, size=(200, 2)).tolist():
-            rows = model.trace(DesignFactors(lb, lc))
-            k = walked_stages(model, lb, lc)
-            if k >= len(rows):
+        caps = model._caps
+        ties = {}
+        for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
+            rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
+            in_stage = len(phis) > 1 and phis[-1] == 1
+            k = len(phis) - in_stage  # the bound read cap[k]
+            if in_stage in ties or k == len(rows):
                 continue
             best = max(row.expected_cost for row in rows[:k])
-            next_reach = rows[0].p_pl if k == 1 else rows[k - 1].chain_probability
-            cap = best / next_reach
-            while next_reach * cap > best:
-                cap = math.nextafter(cap, 0.0)
-            while next_reach * math.nextafter(cap, math.inf) <= best:
-                cap = math.nextafter(cap, math.inf)
-            if next_reach * cap == best:
+            past = rows[0].p_pl if k == 1 else rows[k - 1].chain_probability
+            cap = tied_cap(rows[k].chain_probability if in_stage else past, best)
+            # in the stage, the bound after stage k must still pass at that cap
+            if cap is not None and not (in_stage and past * cap <= best):
+                ties[in_stage] = lb, lc, k, cap
+            if len(ties) == 2:
                 break
         else:
-            pytest.fail("no exit whose bound can tie the best stage cost")
-        assert cap >= model._caps[k]
-        branch, objective = unpruned(model, lb, lc)
-        caps = model._caps
-        model._caps = [*caps[:k], cap, *caps[k + 1 :]]
-        assert walked_stages(model, lb, lc) == k
-        assert model.damage_branch(lb, lc).hex() == branch.hex()
-        assert model.evaluate(lb, lc).hex() == objective.hex()
-        model._caps = [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]]
-        assert walked_stages(model, lb, lc) > k
-        assert model.damage_branch(lb, lc).hex() == branch.hex()
+            pytest.fail("no exit of each kind whose bound can tie the best stage cost")
+        for in_stage, (lb, lc, k, cap) in ties.items():
+            assert cap >= caps[k]
+            branch, objective = unpruned(model, lb, lc)
+            model._caps = [*caps[:k], cap, *caps[k + 1 :]]
+            phis = stage_phis(model, lb, lc)
+            if in_stage:  # stopped after the p_pl of stage k + 1
+                assert len(phis) == k + 1 and phis[k] == 1
+            else:  # stopped after stage k
+                assert len(phis) == k and phis[-1] > 1
+            assert model.damage_branch(lb, lc).hex() == branch.hex()
+            assert model.evaluate(lb, lc).hex() == objective.hex()
+            model._caps = [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]]
+            phis = stage_phis(model, lb, lc)
+            assert len(phis) > k  # reads stage k + 1
+            if in_stage:  # and completes it
+                assert phis[k] > 1
+            assert model.damage_branch(lb, lc).hex() == branch.hex()
+            assert model.evaluate(lb, lc).hex() == objective.hex()
+
+    def test_computed_bending_matches_unpruned_walk(self):
+        # with ductile collapse dearer than brittle, c_b > c_pl at every later
+        # stage, so bending can top a later stage and the kernel computes its
+        # probability there; no catalog frame gets this far
+        scn = validate(Scenario(costs=CostParameters(k_ductile=5.0, k_brittle=2.0)))
+        design = design_members(scn)
+        rng = np.random.default_rng(2022)
+        bending = 0
+        for p_ld in (1e-6, 1e-3, 0.1, 1.0):
+            model = RiskModel(replace(scn, p_ld=p_ld), design)
+            assert all(c_b > c_pl for c_b, c_pl in zip(model.c_b[1:], model.c_pl[1:]))
+            for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
+                branch, objective = unpruned(model, lb, lc)
+                assert model.damage_branch(lb, lc).hex() == branch.hex()
+                assert model.evaluate(lb, lc).hex() == objective.hex()
+                bending += 3 in stage_phis(model, lb, lc)[1:]
+        assert bending > 0
 
 
 class TestProgressionTrace:

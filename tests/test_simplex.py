@@ -88,6 +88,16 @@ def test_shrink_branch_matches_scipy():
     assert got.nfev - 3 > 2 * (got.nit - 1)
 
 
+@pytest.mark.parametrize("maxfev", [95, 96])
+def test_budget_cut_in_a_shrink_matches_scipy(maxfev):
+    # the start above first shrinks after its 95th call; the budget refuses
+    # the moved second vertex's value, or the moved worst vertex's
+    ref, got = _both(_objective(validate(Scenario(p_ld=1.0))), (0.775, 0.2), maxfev=maxfev)
+    _assert_same(ref, got)
+    assert not got.success
+    assert got.nfev == maxfev
+
+
 @pytest.mark.parametrize("maxfev", [3, 2000])
 def test_non_finite_values_sort_last_like_scipy(maxfev):
     # the second initial vertex is NaN; cut off there, the minimum over
@@ -98,6 +108,18 @@ def test_non_finite_values_sort_last_like_scipy(maxfev):
     ref, got = _both(f, (1.0, 1.0), maxfev=maxfev)
     _assert_same(ref, got)
     assert math.isnan(got.fun) == (maxfev == 3)
+
+
+@pytest.mark.parametrize("maxfev", [3, 2000])
+def test_non_finite_start_sorts_last_like_scipy(maxfev):
+    # the start and the third initial vertex are NaN, so the sort must move
+    # the one number ahead of them; the search then rides the NaN edge
+    def f(x, y):
+        return math.nan if x < 1.01 else (x - 0.5) ** 2 + (y - 2.0) ** 2
+
+    ref, got = _both(f, (1.0, 1.0), maxfev=maxfev)
+    _assert_same(ref, got)
+    assert got.x[0] >= 1.01
 
 
 def test_import_does_not_load_scipy_optimize():
