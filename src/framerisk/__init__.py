@@ -60,9 +60,9 @@ from .reliability import (
     BetaSet,
     beta_damaged,
     beta_intact,
-    beta_set_damaged,
-    beta_set_intact,
+    beta_set,
     cornell_beta,
+    unit_strengths,
 )
 from .risk import ExpectedCost, ProgressionRow, RiskModel
 from .studies import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .design import MemberDesign
 from .model import DesignFactors, Scenario
-from .reliability import BetaSet, beta_set_damaged, beta_set_intact
+from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
 from .simplex import minimize
 
@@ -88,7 +88,8 @@ def minimize_total_cost(
     lone search revisits too few points to pay for one.
     """
     model = RiskModel(scenario, design) if model is None else model.at(scenario.p_ld)
-    design = model.design
+    if not model.stages:  # the optimum's damaged indexes need a lost column
+        raise ValueError(f"the initial damage must remove a column, got n_rc0={scenario.damage.n_rc0}")
     evaluate, (lo, hi) = model.evaluate, FACTOR_BOUNDS
 
     def objective(lambda_b: float, lambda_c: float) -> float:
@@ -119,8 +120,8 @@ def minimize_total_cost(
     return OptimizationResult(
         factors=factors,
         c_te=c_te,
-        beta_damaged=beta_set_damaged(scenario, design, factors),
-        beta_intact=beta_set_intact(scenario, design, factors),
+        beta_damaged=beta_set(scenario, model.stage_strengths[0], factors, LIVE_APT),
+        beta_intact=beta_set(scenario, model.intact_strengths, factors, LIVE_50),
         starts_used=starts_used,
         converged=best_converged,
         evaluations=evaluations,

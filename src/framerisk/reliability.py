@@ -10,8 +10,7 @@ and the sustained arbitrary-point-in-time level conditional on damage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import mechanics
 from .design import MemberDesign
@@ -80,61 +79,69 @@ def _pf_array(beta: np.ndarray) -> np.ndarray:
     return _ndtr(-beta)
 
 
-def _live_stats(scenario: Scenario, live: str) -> RandomVarStats:
-    if live == LIVE_50:
-        return scenario.loads.live_50
-    if live == LIVE_APT:
-        return scenario.loads.live_apt
-    raise ValueError(f"unknown live-load horizon {live!r}")
+class BetaSet(NamedTuple):
+    """Reliability indexes of the competing collapse modes at one design
+    point, or their unit-factor strengths (kN/m) from :func:`unit_strengths`;
+    ``beta_pl`` is None for the intact frame."""
+
+    beta_b: float
+    beta_pg: float
+    beta_pl: float | None = None
+    beta_cat: float | None = None
 
 
-def intact_strength(
-    scenario: Scenario, design: MemberDesign, factors: DesignFactors, mode: CollapseMode
-) -> float:
-    """Intact-frame strength (kN/m) at the factored capacities."""
-    geom = scenario.geometry
-    if mode is CollapseMode.BENDING:
-        return mechanics.intact_bending_strength(
-            geom, factors.lambda_b * design.b_y_0, scenario.bending_psi()
+def unit_strengths(
+    scenario: Scenario, b_y: float, r_c: float, damage: tuple[int, int] | None = None
+) -> BetaSet:
+    """Strengths of every mode of the frame with beam moment ``b_y`` and
+    column capacity ``r_c``: intact, or with ``damage = (n_rc, n_rs)`` lost
+    (a damaged frame needs ``n_rc >= 1``).  Bending takes catenary action
+    only where the scenario includes it; the catenary mode always does.
+    Every strength is homogeneous of degree one in its capacity, so a design
+    factor scales it in :func:`beta_set`.
+    """
+    g = scenario.geometry
+    if damage is None:
+        return BetaSet(
+            beta_b=mechanics.intact_bending_strength(g, b_y, scenario.bending_psi()),
+            beta_pg=mechanics.intact_pancake_strength(g, r_c),
+            beta_cat=mechanics.intact_bending_strength(g, b_y, scenario.psi),
         )
-    if mode is CollapseMode.CATENARY:
-        return mechanics.intact_bending_strength(
-            geom, factors.lambda_b * design.b_y_0, scenario.psi
-        )
-    if mode is CollapseMode.GLOBAL_PANCAKE:
-        return mechanics.intact_pancake_strength(geom, factors.lambda_c * design.r_c_0)
-    raise ValueError(f"{mode.value} is not an intact-frame collapse mode")
+    n_rc, n_rs = damage
+    return BetaSet(
+        beta_b=mechanics.damaged_bending_strength(g, b_y, n_rc, scenario.bending_psi()),
+        beta_pg=mechanics.global_pancake_strength(g, r_c, n_rc, n_rs),
+        beta_pl=mechanics.local_pancake_strength(g, r_c, n_rc, n_rs),
+        beta_cat=mechanics.damaged_bending_strength(g, b_y, n_rc, scenario.psi),
+    )
 
 
-def damaged_strength(
-    scenario: Scenario,
-    design: MemberDesign,
-    factors: DesignFactors,
-    n_rc: int,
-    n_rs: int,
-    mode: CollapseMode,
-) -> float:
-    """Damaged-frame strength (kN/m) with ``n_rc`` columns lost."""
-    geom = scenario.geometry
-    if mode is CollapseMode.BENDING:
-        return mechanics.damaged_bending_strength(
-            geom, factors.lambda_b * design.b_y_0, n_rc, scenario.bending_psi()
-        )
-    if mode is CollapseMode.CATENARY:
-        return mechanics.damaged_bending_strength(
-            geom, factors.lambda_b * design.b_y_0, n_rc, scenario.psi
-        )
-    if mode is CollapseMode.LOCAL_PANCAKE:
-        return mechanics.local_pancake_strength(geom, factors.lambda_c * design.r_c_0, n_rc, n_rs)
-    if mode is CollapseMode.GLOBAL_PANCAKE:
-        return mechanics.global_pancake_strength(geom, factors.lambda_c * design.r_c_0, n_rc, n_rs)
-    raise ValueError(f"unknown collapse mode {mode}")
+def beta_set(scenario: Scenario, strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:
+    """Indexes of the modes whose unit-factor ``strengths`` come from
+    :func:`unit_strengths`, at the design ``factors`` and the ``live``
+    horizon: beam modes scale with ``lambda_b`` and take the beam resistance,
+    column modes scale with ``lambda_c`` and take the column resistance."""
+    loads = scenario.loads
+    live_stats = {LIVE_50: loads.live_50, LIVE_APT: loads.live_apt}.get(live)
+    if live_stats is None:
+        raise ValueError(f"unknown live-load horizon {live!r}")
+    beam, column, dead = loads.beam_resistance, loads.column_resistance, loads.dead
+    lb, lc, pl = factors.lambda_b, factors.lambda_c, strengths.beta_pl
+    return BetaSet(
+        beta_b=cornell_beta(lb * strengths.beta_b, beam, dead, live_stats),
+        beta_pg=cornell_beta(lc * strengths.beta_pg, column, dead, live_stats),
+        beta_pl=None if pl is None else cornell_beta(lc * pl, column, dead, live_stats),
+        beta_cat=cornell_beta(lb * strengths.beta_cat, beam, dead, live_stats),
+    )
 
 
-def _resistance(scenario: Scenario, mode: CollapseMode) -> RandomVarStats:
-    if mode in (CollapseMode.BENDING, CollapseMode.CATENARY):
-        return scenario.loads.beam_resistance
-    return scenario.loads.column_resistance
+# The BetaSet field of each mode, in the row order of the study's index grid.
+MODE_FIELDS = {
+    CollapseMode.GLOBAL_PANCAKE: "beta_pg",
+    CollapseMode.LOCAL_PANCAKE: "beta_pl",
+    CollapseMode.BENDING: "beta_b",
+    CollapseMode.CATENARY: "beta_cat",
+}
 
 
 def beta_intact(
@@ -151,8 +158,8 @@ def beta_intact(
     """
     if mode is CollapseMode.LOCAL_PANCAKE:
         raise ValueError("local pancake is undefined for the intact frame")
-    r = intact_strength(scenario, design, factors, mode)
-    return cornell_beta(r, _resistance(scenario, mode), scenario.loads.dead, _live_stats(scenario, live))
+    strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0)
+    return getattr(beta_set(scenario, strengths, factors, live), MODE_FIELDS[mode])
 
 
 def beta_damaged(
@@ -166,38 +173,5 @@ def beta_damaged(
 ) -> float:
     """Conditional reliability index given ``n_rc`` lost columns
     (arbitrary-point-in-time live load by default)."""
-    r = damaged_strength(scenario, design, factors, n_rc, n_rs, mode)
-    return cornell_beta(r, _resistance(scenario, mode), scenario.loads.dead, _live_stats(scenario, live))
-
-
-@dataclass(frozen=True)
-class BetaSet:
-    """Reliability indexes of the competing collapse modes at one design
-    point; ``beta_pl`` is None for the intact frame."""
-
-    beta_b: float
-    beta_pg: float
-    beta_pl: float | None = None
-    beta_cat: float | None = None
-
-
-def beta_set_intact(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> BetaSet:
-    """Indexes of the intact frame over the 50-year horizon."""
-    return BetaSet(
-        beta_b=beta_intact(scenario, design, factors, CollapseMode.BENDING),
-        beta_pg=beta_intact(scenario, design, factors, CollapseMode.GLOBAL_PANCAKE),
-        beta_pl=None,
-        beta_cat=beta_intact(scenario, design, factors, CollapseMode.CATENARY),
-    )
-
-
-def beta_set_damaged(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> BetaSet:
-    """Indexes given the scenario's initial damage, over the
-    arbitrary-point-in-time horizon."""
-    n_rc, n_rs = scenario.damage.n_rc0, scenario.damage.n_rs0
-    return BetaSet(
-        beta_b=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.BENDING),
-        beta_pg=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.GLOBAL_PANCAKE),
-        beta_pl=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.LOCAL_PANCAKE),
-        beta_cat=beta_damaged(scenario, design, factors, n_rc, n_rs, CollapseMode.CATENARY),
-    )
+    strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0, (n_rc, n_rs))
+    return getattr(beta_set(scenario, strengths, factors, live), MODE_FIELDS[mode])

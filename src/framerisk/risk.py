@@ -34,10 +34,9 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from . import costs as costmod
-from . import mechanics
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import SQRT2, _moment_index, _pf_array, _pf_float
+from .reliability import SQRT2, _moment_index, _pf_array, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,7 +96,6 @@ class RiskModel:
             design = design_members(scenario)
         self.design = design
         g, dm, cp, loads = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
-        psi = scenario.bending_psi()
 
         # Load-effect statistics per horizon.
         self.mu_rb, self.var_rb = loads.beam_resistance.mean, loads.beam_resistance.std**2
@@ -115,24 +113,21 @@ class RiskModel:
         self.c_id = costmod.initial_damage_cost(scenario)
         self.p_ld = scenario.p_ld
 
-        # Intact strengths at unit factors (scale linearly with the factors).
-        self.a_b50 = mechanics.intact_bending_strength(g, design.b_y_0, psi)
-        self.a_pg50 = mechanics.intact_pancake_strength(g, design.r_c_0)
+        # Strengths at unit factors (they scale linearly with the factors).
+        self.intact_strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0)
+        self.a_b50, self.a_pg50 = self.intact_strengths.beta_b, self.intact_strengths.beta_pg
 
         # Progression extents: the initial extent, then two more columns at
         # a time, never beyond n_c - 2 (two columns must remain).
         self.stages = list(range(dm.n_rc0, g.n_c - 1, 2)) if dm.n_rc0 >= 1 else []
         self.c_b = [costmod.bending_collapse_cost(scenario, design, j) for j in self.stages]
         self.c_pl = [costmod.local_pancake_cost(scenario, design, j) for j in self.stages]
+        self.stage_strengths = [
+            unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, dm.n_rs0)) for j in self.stages
+        ]
         self._chain = tuple(
-            (
-                mechanics.damaged_bending_strength(g, design.b_y_0, j, psi),
-                mechanics.local_pancake_strength(g, design.r_c_0, j, dm.n_rs0),
-                mechanics.global_pancake_strength(g, design.r_c_0, j, dm.n_rs0),
-                c_b,
-                c_pl,
-            )
-            for j, c_b, c_pl in zip(self.stages, self.c_b, self.c_pl)
+            (s.beta_b, s.beta_pl, s.beta_pg, c_b, c_pl)
+            for s, c_b, c_pl in zip(self.stage_strengths, self.c_b, self.c_pl)
         )
         # Suffix caps: _caps[k] >= 0 and >= every unweighted stage cost from stage k on.
         caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))

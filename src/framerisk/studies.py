@@ -18,8 +18,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .catalog import DAMAGE_VARIANTS, FRAME_CATALOG
-from .design import MemberDesign, design_members, nlc_member_design
-from .mechanics import CollapseMode
+from .design import MemberDesign, design_members
 from .model import (
     DesignFactors,
     LoadModel,
@@ -30,7 +29,7 @@ from .model import (
 )
 from .optimize import BRACKETED, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
-from .reliability import LIVE_50, LIVE_APT, beta_damaged, beta_intact
+from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set, unit_strengths
 from .risk import ProgressionRow, RiskModel
 
 _DEFAULT = Scenario()
@@ -230,40 +229,29 @@ def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
 
 # -- study tables ------------------------------------------------------------
 
-_GRID_MODES = (
-    ("global_pancake", CollapseMode.GLOBAL_PANCAKE),
-    ("local_pancake", CollapseMode.LOCAL_PANCAKE),
-    ("bending", CollapseMode.BENDING),
-    ("catenary", CollapseMode.CATENARY),
-)
-
-
 def reliability_grid(
     scenario: Scenario, optimized: DesignFactors | None = None
 ) -> tuple[list[str], list[tuple]]:
     """Reliability indexes across design states, modes and live-load
     horizons: the normal and strengthened intact frames, the strengthened
     frame conditional on the design damage, and the same at the optimized
-    factors."""
+    factors.  Local pancake has no intact index; its cells are empty."""
     design = design_members(scenario)
-    nlc = nlc_member_design(scenario)
     if optimized is None:
         optimized = minimize_total_cost(scenario, design).factors
     unit = DesignFactors(1.0, 1.0)
-    n_rc, n_rs = scenario.damage.n_rc0, scenario.damage.n_rs0
+    nlc = unit_strengths(scenario, design.b_y_nlc, design.r_c_nlc)
+    strengthened = unit_strengths(scenario, design.b_y_0, design.r_c_0)
+    damaged = unit_strengths(scenario, design.b_y_0, design.r_c_0, (scenario.damage.n_rc0, scenario.damage.n_rs0))
+    columns = ((nlc, unit), (strengthened, unit), (damaged, unit), (damaged, optimized))
 
     header = ["live_load", "mode", "nlc", "strengthened", "damaged", "optimized"]
     rows: list[tuple] = []
     for live in (LIVE_APT, LIVE_50):
-        for mode_name, mode in _GRID_MODES:
-            if mode is CollapseMode.LOCAL_PANCAKE:
-                intact_nlc = intact_str = ""
-            else:
-                intact_nlc = beta_intact(scenario, nlc, unit, mode, live)
-                intact_str = beta_intact(scenario, design, unit, mode, live)
-            damaged = beta_damaged(scenario, design, unit, n_rc, n_rs, mode, live)
-            opt = beta_damaged(scenario, design, optimized, n_rc, n_rs, mode, live)
-            rows.append((live, mode_name, intact_nlc, intact_str, damaged, opt))
+        states = [beta_set(scenario, strengths, factors, live) for strengths, factors in columns]
+        for mode, field in MODE_FIELDS.items():
+            cells = (getattr(state, field) for state in states)
+            rows.append((live, mode.value, *("" if beta is None else beta for beta in cells)))
     return header, rows
 
 

@@ -17,6 +17,7 @@ from framerisk import (
     Scenario,
     design_members,
     minimize_total_cost,
+    nlc_member_design,
     threshold_probability,
     validate,
 )
@@ -257,6 +258,13 @@ def test_all_starts_nonfinite_raises(ref_scenario):
     )
     with pytest.raises(OptimizationError):
         minimize_total_cost(broken)
+
+
+def test_no_initial_damage_rejected(ref_scenario):
+    # validate rejects n_rc0 = 0; a model built on a design passed in does not
+    scn = replace(ref_scenario, damage=DamageScenario(0, 0))
+    with pytest.raises(ValueError, match="n_rc0"):
+        minimize_total_cost(scn, nlc_member_design(scn))
 
 
 class TestThresholds:

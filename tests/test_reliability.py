@@ -7,6 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 from framerisk import (
+    DAMAGE_VARIANTS,
+    FRAME_CATALOG,
     CollapseMode,
     DesignFactors,
     FrameGeometry,
@@ -14,11 +16,14 @@ from framerisk import (
     Scenario,
     beta_damaged,
     beta_intact,
-    beta_set_damaged,
-    beta_set_intact,
+    beta_set,
     cornell_beta,
     design_members,
+    mechanics,
+    minimize_total_cost,
     nlc_member_design,
+    reliability_grid,
+    unit_strengths,
     validate,
 )
 from framerisk.reliability import _pf_float
@@ -101,6 +106,17 @@ class TestBetaDamaged:
         cat = beta_damaged(ref_scenario, ref_design, UNIT, 1, 1, CollapseMode.CATENARY)
         assert cat == pytest.approx(3.36, abs=0.02)
 
+    @pytest.mark.parametrize("mode", list(CollapseMode))
+    def test_no_lost_column_rejected(self, ref_scenario, ref_design, mode):
+        # a damaged frame has lost a column; global pancake at n_rc = 0 would
+        # be the intact frame's index under the wrong name
+        with pytest.raises(ValueError, match="n_rc"):
+            beta_damaged(ref_scenario, ref_design, UNIT, 0, 1, mode)
+
+    def test_unknown_horizon_rejected(self, ref_scenario, ref_design):
+        with pytest.raises(ValueError, match="horizon"):
+            beta_damaged(ref_scenario, ref_design, UNIT, 1, 1, CollapseMode.BENDING, live="10yr")
+
 
 def test_catenary_mode_uses_psi_even_when_objective_does_not(ref_scenario, ref_design):
     # the scenario excludes catenary from the cost objective, yet the
@@ -120,11 +136,75 @@ def test_include_catenary_augments_bending(ref_scenario, ref_design):
 
 
 def test_beta_sets(ref_scenario, ref_design):
-    intact = beta_set_intact(ref_scenario, ref_design, UNIT)
+    d = ref_design
+    intact = beta_set(ref_scenario, unit_strengths(ref_scenario, d.b_y_0, d.r_c_0), UNIT, "50yr")
     assert intact.beta_pl is None
     assert intact.beta_b == pytest.approx(4.50, abs=0.02)
-    damaged = beta_set_damaged(ref_scenario, ref_design, UNIT)
+    damaged = beta_set(ref_scenario, unit_strengths(ref_scenario, d.b_y_0, d.r_c_0, (1, 1)), UNIT, "apt")
     assert damaged.beta_pl == pytest.approx(1.80, abs=0.02)
+
+
+def strength_at_factored_capacity(scn, b_y, r_c, factors, live, damage=None):
+    """Each mode's index from its strength at the factored capacity, mode by
+    mode: the path the unit-strength table replaces."""
+    g, loads, lb, lc = scn.geometry, scn.loads, factors.lambda_b, factors.lambda_c
+    live = loads.live_50 if live == "50yr" else loads.live_apt
+
+    def beam(r):
+        return cornell_beta(r, loads.beam_resistance, loads.dead, live)
+
+    def column(r):
+        return cornell_beta(r, loads.column_resistance, loads.dead, live)
+
+    if damage is None:
+        return {
+            "beta_b": beam(mechanics.intact_bending_strength(g, lb * b_y, scn.bending_psi())),
+            "beta_pg": column(mechanics.intact_pancake_strength(g, lc * r_c)),
+            "beta_pl": None,
+            "beta_cat": beam(mechanics.intact_bending_strength(g, lb * b_y, scn.psi)),
+        }
+    n_rc, n_rs = damage
+    return {
+        "beta_b": beam(mechanics.damaged_bending_strength(g, lb * b_y, n_rc, scn.bending_psi())),
+        "beta_pg": column(mechanics.global_pancake_strength(g, lc * r_c, n_rc, n_rs)),
+        "beta_pl": column(mechanics.local_pancake_strength(g, lc * r_c, n_rc, n_rs)),
+        "beta_cat": beam(mechanics.damaged_bending_strength(g, lb * b_y, n_rc, scn.psi)),
+    }
+
+
+def assert_last_bits(got, want, where):
+    if want is None:
+        assert got in (None, ""), where
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+
+
+@pytest.mark.parametrize("damage", DAMAGE_VARIANTS, ids=lambda d: f"{d.n_rc0}x{d.n_rs0}")
+@pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+def test_indexes_match_strength_at_factored_capacity(frame, damage):
+    # every index scales a unit-factor strength, which matches the strength at
+    # the factored capacity up to the last bits; one frame also takes catenary
+    # action into its bending mode
+    scn = validate(Scenario(geometry=FRAME_CATALOG[frame], damage=damage, include_catenary=frame == "8x8"))
+    d = design_members(scn)
+    dmg = (damage.n_rc0, damage.n_rs0)
+    opt = minimize_total_cost(scn)
+    for got, live, extent in ((opt.beta_intact, "50yr", None), (opt.beta_damaged, "apt", dmg)):
+        want = strength_at_factored_capacity(scn, d.b_y_0, d.r_c_0, opt.factors, live, extent)
+        for field, value in want.items():
+            assert_last_bits(getattr(got, field), value, (live, field))
+    fields = {"global_pancake": "beta_pg", "local_pancake": "beta_pl", "bending": "beta_b", "catenary": "beta_cat"}
+    for factors in (opt.factors, OPTIMIZED, DesignFactors(0.3, 2.2), DesignFactors(2.5, 0.55)):
+        _, rows = reliability_grid(scn, factors)
+        for live, mode, *cells in rows:
+            columns = (
+                strength_at_factored_capacity(scn, d.b_y_nlc, d.r_c_nlc, UNIT, live),
+                strength_at_factored_capacity(scn, d.b_y_0, d.r_c_0, UNIT, live),
+                strength_at_factored_capacity(scn, d.b_y_0, d.r_c_0, UNIT, live, dmg),
+                strength_at_factored_capacity(scn, d.b_y_0, d.r_c_0, factors, live, dmg),
+            )
+            for cell, want in zip(cells, columns):
+                assert_last_bits(cell, want[fields[mode]], (factors, live, mode))
 
 
 def test_beta_strictly_increasing_in_design_factor():

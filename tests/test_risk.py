@@ -22,6 +22,7 @@ from framerisk import (
     global_pancake_cost,
     initial_damage_cost,
     nlc_member_design,
+    unit_strengths,
     validate,
 )
 from framerisk.risk import _first_max
@@ -262,6 +263,12 @@ class TestEarlyExit:
         stopped = 0
         for p_ld in (1e-6, 1e-3, 0.1, 1.0):
             model = RiskModel(replace(base, p_ld=p_ld), design)
+            # the kernel reads the strength table's own floats
+            intact = unit_strengths(base, design.b_y_0, design.r_c_0)
+            assert (model.a_b50, model.a_pg50) == (intact.beta_b, intact.beta_pg)
+            for j, stage in zip(model.stages, model._chain, strict=True):
+                table = unit_strengths(base, design.b_y_0, design.r_c_0, (j, damage.n_rs0))
+                assert stage[:3] == (table.beta_b, table.beta_pl, table.beta_pg)
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
                 branch, objective = unpruned(model, lb, lc)
                 assert model.damage_branch(lb, lc).hex() == branch.hex()

@@ -81,7 +81,8 @@ def test_start_at_factor_bound_ties_match_scipy():
 
 
 def test_shrink_branch_matches_scipy():
-    # this catalog start shrinks once on the way to its minimum
+    # this catalog start shrinks three times on the way to its minimum: the
+    # shrinks make calls 96-97, 100-101 and 104-105 of its 105
     ref, got = _both(_objective(validate(Scenario(p_ld=1.0))), (0.775, 0.2))
     _assert_same(ref, got)
     # a finished iteration costs at most 2 evaluations unless it shrinks (4)
