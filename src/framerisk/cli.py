@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from .catalog import parse_damage_token, parse_frame_token
@@ -80,7 +81,19 @@ def _jobs(args) -> int:
     return args.jobs
 
 
-def _print_table(header: list[str], rows: list[tuple]) -> None:
+def _require_finite(values) -> None:
+    """Exit 3 rather than print a non-finite result with exit 0."""
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ArithmeticError("the result has a non-finite term")
+
+
+def _emit_table(args, header: list[str], rows: list[tuple]) -> None:
+    """Write the table to ``--out`` as CSV, or print it."""
+    _require_finite(value for row in rows for value in row)
+    if args.out:
+        emit_csv(args.out, header, rows)
+        print(f"wrote {args.out}")
+        return
     cells = [header] + [[format_value(v) for v in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     for row in cells:
@@ -166,19 +179,14 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    scenario = _resolve_scenario(args)
-    header, rows = reliability_grid(scenario, _factors(args))
-    if args.out:
-        emit_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
-    else:
-        _print_table(header, rows)
+    _emit_table(args, *reliability_grid(_resolve_scenario(args), _factors(args)))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     factors = _factors(args)
     cost = RiskModel(_resolve_scenario(args)).breakdown(factors.lambda_b, factors.lambda_c)
+    _require_finite(astuple(cost))
     print(f"construction            = {cost.construction:.6f}")
     print(f"normal-loading failure  = {cost.normal_loading:.6f}")
     print(f"initial damage cost     = {cost.initial_damage:.6f}")
@@ -188,13 +196,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    scenario = _resolve_scenario(args)
-    header, rows = trace_table(scenario, factors=_factors(args))
-    if args.out:
-        emit_csv(args.out, header, rows)
-        print(f"wrote {args.out}")
-    else:
-        _print_table(header, rows)
+    _emit_table(args, *trace_table(_resolve_scenario(args), factors=_factors(args)))
     return 0
 
 

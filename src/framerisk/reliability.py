@@ -10,15 +10,12 @@ and the sustained arbitrary-point-in-time level conditional on damage.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
 from .model import DesignFactors, RandomVarStats, Scenario
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,29 +51,16 @@ def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
     """Index of ``R*r - L`` from the resistance factor's mean and variance
     and the total load's mean and variance.
 
-    Works elementwise on broadcast arrays when ``sqrt`` is ``np.sqrt``; the
-    expected-cost walk in :mod:`risk` calls it once per failure probability.
+    Works elementwise on broadcast arrays when ``sqrt`` is ``np.sqrt``:
+    :mod:`risk` calls it once per stacked block of index rows for the grid
+    and once per failure probability for the trace.
     """
     return (r * mu_r - mu_l) / sqrt(r * r * var_r + var_l)
 
 
-# The failure probability Phi(-beta) of an index, on floats and on broadcast
-# arrays.  The two can differ in the last bit, so each path keeps to one:
-# the scalar objective, and with it the optimizer's trajectories, to the
-# float form and the grid to the array form.  Only the grid needs scipy, so
-# ``ndtr`` is imported on the first array call.
 def _pf_float(beta: float) -> float:
+    """The failure probability Phi(-beta) of an index."""
     return 0.5 * math.erfc(beta / SQRT2)
-
-
-_ndtr = None
-
-
-def _pf_array(beta: np.ndarray) -> np.ndarray:
-    global _ndtr
-    if _ndtr is None:
-        from scipy.special import ndtr as _ndtr
-    return _ndtr(-beta)
 
 
 class BetaSet(NamedTuple):

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from . import costs as costmod
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import SQRT2, _moment_index, _pf_array, _pf_float, unit_strengths
+from .reliability import SQRT2, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,8 +137,9 @@ class RiskModel:
 
     # -- the progression chain ---------------------------------------------
 
-    def _walk(self, lb, lc, sqrt, pf):
-        """Yield ``(p_b, p_pl, p_pg, terms, weight, reach)`` per stage.
+    def _walk(self, probs):
+        """Yield ``(terms, weight, reach)`` per stage from its failure
+        probabilities ``(p_b, p_pl, p_pg)`` in ``probs``, floats or arrays.
 
         ``terms`` are the expected costs of bending, local pancake and
         global pancake.  At the initial extent the damage is given, so every
@@ -147,18 +148,14 @@ class RiskModel:
         probability sits in the chain weight ``reach * p_pl``, where
         ``reach`` is the probability that damage got this far at all.
         """
-        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
-        mu_l, var_l, c_pg = self.mu_lapt, self.var_lapt, self.c_pg
+        c_pg = self.c_pg
         reach = None  # until the initial extent is done
-        for a_b, a_pl, a_pg, c_b, c_pl in self._chain:
-            p_b = pf(_moment_index(a_b * lb, mu_rb, var_rb, mu_l, var_l, sqrt))
-            p_pl = pf(_moment_index(a_pl * lc, mu_rc, var_rc, mu_l, var_l, sqrt))
-            p_pg = pf(_moment_index(a_pg * lc, mu_rc, var_rc, mu_l, var_l, sqrt))
+        for (p_b, p_pl, p_pg), (_, _, _, c_b, c_pl) in zip(probs, self._chain):
             if reach is None:
-                yield p_b, p_pl, p_pg, (p_b * c_b, p_pl * c_pl, p_pg * c_pg), 1.0, 1.0
+                yield (p_b * c_b, p_pl * c_pl, p_pg * c_pg), 1.0, 1.0
                 reach = p_pl
             else:
-                yield p_b, p_pl, p_pg, (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
+                yield (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
                 reach = reach * p_pl
 
     def _float_parts(self, lb, lc):
@@ -265,29 +262,47 @@ class RiskModel:
 
         Returns an array of shape ``(len(lambda_b), len(lambda_c))``; used
         for brute-force minima and for surface plots.  Every chain stage is
-        walked (the damage branch is 0 without a chain).  Only the grid needs
-        numpy, so it is imported here.
+        walked (the damage branch is 0 without a chain).  Each index depends
+        on one factor, so the index rows of each factor are stacked and
+        ``math.erfc`` maps once over both blocks, which gives every point the
+        bits of :meth:`evaluate`.  Only the grid needs numpy, so it is
+        imported here.
         """
         import numpy as np
 
-        lb = np.asarray(lambda_b, dtype=float)[:, None]
-        lc = np.asarray(lambda_c, dtype=float)[None, :]
-        mu_l, var_l = self.mu_l50, self.var_l50
-        pf_b50 = _pf_array(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, np.sqrt))
-        pf_pg50 = _pf_array(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt))
+        lb, lc = np.asarray(lambda_b, dtype=float), np.asarray(lambda_c, dtype=float)
+        n = len(self._chain)
+        a_b, a_pl, a_pg = ([stage[k] for stage in self._chain] for k in range(3))
+        mu_l = np.array([self.mu_l50] + [self.mu_lapt] * 2 * n)[:, None]
+        var_l = np.array([self.var_l50] + [self.var_lapt] * 2 * n)[:, None]
+        r_b = np.array([self.a_b50, *a_b])[:, None] * lb
+        r_c = np.array([self.a_pg50, *a_pl, *a_pg])[:, None] * lc
+        beta_b = _moment_index(r_b, self.mu_rb, self.var_rb, mu_l[: n + 1], var_l[: n + 1], np.sqrt)
+        beta_c = _moment_index(r_c, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt)
+        x = np.concatenate((beta_b.ravel(), beta_c.ravel())) / SQRT2
+        pf = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+        pf_b = pf[: r_b.size].reshape(n + 1, len(lb), 1)
+        pf_c = pf[r_b.size :].reshape(2 * n + 1, 1, len(lc))
         best = None
-        for _, _, _, (t_b, t_pl, t_pg), weight, _ in self._walk(lb, lc, np.sqrt, _pf_array):
+        for (t_b, t_pl, t_pg), weight, _ in self._walk(zip(pf_b[1:], pf_c[1 : n + 1], pf_c[n + 1 :])):
             stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
             best = stage if best is None else np.maximum(best, stage)
-        normal = self.c_nlc_bending * pf_b50 + self.c_pg * pf_pg50
-        return self._sum(self.construction(lb, lc) + normal, self.c_id + (0.0 if best is None else best))
+        normal = self.c_nlc_bending * pf_b[0] + self.c_pg * pf_c[0]
+        return self._sum(self.construction(lb[:, None], lc) + normal, self.c_id + (0.0 if best is None else best))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots."""
+        lb, lc, mu_l, var_l = factors.lambda_b, factors.lambda_c, self.mu_lapt, self.var_lapt
+        probs = [
+            (
+                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
+            )
+            for a_b, a_pl, a_pg, _, _ in self._chain
+        ]
         rows: list[ProgressionRow] = []
-        prev_pl = 1.0
-        walk = self._walk(factors.lambda_b, factors.lambda_c, math.sqrt, _pf_float)
-        for idx, (p_b, p_pl, p_pg, terms, weight, reach) in enumerate(walk):
+        for idx, ((p_b, p_pl, p_pg), (terms, weight, reach)) in enumerate(zip(probs, self._walk(probs))):
             stage_cost, dominant = _first_max(terms)
             rows.append(
                 ProgressionRow(
@@ -299,14 +314,13 @@ class RiskModel:
                     c_pl=self.c_pl[idx],
                     c_pg=self.c_pg,
                     chain_probability=weight,
-                    pairwise_weight=1.0 if idx == 0 else prev_pl * p_pl,
+                    pairwise_weight=1.0 if idx == 0 else probs[idx - 1][1] * p_pl,
                     reach_probability=reach,
                     stage_expected_cost=stage_cost,
                     expected_cost=weight * stage_cost,
                     dominant_mode=dominant,
                 )
             )
-            prev_pl = p_pl
         return rows
 
 

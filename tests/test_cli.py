@@ -211,6 +211,19 @@ def test_evaluate_prints_breakdown(capsys):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
+def test_non_finite_result_is_numerical_failure(tmp_path, capsys, command):
+    # validate accepts this scenario, but its sizing overflows and the
+    # result's terms come out nan
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"loads": {"l_n": 1e150}, "phi_nlc": 1e-300}))
+    with pytest.warns(UserWarning):
+        assert run_command([command, "--scenario", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
 @pytest.mark.parametrize("flag", ["--lambda-b", "--lambda-c"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 def test_nonpositive_or_non_finite_factor_is_data_error(capsys, command, flag, value):

@@ -25,6 +25,7 @@ from framerisk import (
     unit_strengths,
     validate,
 )
+from framerisk.optimize import FACTOR_BOUNDS
 from framerisk.risk import _first_max
 
 UNIT = DesignFactors(1.0, 1.0)
@@ -192,15 +193,26 @@ class TestTotalExpectedCost:
         assert max(r.expected_cost for r in rows) == model.damage_branch(0.9, 1.3)
 
 
-def test_vectorized_grid_matches_scalar(ref_scenario, ref_design):
-    model = RiskModel(ref_scenario, ref_design)
-    lb = np.linspace(0.1, 4.0, 23)
-    lc = np.linspace(0.1, 4.0, 19)
+def assert_grid_equals_evaluate(model, lb, lc):
     grid = model.evaluate_grid(lb, lc)
-    assert grid.shape == (23, 19)
-    for i in (0, 7, 22):
-        for j in (0, 11, 18):
-            assert grid[i, j] == pytest.approx(model.evaluate(float(lb[i]), float(lc[j])), rel=1e-12)
+    assert grid.shape == (len(lb), len(lc))
+    for i, b in enumerate(lb.tolist()):
+        for j, c in enumerate(lc.tolist()):
+            assert grid[i, j] == model.evaluate(b, c), (b, c)
+
+
+def test_vectorized_grid_matches_scalar(ref_scenario, ref_design):
+    assert_grid_equals_evaluate(RiskModel(ref_scenario, ref_design), np.linspace(0.1, 4.0, 23), np.linspace(0.1, 4.0, 19))
+
+
+@pytest.mark.parametrize("catenary", [False, True])
+@pytest.mark.parametrize("damage", DAMAGE_VARIANTS, ids=lambda d: f"{d.n_rc0}x{d.n_rs0}")
+@pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+def test_grid_matches_scalar_on_every_catalog_frame(frame, damage, catenary):
+    # the grid's batched Phi is the kernel's 0.5 * math.erfc(beta / sqrt 2),
+    # so every point has the bits of evaluate, over the optimizer's bounds
+    scn = validate(Scenario(geometry=FRAME_CATALOG[frame], damage=damage, include_catenary=catenary))
+    assert_grid_equals_evaluate(RiskModel(scn), np.geomspace(*FACTOR_BOUNDS, 13), np.linspace(*FACTOR_BOUNDS, 11))
 
 
 def unpruned(model, lb, lc):
