@@ -169,6 +169,7 @@ def build_parser() -> _Parser:
 def _cmd_design(args) -> int:
     scenario = _resolve_scenario(args)
     d = design_members(scenario)
+    _require_finite(astuple(d))
     print(f"b_y_nlc = {d.b_y_nlc:.4f} kNm")
     print(f"r_c_nlc = {d.r_c_nlc:.4f} kN")
     print(f"b_y_0   = {d.b_y_0:.4f} kNm")

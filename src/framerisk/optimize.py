@@ -47,7 +47,7 @@ class OptimizationResult:
     converged: bool  # the winning start's search met its tolerances
     evaluations: int  # objective calls, start-point checks included
     converged_starts: int  # starts whose search met its tolerances
-    memo_hits: int  # objective calls answered from the model's memo
+    memo_hits: int  # objective calls answered from the memo of the model handed in
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,30 @@ def minimize_total_cost(
 
     Deterministic: fixed 5x5 start grid, simplex search per start, ties
     broken by objective value then lexicographic factors.  A prebuilt
-    ``model`` of the scenario at any ``p_ld`` (and its design) is used through
-    a view at the scenario's; a view passed in lends its memo to the solve.
-    Without one the solve runs on a model of its own and keeps no memo: a
-    lone search revisits too few points to pay for one.
+    ``model`` of the scenario at any ``p_ld`` (and its design) lends its
+    memo: the solve answers each point it, or an earlier solve on it, has
+    seen from there.  Without one the solve runs on a model of its own and
+    keeps no memo: a lone search revisits too few points to pay for one.
     """
-    model = RiskModel(scenario, design) if model is None else model.at(scenario.p_ld)
+    model, memo = (RiskModel(scenario, design), None) if model is None else (model, model.memo)
     if not model.stages:  # the optimum's damaged indexes need a lost column
         raise ValueError(f"the initial damage must remove a column, got n_rc0={scenario.damage.n_rc0}")
-    evaluate, (lo, hi) = model.evaluate, FACTOR_BOUNDS
+    parts, c_0, c_b, c_c, c_id = model._float_parts, model.const_0, model.const_b, model.const_c, model.c_id
+    p_ld, (lo, hi) = scenario.p_ld, FACTOR_BOUNDS
+    seen = 0 if memo is None else len(memo)
 
     def objective(lambda_b: float, lambda_c: float) -> float:
-        # _clamp written out: this runs once per objective call
-        return evaluate(lo if lambda_b < lo else hi if lambda_b > hi else lambda_b,
-                        lo if lambda_c < lo else hi if lambda_c > hi else lambda_c)
+        # _clamp, the memo, RiskModel.evaluate and its sums written out in
+        # one frame: this runs once per objective call
+        lambda_b = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
+        lambda_c = lo if lambda_c < lo else hi if lambda_c > hi else lambda_c
+        if memo is not None and (ab := memo.get((lambda_b, lambda_c))) is not None:
+            return ab[0] + p_ld * ab[1]
+        normal, branch = parts(lambda_b, lambda_c)
+        a, b = c_0 + c_b * lambda_b + c_c * lambda_c + normal, c_id + branch
+        if memo is not None:
+            memo[lambda_b, lambda_c] = a, b
+        return a + p_ld * b
 
     best: tuple[float, float, float] | None = None
     best_converged = False
@@ -103,7 +113,7 @@ def minimize_total_cost(
     for lb0 in START_GRID:
         for lc0 in START_GRID:
             evaluations += 1
-            if not math.isfinite(evaluate(lb0, lc0)):
+            if not math.isfinite(objective(lb0, lc0)):  # START_GRID lies in FACTOR_BOUNDS
                 continue
             starts_used += 1
             res = minimize(objective, (lb0, lc0), xatol=XTOL, fatol=FTOL, maxfev=2000)
@@ -126,7 +136,7 @@ def minimize_total_cost(
         converged=best_converged,
         evaluations=evaluations,
         converged_starts=converged_starts,
-        memo_hits=model.memo_hits,
+        memo_hits=0 if memo is None else evaluations - (len(memo) - seen),
     )
 
 
@@ -137,9 +147,9 @@ def threshold_probability(
 
     Every evaluation runs the full multi-start so basin hopping near the
     indifference point resolves the same way at every probe.  All probes
-    share one model and memo (from ``model``, as in :func:`minimize_total_cost`).
+    share one model and its memo (``model``, or one built here).
     """
-    frame = (RiskModel(scenario, design) if model is None else model).at(scenario.p_ld)
+    frame = RiskModel(scenario, design) if model is None else model
     probes: list[OptimizationResult] = []
 
     def beta_b_at_optimum(log10_p: float) -> float:

@@ -27,7 +27,6 @@ out in one frame with an exact early exit.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -132,8 +131,9 @@ class RiskModel:
         # Suffix caps: _caps[k] >= 0 and >= every unweighted stage cost from stage k on.
         caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))
         self._caps = list(caps)[::-1]
-        self._memo = None
-        self.memo_hits = 0
+        # (A, B) = (construction + normal, c_id + branch) per factor pair, which
+        # hold at any p_ld: solve objectives read and fill it, nothing else does
+        self.memo: dict[tuple[float, float], tuple[float, float]] = {}
 
     # -- the progression chain ---------------------------------------------
 
@@ -224,31 +224,11 @@ class RiskModel:
         return self._float_parts(lambda_b, lambda_c)[1]
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
-        """Total expected cost at the given design factors.  The sums of
-        :meth:`construction` and :meth:`_sum` are written out in their order,
-        so each optimizer call costs one kernel call and no other."""
-        memo = self._memo
-        if memo is not None:
-            parts = memo.get((lambda_b, lambda_c))
-            if parts is not None:
-                self.memo_hits += 1
-                return parts[0] + self.p_ld * parts[1]
+        """Total expected cost at the given design factors and the model's
+        ``p_ld``: one kernel call and the sums of :meth:`construction` and
+        :meth:`_sum` in their order, so it equals ``breakdown(...).total``."""
         normal, branch = self._float_parts(lambda_b, lambda_c)
-        a = self.const_0 + self.const_b * lambda_b + self.const_c * lambda_c + normal
-        b = self.c_id + branch
-        if memo is not None:
-            memo[lambda_b, lambda_c] = a, b
-        return a + self.p_ld * b
-
-    def at(self, p_ld: float) -> RiskModel:
-        """A view of this model at ``p_ld`` whose ``evaluate`` keeps the
-        p_ld-free parts of each point in a memo.  A constructed model keeps
-        none; its first view starts one, shared by all views taken from that
-        view and gone with them.  ``memo_hits`` counts the view's own hits."""
-        view = copy.copy(self)
-        view.p_ld = p_ld
-        view.memo_hits, view._memo = 0, ({} if self._memo is None else self._memo)
-        return view
+        return self._sum(self.construction(lambda_b, lambda_c) + normal, self.c_id + branch)
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
         """The terms of :meth:`evaluate` at the given design factors; the

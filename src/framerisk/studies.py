@@ -160,8 +160,8 @@ def _study_points(study: StudyDefinition) -> list[tuple[tuple, Scenario]]:
 
 def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
     coords, scenario, with_threshold = args
-    # the threshold probes share the memo of this view; a lone solve keeps none
-    model = RiskModel(scenario).at(scenario.p_ld) if with_threshold else None
+    # the solve and the threshold probes share this model's memo; a lone solve keeps none
+    model = RiskModel(scenario) if with_threshold else None
     opt = minimize_total_cost(scenario, model=model)
     row = list(coords) + [
         opt.factors.lambda_b,
@@ -288,7 +288,7 @@ _CURVE_P_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 def _frame_task(frame_name: str) -> tuple[tuple, list[tuple]]:
     """Threshold row and (curve frames only) curve rows of one frame, solved on one model and memo."""
     scn = validate(Scenario(geometry=FRAME_CATALOG[frame_name]))
-    model = RiskModel(scn).at(scn.p_ld)
+    model = RiskModel(scn)
     th = threshold_probability(scn, model=model)
     p_th = th.p_th if th.status == BRACKETED else ""
     annual = annual_from_lifetime(th.p_th) if th.status == BRACKETED else ""

@@ -210,10 +210,10 @@ def test_evaluate_prints_breakdown(capsys):
     ]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
+@pytest.mark.parametrize("command", ["design", "evaluate", "trace", "beta"])
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, command):
-    # validate accepts this scenario, but its sizing overflows and the
-    # result's terms come out nan
+    # validate accepts this scenario, but its sizing overflows (inf and nan
+    # capacities and factors) and the result's terms come out nan
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"loads": {"l_n": 1e150}, "phi_nlc": 1e-300}))
     with pytest.warns(UserWarning):

@@ -62,19 +62,19 @@ def test_reference_solve_evaluation_count(monkeypatch, ref_scenario, ref_design)
     # the simplex evaluations): a change to the search path fails here
     # even when the optimum still rounds to the same printed digits
     calls = 0
-    evaluate = RiskModel.evaluate
+    parts = RiskModel._float_parts
 
     def counted(self, lambda_b, lambda_c):
         nonlocal calls
         calls += 1
-        return evaluate(self, lambda_b, lambda_c)
+        return parts(self, lambda_b, lambda_c)
 
-    monkeypatch.setattr(RiskModel, "evaluate", counted)
+    monkeypatch.setattr(RiskModel, "_float_parts", counted)
     result = minimize_total_cost(ref_scenario, ref_design)
-    assert calls == 2092
+    assert result.evaluations == 2092
     assert result.starts_used == 25
-    # the run record reports the same calls and every start converging
-    assert result.evaluations == calls
+    # a lone solve keeps no memo, so every objective call runs the kernel
+    assert calls == result.evaluations - result.memo_hits == 2092
     assert result.converged_starts == 25
 
 
@@ -82,17 +82,19 @@ def test_reference_threshold_counts(monkeypatch, ref_scenario, ref_design):
     # deterministic work counts of the reference threshold search: objective
     # calls summed over its probes, and those the frame's memo answered
     calls = 0
-    evaluate = RiskModel.evaluate
+    parts = RiskModel._float_parts
 
     def counted(self, lambda_b, lambda_c):
         nonlocal calls
         calls += 1
-        return evaluate(self, lambda_b, lambda_c)
+        return parts(self, lambda_b, lambda_c)
 
-    monkeypatch.setattr(RiskModel, "evaluate", counted)
+    monkeypatch.setattr(RiskModel, "_float_parts", counted)
     result = threshold_probability(ref_scenario, ref_design)
-    assert calls == result.evaluations == 26024
+    assert result.evaluations == 26024
     assert result.memo_hits == 9387
+    # the memo answers a call or the kernel runs, never both
+    assert calls == result.evaluations - result.memo_hits == 16637
     # a solve handed no model keeps no memo (one kept for a lone search
     # answered only the 28 points it revisits)
     assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 0
@@ -139,34 +141,42 @@ def test_shared_model_threshold_matches_fresh_models(monkeypatch, frame):
     assert shared.memo_hits > fresh.memo_hits
 
 
-def test_view_evaluate_matches_fresh_model(ref_scenario, ref_design):
-    points = np.random.default_rng(11).uniform(0.05, 5.0, size=(30, 2)).tolist()
-    view = RiskModel(ref_scenario, ref_design)
-    for p_ld in (1e-6, 1e-3, 0.1, 1.0):
-        view = view.at(p_ld)  # shares the memo of the views before it
-        fresh = RiskModel(replace(ref_scenario, p_ld=p_ld), ref_design)
-        for lb, lc in points + points[:10]:
-            assert view.evaluate(lb, lc).hex() == fresh.evaluate(lb, lc).hex()
-        assert view.memo_hits == (10 if p_ld == 1e-6 else 40)
-    assert view.p_ld == 1.0
+def solve_bits(result):
+    return result.c_te.hex(), result.factors.lambda_b.hex(), result.factors.lambda_c.hex()
 
 
-def test_memo_lives_as_long_as_its_solve(ref_scenario, ref_design):
+def test_second_solve_on_a_model_is_all_memo_hits(ref_scenario, ref_design):
     model = RiskModel(ref_scenario, ref_design)
-    for _ in range(3):
-        model.evaluate(0.9, 1.3)
-    # a model a caller builds keeps no memo, whatever it is used for
-    assert model.memo_hits == 0 and model._memo is None
     first = minimize_total_cost(ref_scenario, ref_design, model=model)
+    # a lone search revisits 28 of its points
+    assert (first.evaluations, first.memo_hits) == (2092, 28)
     second = minimize_total_cost(ref_scenario, ref_design, model=model)
-    assert model._memo is None
-    assert (second.evaluations, second.memo_hits) == (first.evaluations, first.memo_hits) == (2092, 28)
-    # a view passed in lends its memo, which then answers a repeated solve
-    view = model.at(ref_scenario.p_ld)
-    minimize_total_cost(ref_scenario, ref_design, model=view)
-    again = minimize_total_cost(ref_scenario, ref_design, model=view)
-    assert again.memo_hits == again.evaluations
-    assert again.c_te.hex() == first.c_te.hex()
+    assert second.memo_hits == second.evaluations == 2092
+    assert solve_bits(second) == solve_bits(first)
+
+
+def test_scalar_and_grid_entry_points_leave_the_memo_empty(ref_scenario, ref_design):
+    model = RiskModel(ref_scenario, ref_design)
+    model.evaluate(0.9, 1.3)
+    model.breakdown(0.9, 1.3)
+    model.damage_branch(0.9, 1.3)
+    model.evaluate_grid(np.linspace(0.05, 5.0, 7), np.linspace(0.05, 5.0, 5))
+    assert model.memo == {}
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_solves_sharing_a_memo_match_fresh_models(ref_scenario, ref_design, order):
+    p_lds = [1e-6, 1e-3, 0.1, 1.0]
+    model = RiskModel(ref_scenario, ref_design)
+    for p_ld in p_lds if order == "rising" else p_lds[::-1]:
+        scn = replace(ref_scenario, p_ld=p_ld)
+        shared = minimize_total_cost(scn, ref_design, model=model)
+        fresh = minimize_total_cost(scn, ref_design)  # its own model, no memo
+        assert solve_bits(shared) == solve_bits(fresh)
+        assert shared.evaluations == fresh.evaluations
+        assert shared.memo_hits > fresh.memo_hits == 0
+    # a model's own p_ld never changes, whatever p_ld its memo served
+    assert model.p_ld == ref_scenario.p_ld
 
 
 def test_optimum_betas_reported(ref_optimum):
@@ -243,7 +253,7 @@ def test_optimal_cost_does_not_fall_as_threat_rises(frame):
     # c_te* = min over the factors of A + p_ld * B with B >= 0, so the global
     # minimum cannot fall as p_ld rises; the multistart must keep that exactly
     scn = validate(Scenario(geometry=FRAME_CATALOG[frame]))
-    model = RiskModel(scn).at(scn.p_ld)  # one model and memo for the frame
+    model = RiskModel(scn)  # one model and memo for the frame
     costs = [
         minimize_total_cost(validate(replace(scn, p_ld=p)), model=model).c_te
         for p in np.logspace(-6.0, 0.0, 13).tolist()
