@@ -128,9 +128,21 @@ class RiskModel:
             (s.beta_b, s.beta_pl, s.beta_pg, c_b, c_pl)
             for s, c_b, c_pl in zip(self.stage_strengths, self.c_b, self.c_pl)
         )
-        # Suffix caps: _caps[k] >= 0 and >= every unweighted stage cost from stage k on.
+        # Suffix caps: caps[k] >= 0 and >= every unweighted stage cost from stage k on.
         caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))
-        self._caps = list(caps)[::-1]
+        caps = list(caps)[::-1]
+        # The float kernel's constants in one tuple, unpacked once per call:
+        # the load statistics of both horizons, the intact strengths and costs,
+        # SQRT2, then the initial extent's (stage, cap_in, cap_out) triple
+        # (None without a chain) and the later stages' triples.  cap_in bounds
+        # the stages from this one on, cap_out those after it.
+        walk = tuple(zip(self._chain, caps, caps[1:]))
+        self._kernel = (
+            self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
+            self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt,
+            self.a_b50, self.a_pg50, self.c_nlc_bending, self.c_pg, SQRT2,
+            walk[0] if walk else None, walk[1:],
+        )
         # (A, B) = (construction + normal, c_id + branch) per factor pair, which
         # hold at any p_ld: solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}
@@ -166,47 +178,52 @@ class RiskModel:
         of the walk.  The chain stops once no stage from here on, weighted by at
         most the reach into it and costing at most the suffix cap, can beat
         ``best``: float ``*`` and ``max`` are monotone, so the exits are exact.
-        Past the initial extent that is checked as soon as ``p_pl`` gives the
+        The initial extent is written out before the walk, which it mostly
+        ends.  Past it the bound is checked as soon as ``p_pl`` gives the
         reach, and bending's probability is left out where its cost cannot top
         the stage (``t_b <= c_b <= top``).
         """
         sqrt, erfc = math.sqrt, math.erfc
-        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
-        mu_l, var_l, c_pg = self.mu_l50, self.var_l50, self.c_pg
-        r = self.a_b50 * lb
-        pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2)
-        r = self.a_pg50 * lc
-        pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2)
-        normal = self.c_nlc_bending * pf_b + c_pg * pf_pg
-        mu_l, var_l, caps = self.mu_lapt, self.var_lapt, self._caps
-        best = reach = None
-        for k, (a_b, a_pl, a_pg, c_b, c_pl) in enumerate(self._chain, 1):
+        (mu_rb, var_rb, mu_rc, var_rc, mu_l, var_l, mu_la, var_la,
+         a_b50, a_pg50, c_nlc, c_pg, sqrt2, first, later) = self._kernel
+        r = a_b50 * lb
+        pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / sqrt2)
+        r = a_pg50 * lc
+        pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / sqrt2)
+        normal = c_nlc * pf_b + c_pg * pf_pg
+        if first is None:
+            return normal, 0.0
+        # the initial extent: weight 1, every term weighted
+        (a_b, a_pl, a_pg, c_b, c_pl), _, cap = first
+        r = a_pl * lc
+        reach = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2)
+        r = a_b * lb
+        t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+        r = a_pg * lc
+        t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+        t_pl = reach * c_pl
+        top = t_pg if t_pg > t_pl else t_pl
+        best = top if top > t_b else t_b
+        if reach * cap <= best:
+            return normal, best
+        # later extents: local pancake's advance probability is in the weight
+        for (a_b, a_pl, a_pg, c_b, c_pl), cap_in, cap_out in later:
             r = a_pl * lc
-            p_pl = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2)
-            if reach is None:  # the initial extent: weight 1, every term weighted
-                r = a_b * lb
-                t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
-                r = a_pg * lc
-                t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
-                t_pl, reach = p_pl * c_pl, p_pl
-                top = t_pg if t_pg > t_pl else t_pl
-                best = top if top > t_b else t_b
-            else:  # local pancake's advance probability is in the weight
-                reach = reach * p_pl
-                if reach * caps[k - 1] <= best:
-                    break
-                r = a_pg * lc
-                t_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / SQRT2) * c_pg
-                top = t_pg if t_pg > c_pl else c_pl
-                if c_b > top:
-                    r = a_b * lb
-                    t_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / SQRT2) * c_b
-                    top = top if top > t_b else t_b
-                stage = reach * top
-                best = stage if stage > best else best
-            if reach * caps[k] <= best:
+            reach = reach * (0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2))
+            if reach * cap_in <= best:
                 break
-        return normal, 0.0 if best is None else best
+            r = a_pg * lc
+            t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+            top = t_pg if t_pg > c_pl else c_pl
+            if c_b > top:
+                r = a_b * lb
+                t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+                top = top if top > t_b else t_b
+            stage = reach * top
+            best = stage if stage > best else best
+            if reach * cap_out <= best:
+                break
+        return normal, best
 
     def _sum(self, a, b):
         """The objective from its p_ld-free parts ``a = construction + normal``

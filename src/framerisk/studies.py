@@ -27,7 +27,7 @@ from .model import (
     annual_from_lifetime,
     validate,
 )
-from .optimize import BRACKETED, minimize_total_cost, threshold_probability
+from .optimize import BRACKETED, LOG10_P_RANGE, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
 from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set, unit_strengths
 from .risk import ProgressionRow, RiskModel
@@ -292,9 +292,11 @@ def _frame_task(frame_name: str) -> tuple[tuple, list[tuple]]:
     th = threshold_probability(scn, model=model)
     p_th = th.p_th if th.status == BRACKETED else ""
     annual = annual_from_lifetime(th.p_th) if th.status == BRACKETED else ""
+    # the threshold search solved both ends of its range, the grid's 1e-6 and 1.0
+    solved = dict(zip((10.0**log10_p for log10_p in LOG10_P_RANGE), (th.optimum_low, th.optimum_high)))
     curve = []
     for p_ld in _CURVE_P_GRID if frame_name in _CURVE_FRAMES else ():
-        opt = minimize_total_cost(validate(replace(scn, p_ld=p_ld)), model=model)
+        opt = solved[p_ld] if p_ld in solved else minimize_total_cost(validate(replace(scn, p_ld=p_ld)), model=model)
         bd = opt.beta_damaged
         curve.append((frame_name, p_ld, opt.factors.lambda_b, opt.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg))
     return (frame_name, th.status, p_th, annual), curve

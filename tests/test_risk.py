@@ -154,6 +154,28 @@ class TestTotalExpectedCost:
         assert model.stages == [1]
         assert math.isfinite(total(scn, design, UNIT))
 
+    def test_model_without_a_chain(self):
+        # validate rejects n_rc0 = 0 and strengthening cannot size it, but a
+        # model with the normal design builds: no chain stage, a zero branch
+        scn = Scenario(damage=DamageScenario(0, 0))
+        model = RiskModel(scn, nlc_member_design(scn))
+        assert model.stages == [] and kernel_triples(model) == ()
+        assert model.trace(UNIT) == []
+        lb, lc = np.geomspace(*FACTOR_BOUNDS, 9), np.linspace(*FACTOR_BOUNDS, 7)
+        for b in lb.tolist():
+            for c in lc.tolist():
+                cost = model.breakdown(b, c)
+                assert model.damage_branch(b, c) == cost.damage_branch == 0.0
+                written_out = model.construction(b, c) + cost.normal_loading + scn.p_ld * (model.c_id + 0.0)
+                assert model.evaluate(b, c).hex() == cost.total.hex() == written_out.hex()
+        assert_grid_equals_evaluate(model, lb, lc)
+
+    @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_factor_gives_nan_objective(self, ref_scenario, ref_design, factors):
+        model = RiskModel(ref_scenario, ref_design)
+        assert math.isnan(model.evaluate(*factors))
+        assert math.isnan(model.breakdown(*factors).total)
+
     @pytest.mark.parametrize("catenary", [False, True])
     @pytest.mark.parametrize(
         "frame, damage", [((8, 9), (1, 1)), ((16, 5), (3, 2)), ((4, 17), (2, 1)), ((3, 4), (1, 0))]
@@ -223,34 +245,67 @@ def unpruned(model, lb, lc):
     return branch, model._sum(model.construction(lb, lc) + normal, model.c_id + branch)
 
 
+# the names of the float kernel's constants table, in its order
+KERNEL_FIELDS = (
+    "mu_rb", "var_rb", "mu_rc", "var_rc", "mu_l50", "var_l50", "mu_lapt", "var_lapt",
+    "a_b50", "a_pg50", "c_nlc_bending", "c_pg", "sqrt2", "first", "later",
+)
+
+
+def kernel_triples(model):
+    """The ``(stage, cap_in, cap_out)`` triples of the kernel's table, the
+    initial extent's first."""
+    *_, first, later = model._kernel
+    return () if first is None else (first, *later)
+
+
+def kernel_caps(model):
+    """The suffix caps of the kernel's table: ``caps[k]`` bounds the
+    unweighted cost of every stage from stage ``k`` on."""
+    triples = kernel_triples(model)
+    return [triples[0][1], *(cap_out for _, _, cap_out in triples)]
+
+
+def with_caps(model, caps):
+    """Rewrite the caps of the kernel's stage triples."""
+    triples = tuple(zip(model._chain, caps, caps[1:]))
+    model._kernel = (*model._kernel[:-2], triples[0], triples[1:])
+
+
 def stage_phis(model, lb, lc):
     """Failure probabilities (``math.erfc`` calls) the float kernel behind
     ``damage_branch`` computes in each chain stage it reads, in chain order.
     A later stage left with one, its ``p_pl``, was cut by the bound in the
-    stage; one with two or three is complete."""
-    chain, erfc, counts = model._chain, math.erfc, []
+    stage; one with two or three is complete.  Each stage triple of the
+    kernel's table is swapped for a generator that notes the count of calls
+    so far when the kernel unpacks it."""
+    table, erfc, calls, marks = model._kernel, math.erfc, [0], []
 
-    def counted_stages():
-        for stage in chain:
-            counts.append(0)
-            yield stage
+    def marked(triple):
+        marks.append(calls[0])
+        yield from triple
 
     def counted_erfc(x):
-        if counts:
-            counts[-1] += 1
+        calls[0] += 1
         return erfc(x)
 
-    model._chain, math.erfc = counted_stages(), counted_erfc
+    *constants, first, later = table
+    model._kernel = (*constants, marked(first), [marked(triple) for triple in later])
+    math.erfc = counted_erfc
     try:
         model.damage_branch(lb, lc)
     finally:
-        model._chain, math.erfc = chain, erfc
+        model._kernel, math.erfc = table, erfc
+    counts = [end - start for start, end in zip(marks, [*marks[1:], calls[0]])]
+    # the normal-loading pair comes first and the initial extent is complete:
+    # a helper that misses the table's stages fails here, not in silence
+    assert marks[0] == 2 and counts[0] == 3, (marks, counts)
     return counts
 
 
 def walked_stages(model, lb, lc):
     """Chain stages the scalar damage branch (the float kernel behind
-    ``evaluate``) reads from the model's chain table before it stops."""
+    ``evaluate``) reads from the kernel's table before it stops."""
     return len(stage_phis(model, lb, lc))
 
 
@@ -278,7 +333,7 @@ class TestEarlyExit:
             # the kernel reads the strength table's own floats
             intact = unit_strengths(base, design.b_y_0, design.r_c_0)
             assert (model.a_b50, model.a_pg50) == (intact.beta_b, intact.beta_pg)
-            for j, stage in zip(model.stages, model._chain, strict=True):
+            for j, (stage, _, _) in zip(model.stages, kernel_triples(model), strict=True):
                 table = unit_strengths(base, design.b_y_0, design.r_c_0, (j, damage.n_rs0))
                 assert stage[:3] == (table.beta_b, table.beta_pl, table.beta_pg)
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
@@ -289,6 +344,22 @@ class TestEarlyExit:
         if len(model.stages) > 1:
             assert stopped > 0  # the exit is taken, not only harmless
 
+    def test_kernel_table_holds_the_model_floats(self):
+        # with dear ductile collapse the last bending cost tops c_pg, so the
+        # last cap differs; with the catalog's costs every cap is c_pg and a
+        # cap shifted by one stage would pass
+        model = RiskModel(validate(Scenario(costs=CostParameters(k_ductile=5.0, k_brittle=2.0))))
+        table = dict(zip(KERNEL_FIELDS, model._kernel, strict=True))
+        for name in KERNEL_FIELDS[:-3]:
+            assert table[name] == getattr(model, name), name
+        assert table["sqrt2"] == math.sqrt(2.0)
+        assert tuple(stage for stage, _, _ in kernel_triples(model)) == model._chain
+        # caps[k] is the largest of 0, c_pg and every stage cost from stage k on
+        costs = [0.0, model.c_pg]
+        expected = [max(costs + model.c_b[k:] + model.c_pl[k:]) for k in range(len(model.stages) + 1)]
+        assert kernel_caps(model) == expected and len(set(expected)) > 1
+        assert [cap_in for _, cap_in, _ in kernel_triples(model)] == expected[:-1]
+
     def test_exit_on_a_tied_bound(self):
         # Both bounds compare reach * cap[k] with the best stage cost so far,
         # by ``<=``: after stage k with the reach past it, and in stage k + 1
@@ -298,7 +369,7 @@ class TestEarlyExit:
         # both keep the unpruned bits.
         scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
         model = RiskModel(scn)
-        caps = model._caps
+        caps = kernel_caps(model)
         ties = {}
         for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
@@ -319,7 +390,7 @@ class TestEarlyExit:
         for in_stage, (lb, lc, k, cap) in ties.items():
             assert cap >= caps[k]
             branch, objective = unpruned(model, lb, lc)
-            model._caps = [*caps[:k], cap, *caps[k + 1 :]]
+            with_caps(model, [*caps[:k], cap, *caps[k + 1 :]])
             phis = stage_phis(model, lb, lc)
             if in_stage:  # stopped after the p_pl of stage k + 1
                 assert len(phis) == k + 1 and phis[k] == 1
@@ -327,11 +398,43 @@ class TestEarlyExit:
                 assert len(phis) == k and phis[-1] > 1
             assert model.damage_branch(lb, lc).hex() == branch.hex()
             assert model.evaluate(lb, lc).hex() == objective.hex()
-            model._caps = [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]]
+            with_caps(model, [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]])
             phis = stage_phis(model, lb, lc)
             assert len(phis) > k  # reads stage k + 1
             if in_stage:  # and completes it
                 assert phis[k] > 1
+            assert model.damage_branch(lb, lc).hex() == branch.hex()
+            assert model.evaluate(lb, lc).hex() == objective.hex()
+
+    def test_exit_after_a_later_stage(self):
+        # The bound after a later stage k compares reach * cap[k] with the
+        # best cost by ``<=`` too.  A catalog chain never takes it short of
+        # its last stage: past the initial extent its caps are all c_pg.  At
+        # a point whose best cost stage k already has, lower cap[k] to the
+        # tie: the walk stops after stage k, one ulp more reads stage k + 1,
+        # and both keep the unpruned bits.
+        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["4x16"])))
+        caps = kernel_caps(model)
+        for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
+            rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
+            k = len(phis) - 1  # stages 1 to k complete, stage k + 1 read
+            if k < 2:
+                continue
+            best = max(row.expected_cost for row in rows[:k])
+            cap = tied_cap(rows[k - 1].chain_probability, best)
+            if cap is not None and max(row.expected_cost for row in rows[k:]) <= best:
+                break
+        else:
+            pytest.fail("no walk past a later stage whose best cost that stage already has")
+        assert cap < caps[k]
+        branch, objective = unpruned(model, lb, lc)
+        for cap_k, stops in ((cap, True), (math.nextafter(cap, math.inf), False)):
+            with_caps(model, [*caps[:k], cap_k, *caps[k + 1 :]])
+            phis = stage_phis(model, lb, lc)
+            if stops:
+                assert len(phis) == k and phis[-1] > 1
+            else:
+                assert len(phis) > k
             assert model.damage_branch(lb, lc).hex() == branch.hex()
             assert model.evaluate(lb, lc).hex() == objective.hex()
 

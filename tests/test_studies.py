@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from framerisk import (
+    FRAME_CATALOG,
     FrameGeometry,
     RandomVarStats,
     Scenario,
@@ -20,6 +21,8 @@ from framerisk import (
     trace_table,
     validate,
 )
+from framerisk import studies
+from framerisk.optimize import LOG10_P_RANGE, minimize_total_cost
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -184,3 +187,26 @@ def test_trace_table_reference(ref_scenario):
     header, rows = trace_table(ref_scenario)
     assert header[0] == "n_fc"
     assert [r[0] for r in rows] == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("frame", studies._CURVE_FRAMES)
+def test_curve_ends_reuse_the_threshold_solves(monkeypatch, frame):
+    # the curve rows at both ends of the threshold search's range come from
+    # its own end solves; each has the bits of a solve on a fresh model
+    ends = [10.0**log10_p for log10_p in LOG10_P_RANGE]
+    assert set(ends) <= set(studies._CURVE_P_GRID)
+    solved, solve = [], studies.minimize_total_cost
+
+    def counted(scenario, model):
+        solved.append(scenario.p_ld)
+        return solve(scenario, model=model)
+
+    monkeypatch.setattr(studies, "minimize_total_cost", counted)
+    _, curve = studies._frame_task(frame)
+    assert solved == [p_ld for p_ld in studies._CURVE_P_GRID if p_ld not in ends]
+    by_p = {row[1]: row for row in curve}
+    for p_ld in ends:
+        fresh = minimize_total_cost(validate(Scenario(geometry=FRAME_CATALOG[frame], p_ld=p_ld)))
+        bd = fresh.beta_damaged
+        expected = (fresh.factors.lambda_b, fresh.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg)
+        assert [x.hex() for x in by_p[p_ld][2:]] == [x.hex() for x in expected]
