@@ -68,6 +68,8 @@ class ThresholdResult:
     optimum_high: OptimizationResult
     evaluations: int  # objective calls, summed over the probes
     memo_hits: int  # of which answered from the memo
+    probes: tuple[tuple[float, float], ...]  # (log10_p, beta_b*) per probe, in probe order
+    bracket: tuple[float, float]  # the final (lo, hi) in log10_p
 
 
 def _clamp(x: float) -> float:
@@ -81,32 +83,18 @@ def minimize_total_cost(
     """Best local minimum of the total expected cost over the design factors.
 
     Deterministic: fixed 5x5 start grid, simplex search per start, ties
-    broken by objective value then lexicographic factors.  A prebuilt
-    ``model`` of the scenario at any ``p_ld`` (and its design) lends its
-    memo: the solve answers each point it, or an earlier solve on it, has
-    seen from there.  Without one the solve runs on a model of its own and
-    keeps no memo: a lone search revisits too few points to pay for one.
+    broken by objective value then lexicographic factors.  Every call goes
+    to one :meth:`RiskModel.objective`, clamped to ``FACTOR_BOUNDS``.  A
+    prebuilt ``model`` of the scenario at any ``p_ld`` (and its design) lends
+    its memo: the solve answers each point it, or an earlier solve on it, has
+    seen from there.  A solve handed no model builds its own and keeps no
+    memo: a lone search revisits too few points to pay for one.
     """
     model, memo = (RiskModel(scenario, design), None) if model is None else (model, model.memo)
     if not model.stages:  # the optimum's damaged indexes need a lost column
         raise ValueError(f"the initial damage must remove a column, got n_rc0={scenario.damage.n_rc0}")
-    parts, c_0, c_b, c_c, c_id = model._float_parts, model.const_0, model.const_b, model.const_c, model.c_id
-    p_ld, (lo, hi) = scenario.p_ld, FACTOR_BOUNDS
     seen = 0 if memo is None else len(memo)
-
-    def objective(lambda_b: float, lambda_c: float) -> float:
-        # _clamp, the memo, RiskModel.evaluate and its sums written out in
-        # one frame: this runs once per objective call
-        lambda_b = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
-        lambda_c = lo if lambda_c < lo else hi if lambda_c > hi else lambda_c
-        if memo is not None and (ab := memo.get((lambda_b, lambda_c))) is not None:
-            return ab[0] + p_ld * ab[1]
-        normal, branch = parts(lambda_b, lambda_c)
-        a, b = c_0 + c_b * lambda_b + c_c * lambda_c + normal, c_id + branch
-        if memo is not None:
-            memo[lambda_b, lambda_c] = a, b
-        return a + p_ld * b
-
+    objective = model.objective(scenario.p_ld, memo, FACTOR_BOUNDS)
     best: tuple[float, float, float] | None = None
     best_converged = False
     starts_used = evaluations = converged_starts = 0
@@ -150,11 +138,11 @@ def threshold_probability(
     share one model and its memo (``model``, or one built here).
     """
     frame = RiskModel(scenario, design) if model is None else model
-    probes: list[OptimizationResult] = []
+    probes: list[tuple[float, OptimizationResult]] = []
 
     def beta_b_at_optimum(log10_p: float) -> float:
-        probes.append(minimize_total_cost(replace(scenario, p_ld=10.0**log10_p), model=frame))
-        return probes[-1].beta_damaged.beta_b
+        probes.append((log10_p, minimize_total_cost(replace(scenario, p_ld=10.0**log10_p), model=frame)))
+        return probes[-1][1].beta_damaged.beta_b
 
     lo, hi = LOG10_P_RANGE
     g_lo, g_hi = beta_b_at_optimum(lo), beta_b_at_optimum(hi)
@@ -171,5 +159,7 @@ def threshold_probability(
             else:
                 hi = mid
         p_th = 10.0 ** (0.5 * (lo + hi))
-    evaluations, memo_hits = sum(p.evaluations for p in probes), sum(p.memo_hits for p in probes)
-    return ThresholdResult(status, p_th, g_lo, g_hi, probes[0], probes[1], evaluations, memo_hits)
+    solves = [p for _, p in probes]
+    evaluations, memo_hits = sum(p.evaluations for p in solves), sum(p.memo_hits for p in solves)
+    points = tuple((x, p.beta_damaged.beta_b) for x, p in probes)
+    return ThresholdResult(status, p_th, g_lo, g_hi, solves[0], solves[1], evaluations, memo_hits, points, (lo, hi))

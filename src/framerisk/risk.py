@@ -20,9 +20,9 @@ probabilities respond to the design variables.
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
 grids and multi-start optimization.  One walk over the chain stages serves
-the vectorized grid and the progression trace; the scalar objective, damage
-branch and breakdown run on one float kernel, the same arithmetic written
-out in one frame with an exact early exit.
+the vectorized grid, the trace and the breakdown; a solve calls one closure
+from ``RiskModel.objective`` that clamps, reads the memo and runs the float
+kernel, the walk's arithmetic written out in one frame with an exact exit.
 """
 
 from __future__ import annotations
@@ -131,18 +131,10 @@ class RiskModel:
         # Suffix caps: caps[k] >= 0 and >= every unweighted stage cost from stage k on.
         caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))
         caps = list(caps)[::-1]
-        # The float kernel's constants in one tuple, unpacked once per call:
-        # the load statistics of both horizons, the intact strengths and costs,
-        # SQRT2, then the initial extent's (stage, cap_in, cap_out) triple
-        # (None without a chain) and the later stages' triples.  cap_in bounds
-        # the stages from this one on, cap_out those after it.
-        walk = tuple(zip(self._chain, caps, caps[1:]))
-        self._kernel = (
-            self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
-            self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt,
-            self.a_b50, self.a_pg50, self.c_nlc_bending, self.c_pg, SQRT2,
-            walk[0] if walk else None, walk[1:],
-        )
+        # The objective's (stage, cap) pairs: a cap bounds the stages not yet
+        # costed when its check runs, those after the initial extent or a
+        # later stage's own and those after it.
+        self._pairs = tuple(zip(self._chain, caps[1:2] + caps[1:]))
         # (A, B) = (construction + normal, c_id + branch) per factor pair, which
         # hold at any p_ld: solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}
@@ -170,89 +162,115 @@ class RiskModel:
                 yield (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
                 reach = reach * p_pl
 
-    def _float_parts(self, lb, lc):
-        """``(normal, branch)`` at one point, written out in one frame because
-        the objective runs it thousands of times per solve.  Each probability is
-        ``_pf_float(_moment_index(...))`` in the same operation order and
-        ``y if y > x else x`` is the builtin ``max(x, y)``, so the bits are those
-        of the walk.  The chain stops once no stage from here on, weighted by at
-        most the reach into it and costing at most the suffix cap, can beat
-        ``best``: float ``*`` and ``max`` are monotone, so the exits are exact.
-        The initial extent is written out before the walk, which it mostly
-        ends.  Past it the bound is checked as soon as ``p_pl`` gives the
-        reach, and bending's probability is left out where its cost cannot top
-        the stage (``t_b <= c_b <= top``).
-        """
-        sqrt, erfc = math.sqrt, math.erfc
-        (mu_rb, var_rb, mu_rc, var_rc, mu_l, var_l, mu_la, var_la,
-         a_b50, a_pg50, c_nlc, c_pg, sqrt2, first, later) = self._kernel
-        r = a_b50 * lb
-        pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / sqrt2)
-        r = a_pg50 * lc
-        pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / sqrt2)
-        normal = c_nlc * pf_b + c_pg * pf_pg
-        if first is None:
-            return normal, 0.0
-        # the initial extent: weight 1, every term weighted
-        (a_b, a_pl, a_pg, c_b, c_pl), _, cap = first
-        r = a_pl * lc
-        reach = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2)
-        r = a_b * lb
-        t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
-        r = a_pg * lc
-        t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
-        t_pl = reach * c_pl
-        top = t_pg if t_pg > t_pl else t_pl
-        best = top if top > t_b else t_b
-        if reach * cap <= best:
-            return normal, best
-        # later extents: local pancake's advance probability is in the weight
-        for (a_b, a_pl, a_pg, c_b, c_pl), cap_in, cap_out in later:
-            r = a_pl * lc
-            reach = reach * (0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2))
-            if reach * cap_in <= best:
-                break
-            r = a_pg * lc
-            t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
-            top = t_pg if t_pg > c_pl else c_pl
-            if c_b > top:
-                r = a_b * lb
-                t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
-                top = top if top > t_b else t_b
-            stage = reach * top
-            best = stage if stage > best else best
-            if reach * cap_out <= best:
-                break
-        return normal, best
-
-    def _sum(self, a, b):
-        """The objective from its p_ld-free parts ``a = construction + normal``
-        and ``b = c_id + branch``: Python adds the written-out sum left to
-        right, so this has its bits, and ``(a, b)`` hold for any ``p_ld``."""
-        return a + self.p_ld * b
+    def _probabilities(self, lb, lc):
+        """``(p_b, p_pl, p_pg)`` per chain stage at one point, each
+        ``_pf_float(_moment_index(...))`` as the objective's kernel has it."""
+        mu_l, var_l = self.mu_lapt, self.var_lapt
+        return [
+            (
+                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
+            )
+            for a_b, a_pl, a_pg, _, _ in self._chain
+        ]
 
     # -- entry points ------------------------------------------------------
 
     def construction(self, lambda_b: float, lambda_c: float) -> float:
         return self.const_0 + self.const_b * lambda_b + self.const_c * lambda_c
 
+    def objective(self, p_ld: float, memo: dict | None = None, bounds: tuple[float, float] = (-math.inf, math.inf)):
+        """The total expected cost at ``p_ld`` as a function of the design
+        factors, built once per solve.  In one frame it clamps each factor into
+        ``bounds``, answers from ``memo`` the pairs it holds, or runs the float
+        kernel and stores ``(A, B) = (construction + normal, c_id + branch)``,
+        which hold at any ``p_ld``; it returns ``A + p_ld * B``.
+
+        The kernel is the walk's arithmetic in its order, with ``y if y > x
+        else x`` for the builtin ``max(x, y)``, so it has the walk's bits.  It
+        stops once no stage not yet costed, weighted by at most the reach into
+        it and costing at most its cap, can beat ``best``: float ``*`` and
+        ``max`` are monotone, so the exits are exact.  The initial extent, which
+        mostly ends the walk, is written out before the loop.  Past it the bound
+        is checked as soon as ``p_pl`` gives the reach, and bending's
+        probability is left out where ``t_b <= c_b <= top``.
+        """
+        sqrt, erfc, sqrt2, (lo, hi) = math.sqrt, math.erfc, SQRT2, bounds
+        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
+        mu_l, var_l, mu_la, var_la = self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt
+        a_b50, a_pg50, c_nlc, c_pg = self.a_b50, self.a_pg50, self.c_nlc_bending, self.c_pg
+        const_0, const_b, const_c, c_id = self.const_0, self.const_b, self.const_c, self.c_id
+        first, *later = self._pairs or (None,)
+
+        def total(lambda_b: float, lambda_c: float) -> float:
+            lb = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
+            lc = lo if lambda_c < lo else hi if lambda_c > hi else lambda_c
+            if memo is not None and (ab := memo.get((lb, lc))) is not None:
+                return ab[0] + p_ld * ab[1]
+            r = a_b50 * lb
+            pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / sqrt2)
+            r = a_pg50 * lc
+            pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / sqrt2)
+            normal = c_nlc * pf_b + c_pg * pf_pg
+            best = 0.0
+            if first is not None:
+                # the initial extent: weight 1, every term weighted
+                (a_b, a_pl, a_pg, c_b, c_pl), cap = first
+                r = a_pl * lc
+                reach = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2)
+                r = a_b * lb
+                t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+                r = a_pg * lc
+                t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+                t_pl = reach * c_pl
+                top = t_pg if t_pg > t_pl else t_pl
+                best = top if top > t_b else t_b
+                if not reach * cap <= best:  # a NaN walks on
+                    # later extents: local pancake's advance probability is in the weight
+                    for (a_b, a_pl, a_pg, c_b, c_pl), cap in later:
+                        r = a_pl * lc
+                        reach = reach * (0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2))
+                        if reach * cap <= best:
+                            break
+                        r = a_pg * lc
+                        t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+                        top = t_pg if t_pg > c_pl else c_pl
+                        if c_b > top:
+                            r = a_b * lb
+                            t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+                            top = top if top > t_b else t_b
+                        stage = reach * top
+                        best = stage if stage > best else best
+            a, b = const_0 + const_b * lb + const_c * lc + normal, c_id + best
+            if memo is not None:
+                memo[lb, lc] = a, b
+            return a + p_ld * b
+
+        return total
+
     def damage_branch(self, lambda_b: float, lambda_c: float) -> float:
         """Maximum expected collapse cost over the progression chain."""
-        return self._float_parts(lambda_b, lambda_c)[1]
+        return self.breakdown(lambda_b, lambda_c).damage_branch
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
         """Total expected cost at the given design factors and the model's
-        ``p_ld``: one kernel call and the sums of :meth:`construction` and
-        :meth:`_sum` in their order, so it equals ``breakdown(...).total``."""
-        normal, branch = self._float_parts(lambda_b, lambda_c)
-        return self._sum(self.construction(lambda_b, lambda_c) + normal, self.c_id + branch)
+        ``p_ld``, by an unbounded :meth:`objective` without a memo."""
+        return self.objective(self.p_ld)(lambda_b, lambda_c)
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
-        """The terms of :meth:`evaluate` at the given design factors; the
-        record's ``total`` equals ``evaluate`` bit for bit."""
-        construction = self.construction(lambda_b, lambda_c)
-        normal, branch = self._float_parts(lambda_b, lambda_c)
-        return ExpectedCost(construction, normal, self.c_id, branch, self._sum(construction + normal, self.c_id + branch))
+        """The terms of :meth:`evaluate` at the given design factors, from the
+        walk over every chain stage that :meth:`trace` runs.  Its probabilities
+        and the builtin ``max``, in the kernel's order, give the kernel's bits,
+        so the record's ``total`` equals ``evaluate`` bit for bit."""
+        lb, lc, mu_l, var_l = lambda_b, lambda_c, self.mu_l50, self.var_l50
+        pf_b = _pf_float(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt))
+        pf_pg = _pf_float(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt))
+        normal = self.c_nlc_bending * pf_b + self.c_pg * pf_pg
+        stages = self._walk(self._probabilities(lb, lc))
+        branch = max((w * max(t_b, max(t_pl, t_pg)) for (t_b, t_pl, t_pg), w, _ in stages), default=0.0)
+        construction = self.construction(lb, lc)
+        return ExpectedCost(construction, normal, self.c_id, branch, construction + normal + self.p_ld * (self.c_id + branch))
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -285,19 +303,11 @@ class RiskModel:
             stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
             best = stage if best is None else np.maximum(best, stage)
         normal = self.c_nlc_bending * pf_b[0] + self.c_pg * pf_c[0]
-        return self._sum(self.construction(lb[:, None], lc) + normal, self.c_id + (0.0 if best is None else best))
+        return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + (0.0 if best is None else best))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots."""
-        lb, lc, mu_l, var_l = factors.lambda_b, factors.lambda_c, self.mu_lapt, self.var_lapt
-        probs = [
-            (
-                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-            )
-            for a_b, a_pl, a_pg, _, _ in self._chain
-        ]
+        probs = self._probabilities(factors.lambda_b, factors.lambda_c)
         rows: list[ProgressionRow] = []
         for idx, ((p_b, p_pl, p_pg), (terms, weight, reach)) in enumerate(zip(probs, self._walk(probs))):
             stage_cost, dominant = _first_max(terms)

@@ -22,7 +22,7 @@ from framerisk import (
     validate,
 )
 from framerisk import optimize
-from framerisk.optimize import ALWAYS_STRENGTHEN, BRACKETED, NEVER_STRENGTHEN
+from framerisk.optimize import ALWAYS_STRENGTHEN, BRACKETED, LOG10_P_RANGE, LOG10_P_TOL, NEVER_STRENGTHEN
 
 
 def test_reference_optimum_location(ref_optimum):
@@ -57,44 +57,47 @@ def test_determinism(ref_scenario, ref_design):
     assert a.starts_used == b.starts_used == 25
 
 
-def test_reference_solve_evaluation_count(monkeypatch, ref_scenario, ref_design):
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Runs of the objective's float kernel on models built from here: each
+    run unpacks the initial extent's pair once, and a memo hit none."""
+    runs = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            runs[0] += 1
+            return super().__iter__()
+
+    init = RiskModel.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._pairs = (Counted(self._pairs[0]), *self._pairs[1:])
+
+    monkeypatch.setattr(RiskModel, "__init__", counted_init)
+    return runs
+
+
+def test_reference_solve_evaluation_count(kernel_runs, ref_scenario, ref_design):
     # deterministic work count of the reference solve (25 start checks plus
     # the simplex evaluations): a change to the search path fails here
     # even when the optimum still rounds to the same printed digits
-    calls = 0
-    parts = RiskModel._float_parts
-
-    def counted(self, lambda_b, lambda_c):
-        nonlocal calls
-        calls += 1
-        return parts(self, lambda_b, lambda_c)
-
-    monkeypatch.setattr(RiskModel, "_float_parts", counted)
     result = minimize_total_cost(ref_scenario, ref_design)
     assert result.evaluations == 2092
     assert result.starts_used == 25
     # a lone solve keeps no memo, so every objective call runs the kernel
-    assert calls == result.evaluations - result.memo_hits == 2092
+    assert kernel_runs[0] == result.evaluations - result.memo_hits == 2092
     assert result.converged_starts == 25
 
 
-def test_reference_threshold_counts(monkeypatch, ref_scenario, ref_design):
+def test_reference_threshold_counts(kernel_runs, ref_scenario, ref_design):
     # deterministic work counts of the reference threshold search: objective
     # calls summed over its probes, and those the frame's memo answered
-    calls = 0
-    parts = RiskModel._float_parts
-
-    def counted(self, lambda_b, lambda_c):
-        nonlocal calls
-        calls += 1
-        return parts(self, lambda_b, lambda_c)
-
-    monkeypatch.setattr(RiskModel, "_float_parts", counted)
     result = threshold_probability(ref_scenario, ref_design)
     assert result.evaluations == 26024
     assert result.memo_hits == 9387
     # the memo answers a call or the kernel runs, never both
-    assert calls == result.evaluations - result.memo_hits == 16637
+    assert kernel_runs[0] == result.evaluations - result.memo_hits == 16637
     # a solve handed no model keeps no memo (one kept for a lone search
     # answered only the 28 points it revisits)
     assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 0
@@ -160,8 +163,49 @@ def test_scalar_and_grid_entry_points_leave_the_memo_empty(ref_scenario, ref_des
     model.evaluate(0.9, 1.3)
     model.breakdown(0.9, 1.3)
     model.damage_branch(0.9, 1.3)
+    model.objective(model.p_ld, None, optimize.FACTOR_BOUNDS)(0.9, 1.3)
     model.evaluate_grid(np.linspace(0.05, 5.0, 7), np.linspace(0.05, 5.0, 5))
     assert model.memo == {}
+
+
+# in and out of FACTOR_BOUNDS, on them, and not finite
+FACTOR_POINTS = [0.9, 1.3, 0.05, 5.0, 0.01, 7.5, 0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def test_bounded_objective_is_evaluate_at_clamped_factors(ref_scenario, ref_design):
+    model = RiskModel(ref_scenario, ref_design)
+    memo = {}
+    objective = model.objective(model.p_ld, memo, optimize.FACTOR_BOUNDS)
+    for lb in FACTOR_POINTS:
+        for lc in FACTOR_POINTS:
+            clamped = model.evaluate(optimize._clamp(lb), optimize._clamp(lc)).hex()
+            assert objective(lb, lc).hex() == clamped
+            assert objective(lb, lc).hex() == clamped  # from the memo
+
+
+def test_unbounded_objective_is_breakdown_total(ref_scenario, ref_design):
+    # default bounds pass every factor through, NaN and infinities included
+    model = RiskModel(ref_scenario, ref_design)
+    objective = model.objective(model.p_ld)
+    for lb in FACTOR_POINTS:
+        for lc in FACTOR_POINTS:
+            assert objective(lb, lc).hex() == model.breakdown(lb, lc).total.hex()
+
+
+def test_objective_memo_holds_p_ld_free_parts(ref_scenario, ref_design):
+    # one memo serves objectives at every p_ld: (A, B) = (construction +
+    # normal, c_id + branch), and A + p_ld * B is the total at that p_ld
+    model, memo = RiskModel(ref_scenario, ref_design), {}
+    points = np.random.default_rng(3).uniform(0.05, 5.0, size=(20, 2)).tolist()
+    for p_ld in (1e-6, 0.1, 1.0):
+        objective = model.objective(p_ld, memo, optimize.FACTOR_BOUNDS)
+        at_p_ld = RiskModel(replace(ref_scenario, p_ld=p_ld), ref_design)
+        for lb, lc in points:
+            assert objective(lb, lc).hex() == at_p_ld.breakdown(lb, lc).total.hex()
+    assert len(memo) == len(points)
+    for (lb, lc), (a, b) in memo.items():
+        cost = model.breakdown(lb, lc)
+        assert (a, b) == (cost.construction + cost.normal_loading, cost.initial_damage + cost.damage_branch)
 
 
 @pytest.mark.parametrize("order", ["rising", "falling"])
@@ -294,6 +338,29 @@ class TestThresholds:
 
     def test_bracket_endpoints_reported(self, threshold_low):
         assert threshold_low.g_low < 0 < threshold_low.g_high
+
+    def test_probes_and_bracket_recorded(self, ref_scenario, ref_design):
+        result = threshold_probability(ref_scenario, ref_design)
+        assert result.status == BRACKETED and len(result.probes) == 12
+        (x0, g0), (x1, g1) = result.probes[:2]
+        assert (x0, x1) == LOG10_P_RANGE and (g0, g1) == (result.g_low, result.g_high)
+        lo, hi = result.bracket
+        assert 0.0 < hi - lo <= LOG10_P_TOL
+        assert result.p_th == 10.0 ** (0.5 * (lo + hi))
+        # the bracket ends are probes, with the signs of the range ends
+        beta_b = dict(result.probes)
+        assert (beta_b[lo] < 0.0, beta_b[hi] < 0.0) == (result.g_low < 0.0, result.g_high < 0.0)
+        # each bisection probe is the midpoint of the bracket before it
+        bracket = LOG10_P_RANGE
+        for x, g in result.probes[2:]:
+            assert x == 0.5 * (bracket[0] + bracket[1])
+            bracket = (x, bracket[1]) if (g < 0.0) == (result.g_low < 0.0) else (bracket[0], x)
+        assert bracket == result.bracket
+
+    def test_unbracketed_search_keeps_the_range(self, threshold_catenary):
+        assert threshold_catenary.status == ALWAYS_STRENGTHEN
+        assert threshold_catenary.bracket == LOG10_P_RANGE
+        assert threshold_catenary.probes == ((-6.0, threshold_catenary.g_low), (0.0, threshold_catenary.g_high))
 
     def test_status_values(self, threshold_low, threshold_catenary):
         assert {threshold_low.status, threshold_catenary.status} <= {

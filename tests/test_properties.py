@@ -25,7 +25,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
-    DesignFactors,
     FrameGeometry,
     RiskModel,
     Scenario,
@@ -41,6 +40,7 @@ from framerisk import (  # noqa: E402
 )
 from framerisk.cli import run_command  # noqa: E402
 from framerisk.optimize import FACTOR_BOUNDS  # noqa: E402
+from test_risk import assert_kernel_matches_unpruned_walk  # noqa: E402
 
 
 def _field_names(instance, prefix: str = ""):
@@ -148,10 +148,7 @@ def test_kernel_matches_unpruned_walk(doc, k_ductile, k_brittle, points):
         return
     model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
     for lb, lc in points:
-        branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
-        normal = model.breakdown(lb, lc).normal_loading
-        assert model.damage_branch(lb, lc).hex() == branch.hex()
-        assert model.evaluate(lb, lc).hex() == model._sum(model.construction(lb, lc) + normal, model.c_id + branch).hex()
+        assert_kernel_matches_unpruned_walk(model, lb, lc)
 
 
 @given(doc=_either(scenario_documents, json_scalars, st.lists(json_scalars, max_size=3)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 
@@ -159,15 +160,18 @@ class TestTotalExpectedCost:
         # model with the normal design builds: no chain stage, a zero branch
         scn = Scenario(damage=DamageScenario(0, 0))
         model = RiskModel(scn, nlc_member_design(scn))
-        assert model.stages == [] and kernel_triples(model) == ()
+        assert model.stages == [] and model._pairs == ()
         assert model.trace(UNIT) == []
         lb, lc = np.geomspace(*FACTOR_BOUNDS, 9), np.linspace(*FACTOR_BOUNDS, 7)
+        objective = model.objective(scn.p_ld, {}, FACTOR_BOUNDS)
         for b in lb.tolist():
             for c in lc.tolist():
                 cost = model.breakdown(b, c)
                 assert model.damage_branch(b, c) == cost.damage_branch == 0.0
+                assert kernel_parts(model, b, c) == (cost.normal_loading, 0.0)
                 written_out = model.construction(b, c) + cost.normal_loading + scn.p_ld * (model.c_id + 0.0)
                 assert model.evaluate(b, c).hex() == cost.total.hex() == written_out.hex()
+                assert objective(b, c).hex() == written_out.hex()
         assert_grid_equals_evaluate(model, lb, lc)
 
     @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
@@ -175,6 +179,9 @@ class TestTotalExpectedCost:
         model = RiskModel(ref_scenario, ref_design)
         assert math.isnan(model.evaluate(*factors))
         assert math.isnan(model.breakdown(*factors).total)
+        # the walk's max keeps the kernel's NaN handling: a NaN lambda_b gives
+        # a NaN branch, a NaN lambda_c alone the initial extent's bending term
+        assert model.damage_branch(*factors).hex() == kernel_parts(model, *factors)[1].hex()
 
     @pytest.mark.parametrize("catenary", [False, True])
     @pytest.mark.parametrize(
@@ -242,70 +249,72 @@ def unpruned(model, lb, lc):
     largest trace row plus the objective's own sum."""
     branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
     normal = model.breakdown(lb, lc).normal_loading
-    return branch, model._sum(model.construction(lb, lc) + normal, model.c_id + branch)
+    return branch, model.construction(lb, lc) + normal + model.p_ld * (model.c_id + branch)
 
 
-# the names of the float kernel's constants table, in its order
-KERNEL_FIELDS = (
-    "mu_rb", "var_rb", "mu_rc", "var_rc", "mu_l50", "var_l50", "mu_lapt", "var_lapt",
-    "a_b50", "a_pg50", "c_nlc_bending", "c_pg", "sqrt2", "first", "later",
-)
+def kernel_parts(model, lb, lc):
+    """``(normal, branch)`` as the objective's float kernel computes them:
+    with the construction coefficients and ``c_id`` zeroed, the memo entry
+    ``(A, B)`` it stores is ``(0.0 + normal, 0.0 + branch)``, which has their
+    bits (at a NaN factor ``normal`` is NaN either way)."""
+    bare, memo = copy.copy(model), {}
+    bare.const_0 = bare.const_b = bare.const_c = bare.c_id = 0.0
+    bare.objective(model.p_ld, memo)(lb, lc)
+    ((normal, branch),) = memo.values()
+    return normal, branch
 
 
-def kernel_triples(model):
-    """The ``(stage, cap_in, cap_out)`` triples of the kernel's table, the
-    initial extent's first."""
-    *_, first, later = model._kernel
-    return () if first is None else (first, *later)
+def assert_kernel_matches_unpruned_walk(model, lb, lc):
+    branch, objective = unpruned(model, lb, lc)
+    normal, kernel_branch = kernel_parts(model, lb, lc)
+    assert kernel_branch.hex() == branch.hex()
+    assert normal.hex() == model.breakdown(lb, lc).normal_loading.hex()
+    assert model.evaluate(lb, lc).hex() == objective.hex()
 
 
 def kernel_caps(model):
-    """The suffix caps of the kernel's table: ``caps[k]`` bounds the
-    unweighted cost of every stage from stage ``k`` on."""
-    triples = kernel_triples(model)
-    return [triples[0][1], *(cap_out for _, _, cap_out in triples)]
+    """The caps of the pairs: ``caps[0]`` bounds the stages after the
+    initial extent, ``caps[k]`` for ``k >= 1`` stage ``k`` and those after it."""
+    return [cap for _, cap in model._pairs]
 
 
 def with_caps(model, caps):
-    """Rewrite the caps of the kernel's stage triples."""
-    triples = tuple(zip(model._chain, caps, caps[1:]))
-    model._kernel = (*model._kernel[:-2], triples[0], triples[1:])
+    """Rewrite the caps of the pairs; objectives built from here read them."""
+    model._pairs = tuple(zip(model._chain, caps, strict=True))
 
 
 def stage_phis(model, lb, lc):
-    """Failure probabilities (``math.erfc`` calls) the float kernel behind
-    ``damage_branch`` computes in each chain stage it reads, in chain order.
-    A later stage left with one, its ``p_pl``, was cut by the bound in the
-    stage; one with two or three is complete.  Each stage triple of the
-    kernel's table is swapped for a generator that notes the count of calls
-    so far when the kernel unpacks it."""
-    table, erfc, calls, marks = model._kernel, math.erfc, [0], []
+    """Failure probabilities (``math.erfc`` calls) the float kernel of an
+    objective computes in each chain stage it reads, in chain order.  A
+    later stage left with one, its ``p_pl``, was cut by the bound in the
+    stage; one with two or three is complete.  Each pair is swapped for a
+    generator that notes the count of calls so far when the kernel unpacks
+    it."""
+    pairs, erfc, calls, marks = model._pairs, math.erfc, [0], []
 
-    def marked(triple):
+    def marked(pair):
         marks.append(calls[0])
-        yield from triple
+        yield from pair
 
     def counted_erfc(x):
         calls[0] += 1
         return erfc(x)
 
-    *constants, first, later = table
-    model._kernel = (*constants, marked(first), [marked(triple) for triple in later])
+    model._pairs = [marked(pair) for pair in pairs]
     math.erfc = counted_erfc
     try:
-        model.damage_branch(lb, lc)
+        model.objective(model.p_ld)(lb, lc)
     finally:
-        model._kernel, math.erfc = table, erfc
+        model._pairs, math.erfc = pairs, erfc
     counts = [end - start for start, end in zip(marks, [*marks[1:], calls[0]])]
     # the normal-loading pair comes first and the initial extent is complete:
-    # a helper that misses the table's stages fails here, not in silence
+    # a helper that misses the kernel's stages fails here, not in silence
     assert marks[0] == 2 and counts[0] == 3, (marks, counts)
     return counts
 
 
 def walked_stages(model, lb, lc):
-    """Chain stages the scalar damage branch (the float kernel behind
-    ``evaluate``) reads from the kernel's table before it stops."""
+    """Chain stages the objective's float kernel reads before it stops."""
     return len(stage_phis(model, lb, lc))
 
 
@@ -333,110 +342,97 @@ class TestEarlyExit:
             # the kernel reads the strength table's own floats
             intact = unit_strengths(base, design.b_y_0, design.r_c_0)
             assert (model.a_b50, model.a_pg50) == (intact.beta_b, intact.beta_pg)
-            for j, (stage, _, _) in zip(model.stages, kernel_triples(model), strict=True):
+            for j, (stage, _) in zip(model.stages, model._pairs, strict=True):
                 table = unit_strengths(base, design.b_y_0, design.r_c_0, (j, damage.n_rs0))
                 assert stage[:3] == (table.beta_b, table.beta_pl, table.beta_pg)
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
-                branch, objective = unpruned(model, lb, lc)
-                assert model.damage_branch(lb, lc).hex() == branch.hex()
-                assert model.evaluate(lb, lc).hex() == objective.hex()
+                assert_kernel_matches_unpruned_walk(model, lb, lc)
                 stopped += walked_stages(model, lb, lc) < len(model.stages)
         if len(model.stages) > 1:
             assert stopped > 0  # the exit is taken, not only harmless
 
-    def test_kernel_table_holds_the_model_floats(self):
-        # with dear ductile collapse the last bending cost tops c_pg, so the
-        # last cap differs; with the catalog's costs every cap is c_pg and a
-        # cap shifted by one stage would pass
-        model = RiskModel(validate(Scenario(costs=CostParameters(k_ductile=5.0, k_brittle=2.0))))
-        table = dict(zip(KERNEL_FIELDS, model._kernel, strict=True))
-        for name in KERNEL_FIELDS[:-3]:
-            assert table[name] == getattr(model, name), name
-        assert table["sqrt2"] == math.sqrt(2.0)
-        assert tuple(stage for stage, _, _ in kernel_triples(model)) == model._chain
-        # caps[k] is the largest of 0, c_pg and every stage cost from stage k on
+    def test_pairs_hold_the_chain_and_its_caps(self, monkeypatch):
+        # On physical chains costs rise along the chain and every cap is the
+        # same, so a cap read one stage off would pass.  Bending costs that
+        # fall along the chain make each suffix cap differ.
+        monkeypatch.setattr("framerisk.costs.bending_collapse_cost", lambda scenario, design, j: 1e3 / j)
+        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["4x16"])))
+        assert tuple(stage for stage, _ in model._pairs) == model._chain
+        # suffix[k] is the largest of 0, c_pg and every stage cost from stage k on
         costs = [0.0, model.c_pg]
-        expected = [max(costs + model.c_b[k:] + model.c_pl[k:]) for k in range(len(model.stages) + 1)]
-        assert kernel_caps(model) == expected and len(set(expected)) > 1
-        assert [cap_in for _, cap_in, _ in kernel_triples(model)] == expected[:-1]
+        suffix = [max(costs + model.c_b[k:] + model.c_pl[k:]) for k in range(len(model.stages))]
+        assert len(set(suffix[1:])) == len(suffix) - 1
+        # the initial extent's cap bounds the stages after it, a later
+        # stage's cap that stage and those after it
+        assert kernel_caps(model) == [suffix[1], *suffix[1:]]
 
     def test_exit_on_a_tied_bound(self):
-        # Both bounds compare reach * cap[k] with the best stage cost so far,
-        # by ``<=``: after stage k with the reach past it, and in stage k + 1
-        # with the reach into it, once its p_pl is known.  Raise cap[k] to the
-        # largest value at which the bound that stopped the walk ties the best
-        # cost: the walk stops at the same place, one ulp more walks on, and
-        # both keep the unpruned bits.
+        # Each bound compares reach * cap with the best stage cost so far, by
+        # ``<=``: after the initial extent with the reach past it, and in a
+        # later stage k with the reach into it, once its p_pl is known.
+        # Raise the cap of the check that stopped the walk to the largest
+        # value at which the bound ties the best cost: the walk stops at the
+        # same place, one ulp more walks on, and both keep the unpruned bits.
         scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
         model = RiskModel(scn)
         caps = kernel_caps(model)
         ties = {}
         for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
-            in_stage = len(phis) > 1 and phis[-1] == 1
-            k = len(phis) - in_stage  # the bound read cap[k]
-            if in_stage in ties or k == len(rows):
-                continue
-            best = max(row.expected_cost for row in rows[:k])
-            past = rows[0].p_pl if k == 1 else rows[k - 1].chain_probability
-            cap = tied_cap(rows[k].chain_probability if in_stage else past, best)
-            # in the stage, the bound after stage k must still pass at that cap
-            if cap is not None and not (in_stage and past * cap <= best):
-                ties[in_stage] = lb, lc, k, cap
+            k = len(phis) - 1  # the pair whose check ran last
+            if (k > 0) in ties or (phis[k] > 1 if k else len(rows) == 1):
+                continue  # walked on past its check, or no stage after it
+            best = max(row.expected_cost for row in rows[: k or 1])
+            cap = tied_cap(rows[k].chain_probability if k else rows[0].p_pl, best)
+            if cap is not None:
+                ties[k > 0] = lb, lc, k, cap
             if len(ties) == 2:
                 break
         else:
             pytest.fail("no exit of each kind whose bound can tie the best stage cost")
-        for in_stage, (lb, lc, k, cap) in ties.items():
+        for lb, lc, k, cap in ties.values():
             assert cap >= caps[k]
-            branch, objective = unpruned(model, lb, lc)
             with_caps(model, [*caps[:k], cap, *caps[k + 1 :]])
             phis = stage_phis(model, lb, lc)
-            if in_stage:  # stopped after the p_pl of stage k + 1
-                assert len(phis) == k + 1 and phis[k] == 1
-            else:  # stopped after stage k
-                assert len(phis) == k and phis[-1] > 1
-            assert model.damage_branch(lb, lc).hex() == branch.hex()
-            assert model.evaluate(lb, lc).hex() == objective.hex()
+            assert len(phis) == k + 1 and (k == 0 or phis[k] == 1)  # stopped at the same check
+            assert_kernel_matches_unpruned_walk(model, lb, lc)
             with_caps(model, [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]])
             phis = stage_phis(model, lb, lc)
-            assert len(phis) > k  # reads stage k + 1
-            if in_stage:  # and completes it
-                assert phis[k] > 1
-            assert model.damage_branch(lb, lc).hex() == branch.hex()
-            assert model.evaluate(lb, lc).hex() == objective.hex()
+            assert phis[k] > 1 if k else len(phis) > 1  # completes stage k, or reads stage 1
+            assert_kernel_matches_unpruned_walk(model, lb, lc)
+        with_caps(model, caps)
 
-    def test_exit_after_a_later_stage(self):
-        # The bound after a later stage k compares reach * cap[k] with the
-        # best cost by ``<=`` too.  A catalog chain never takes it short of
-        # its last stage: past the initial extent its caps are all c_pg.  At
-        # a point whose best cost stage k already has, lower cap[k] to the
-        # tie: the walk stops after stage k, one ulp more reads stage k + 1,
-        # and both keep the unpruned bits.
-        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["4x16"])))
+    def test_next_stage_ends_the_walk_on_a_later_tie(self):
+        # No bound runs after a later stage k - 1.  Where one, reach past
+        # stage k - 1 times cap[k], would tie the best cost, stage k's own
+        # check, with the reach into stage k (at most the reach past k - 1),
+        # ends the walk after one more Phi, its p_pl, with the unpruned bits.
+        # A catalog chain never meets such a tie: past the initial extent its
+        # caps are all c_pg.  Lower cap[k] to it at a point where the walk
+        # completes stage k, whose best cost the stages before k already have.
+        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["6x11"], damage=DamageScenario(1, 1))))
         caps = kernel_caps(model)
-        for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
+        def tie(lb, lc):
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
-            k = len(phis) - 1  # stages 1 to k complete, stage k + 1 read
-            if k < 2:
-                continue
-            best = max(row.expected_cost for row in rows[:k])
-            cap = tied_cap(rows[k - 1].chain_probability, best)
-            if cap is not None and max(row.expected_cost for row in rows[k:]) <= best:
+            for k in range(2, len(phis)):  # stage k complete, stage k - 1 a later one
+                best = max(row.expected_cost for row in rows[:k])
+                cap = tied_cap(rows[k - 1].chain_probability, best)
+                if phis[k] > 1 and cap is not None and max(row.expected_cost for row in rows[k:]) <= best:
+                    return rows, k, best, cap
+            return None
+
+        for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
+            if found := tie(lb, lc):
+                rows, k, best, cap = found
                 break
         else:
-            pytest.fail("no walk past a later stage whose best cost that stage already has")
-        assert cap < caps[k]
-        branch, objective = unpruned(model, lb, lc)
-        for cap_k, stops in ((cap, True), (math.nextafter(cap, math.inf), False)):
-            with_caps(model, [*caps[:k], cap_k, *caps[k + 1 :]])
-            phis = stage_phis(model, lb, lc)
-            if stops:
-                assert len(phis) == k and phis[-1] > 1
-            else:
-                assert len(phis) > k
-            assert model.damage_branch(lb, lc).hex() == branch.hex()
-            assert model.evaluate(lb, lc).hex() == objective.hex()
+            pytest.fail("no walk through a later stage whose best cost the stages before it have")
+        assert cap < caps[k] and rows[k - 1].chain_probability * cap == best
+        with_caps(model, [*caps[:k], cap, *caps[k + 1 :]])
+        phis = stage_phis(model, lb, lc)
+        assert len(phis) == k + 1 and phis[k] == 1
+        assert_kernel_matches_unpruned_walk(model, lb, lc)
+        with_caps(model, caps)
 
     def test_computed_bending_matches_unpruned_walk(self):
         # with ductile collapse dearer than brittle, c_b > c_pl at every later
@@ -450,9 +446,7 @@ class TestEarlyExit:
             model = RiskModel(replace(scn, p_ld=p_ld), design)
             assert all(c_b > c_pl for c_b, c_pl in zip(model.c_b[1:], model.c_pl[1:]))
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
-                branch, objective = unpruned(model, lb, lc)
-                assert model.damage_branch(lb, lc).hex() == branch.hex()
-                assert model.evaluate(lb, lc).hex() == objective.hex()
+                assert_kernel_matches_unpruned_walk(model, lb, lc)
                 bending += 3 in stage_phis(model, lb, lc)[1:]
         assert bending > 0
 
