@@ -16,16 +16,9 @@ from typing import Iterable, Sequence
 
 
 def format_value(value) -> str:
-    """Floats at 6 significant digits; everything else verbatim."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6g}"
+    """Floats at 6 significant digits (``nan``, ``inf``, ``-inf`` included);
+    everything else verbatim."""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def emit_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -162,7 +155,7 @@ def emit_svg(
     else:
         x_ticks = _nice_ticks(x_lo, x_hi)
     for t in x_ticks:
-        x = px(t) if not log_x else plot_l + (math.log10(t) - x_lo) / (x_hi - x_lo) * (plot_r - plot_l)
+        x = px(t)
         out.append(
             f'<line x1="{x:.2f}" y1="{plot_t}" x2="{x:.2f}" y2="{plot_b}" stroke="#e3e3e3" stroke-width="1"/>'
         )

@@ -19,9 +19,12 @@ probabilities respond to the design variables.
 
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
-grids and multi-start optimization.  One walk over the chain stages serves
-the vectorized grid, the trace and the breakdown; a solve calls one closure
-from ``RiskModel.objective`` that clamps, reads the memo and runs the float
+grids and multi-start optimization.  ``RiskModel._chain`` is the one
+per-stage table.  One walk over it yields each stage's terms: the vectorized
+grid runs it on arrays, and :meth:`RiskModel.trace` runs it on floats and
+keeps a row per stage, whose largest ``expected_cost`` is the damage branch
+:meth:`RiskModel.breakdown` reports.  A solve calls one closure from
+``RiskModel.objective`` that clamps, reads the memo and runs the float
 kernel, the walk's arithmetic written out in one frame with an exact exit.
 """
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import costs as costmod
 from .design import MemberDesign, design_members
@@ -40,12 +43,10 @@ from .reliability import SQRT2, _moment_index, _pf_float, unit_strengths
 if TYPE_CHECKING:
     import numpy as np
 
-_MODE_TAGS = ("bending", "local_pancake", "global_pancake")
 
-
-@dataclass(frozen=True)
-class ProgressionRow:
-    """One damage extent of the progression chain.
+class ProgressionRow(NamedTuple):
+    """One damage extent of the progression chain, a row of
+    :meth:`RiskModel.trace` and of the trace table as it stands.
 
     ``chain_probability`` is the weight the objective applies to this row's
     stage cost: 1 for the initial (given) event, and the probability that
@@ -53,6 +54,8 @@ class ProgressionRow:
     rows.  ``pairwise_weight`` is the two-factor variant using only the
     previous and current advance probabilities; ``reach_probability`` is the
     probability that damage has reached this extent at all.
+    ``expected_cost`` is the weighted stage cost; the largest over the rows
+    is the damage branch.
     """
 
     n_fc: int
@@ -119,17 +122,17 @@ class RiskModel:
         # Progression extents: the initial extent, then two more columns at
         # a time, never beyond n_c - 2 (two columns must remain).
         self.stages = list(range(dm.n_rc0, g.n_c - 1, 2)) if dm.n_rc0 >= 1 else []
-        self.c_b = [costmod.bending_collapse_cost(scenario, design, j) for j in self.stages]
-        self.c_pl = [costmod.local_pancake_cost(scenario, design, j) for j in self.stages]
         self.stage_strengths = [
             unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, dm.n_rs0)) for j in self.stages
         ]
+        # The chain's one table: (a_b, a_pl, a_pg, c_b, c_pl) per stage.
+        bending_cost, local_cost = costmod.bending_collapse_cost, costmod.local_pancake_cost
         self._chain = tuple(
-            (s.beta_b, s.beta_pl, s.beta_pg, c_b, c_pl)
-            for s, c_b, c_pl in zip(self.stage_strengths, self.c_b, self.c_pl)
+            (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
+            for j, s in zip(self.stages, self.stage_strengths)
         )
         # Suffix caps: caps[k] >= 0 and >= every unweighted stage cost from stage k on.
-        caps = accumulate(map(max, reversed(self.c_b), reversed(self.c_pl)), max, initial=max(0.0, self.c_pg))
+        caps = accumulate((max(c_b, c_pl) for *_, c_b, c_pl in reversed(self._chain)), max, initial=max(0.0, self.c_pg))
         caps = list(caps)[::-1]
         # The objective's (stage, cap) pairs: a cap bounds the stages not yet
         # costed when its check runs, those after the initial extent or a
@@ -161,19 +164,6 @@ class RiskModel:
             else:
                 yield (p_b * c_b, c_pl, p_pg * c_pg), reach * p_pl, reach
                 reach = reach * p_pl
-
-    def _probabilities(self, lb, lc):
-        """``(p_b, p_pl, p_pg)`` per chain stage at one point, each
-        ``_pf_float(_moment_index(...))`` as the objective's kernel has it."""
-        mu_l, var_l = self.mu_lapt, self.var_lapt
-        return [
-            (
-                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-            )
-            for a_b, a_pl, a_pg, _, _ in self._chain
-        ]
 
     # -- entry points ------------------------------------------------------
 
@@ -259,16 +249,16 @@ class RiskModel:
         return self.objective(self.p_ld)(lambda_b, lambda_c)
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
-        """The terms of :meth:`evaluate` at the given design factors, from the
-        walk over every chain stage that :meth:`trace` runs.  Its probabilities
-        and the builtin ``max``, in the kernel's order, give the kernel's bits,
-        so the record's ``total`` equals ``evaluate`` bit for bit."""
+        """The terms of :meth:`evaluate` at the given design factors.  The
+        damage branch is the largest ``expected_cost`` of the :meth:`trace`
+        rows; its probabilities and its stage maxima, in the kernel's order,
+        give the kernel's bits, so the record's ``total`` equals ``evaluate``
+        bit for bit."""
         lb, lc, mu_l, var_l = lambda_b, lambda_c, self.mu_l50, self.var_l50
         pf_b = _pf_float(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt))
         pf_pg = _pf_float(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt))
         normal = self.c_nlc_bending * pf_b + self.c_pg * pf_pg
-        stages = self._walk(self._probabilities(lb, lc))
-        branch = max((w * max(t_b, max(t_pl, t_pg)) for (t_b, t_pl, t_pg), w, _ in stages), default=0.0)
+        branch = max((row.expected_cost for row in self.trace(DesignFactors(lb, lc))), default=0.0)
         construction = self.construction(lb, lc)
         return ExpectedCost(construction, normal, self.c_id, branch, construction + normal + self.p_ld * (self.c_id + branch))
 
@@ -306,35 +296,31 @@ class RiskModel:
         return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + (0.0 if best is None else best))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
-        """One row per damage extent on the chain, for tables and plots."""
-        probs = self._probabilities(factors.lambda_b, factors.lambda_c)
-        rows: list[ProgressionRow] = []
-        for idx, ((p_b, p_pl, p_pg), (terms, weight, reach)) in enumerate(zip(probs, self._walk(probs))):
-            stage_cost, dominant = _first_max(terms)
-            rows.append(
-                ProgressionRow(
-                    n_fc=self.stages[idx],
-                    p_b=p_b,
-                    p_pl=p_pl,
-                    p_pg=p_pg,
-                    c_b=self.c_b[idx],
-                    c_pl=self.c_pl[idx],
-                    c_pg=self.c_pg,
-                    chain_probability=weight,
-                    pairwise_weight=1.0 if idx == 0 else probs[idx - 1][1] * p_pl,
-                    reach_probability=reach,
-                    stage_expected_cost=stage_cost,
-                    expected_cost=weight * stage_cost,
-                    dominant_mode=dominant,
-                )
+        """One row per damage extent on the chain, for tables and plots.  This
+        is the chain's one scalar walk, whose rows :meth:`breakdown` reduces;
+        each probability is ``_pf_float(_moment_index(...))`` as the
+        objective's kernel has it."""
+        lb, lc, mu_l, var_l, c_pg = factors.lambda_b, factors.lambda_c, self.mu_lapt, self.var_lapt, self.c_pg
+        probs = [
+            (
+                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
+                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
             )
+            for a_b, a_pl, a_pg, _, _ in self._chain
+        ]
+        pairwise = [1.0] + [prev[1] * cur[1] for prev, cur in zip(probs, probs[1:])]
+        rows = []
+        for n_fc, (p_b, p_pl, p_pg), (*_, c_b, c_pl), (terms, w, reach), pair in zip(
+            self.stages, probs, self._chain, self._walk(probs), pairwise
+        ):
+            cost, mode = _first_max(*terms)
+            rows.append(ProgressionRow(n_fc, p_b, p_pl, p_pg, c_b, c_pl, c_pg, w, pair, reach, cost, w * cost, mode))
         return rows
 
 
-def _first_max(terms: tuple[float, float, float]) -> tuple[float, str]:
-    """Largest term with deterministic first-wins tie-breaking."""
-    best, tag = terms[0], _MODE_TAGS[0]
-    for value, name in zip(terms[1:], _MODE_TAGS[1:]):
-        if value > best:
-            best, tag = value, name
-    return best, tag
+def _first_max(t_b: float, t_pl: float, t_pg: float) -> tuple[float, str]:
+    """Largest stage term and its mode, in the kernel's order ``max(t_b,
+    max(t_pl, t_pg))``: ties go to the first mode."""
+    top, tag = (t_pg, "global_pancake") if t_pg > t_pl else (t_pl, "local_pancake")
+    return (top, tag) if top > t_b else (t_b, "bending")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -267,10 +266,6 @@ def strengthening_table() -> tuple[list[str], list[tuple]]:
     return header, rows
 
 
-_TRACE_COLUMNS = tuple(f.name for f in fields(ProgressionRow))
-_trace_row = operator.attrgetter(*_TRACE_COLUMNS)
-
-
 def trace_table(
     scenario: Scenario, design: MemberDesign | None = None, factors: DesignFactors | None = None
 ) -> tuple[list[str], list[tuple]]:
@@ -278,7 +273,7 @@ def trace_table(
         design = design_members(scenario)
     if factors is None:
         factors = DesignFactors(1.0, 1.0)
-    return list(_TRACE_COLUMNS), [_trace_row(r) for r in RiskModel(scenario, design).trace(factors)]
+    return list(ProgressionRow._fields), RiskModel(scenario, design).trace(factors)
 
 
 _CURVE_FRAMES = ("16x4", "4x16")

@@ -9,6 +9,7 @@ from framerisk import RiskModel, Scenario, cli, studies, validate
 from framerisk.cli import run_command
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def test_no_command_is_usage_error(capsys):
@@ -267,6 +268,22 @@ def test_trace_csv_output(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("n_fc,")
     assert len(lines) == 5  # header + 4 chain extents
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("trace_reference_1_1.csv", ["--lambda-b", "1", "--lambda-c", "1"]),
+        ("trace_reference_0.9_1.3.csv", ["--lambda-b", "0.9", "--lambda-c", "1.3"]),
+        ("trace_4x16_catenary_0.9_1.3.csv", ["--frame", "4x16", "--catenary", "--lambda-b", "0.9", "--lambda-c", "1.3"]),
+    ],
+)
+def test_trace_csv_matches_frozen_bytes(tmp_path, capsys, name, argv):
+    # progression-chain tables this command wrote once and froze: a change to
+    # the chain walk must keep every byte of them
+    out_csv = tmp_path / name
+    assert run_command(["trace", *argv, "--out", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == (DATA_DIR / name).read_bytes()
 
 
 def test_optimize_reference(capsys):

@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from framerisk import Series, emit_csv, emit_svg
+from framerisk.output import format_value
 
 
 class TestCsv:
@@ -19,6 +21,24 @@ class TestCsv:
         assert lines[1] == "1.23457"
         assert lines[2] == "1.23457e+06"
         assert lines[3] == "0.000123457"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (math.nan, "nan"),
+            (-math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (-0.0, "-0"),
+            (True, "True"),
+            (7, "7"),
+            (np.float64(1.23456789), "1.23457"),
+            (np.float64(-math.inf), "-inf"),
+            ("bending", "bending"),
+        ],
+    )
+    def test_format_value(self, value, text):
+        assert format_value(value) == text
 
     def test_ints_and_strings_verbatim(self, tmp_path):
         path = emit_csv(tmp_path / "mix.csv", ["n", "tag"], [(7, "bending")])

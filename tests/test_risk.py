@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -74,14 +75,21 @@ class TestStageExpectedCost:
         idx = model.stages.index(3)
         value = model.trace(DesignFactors(5.0, 5.0))[idx].stage_expected_cost
         # with all probabilities driven to ~0 only the bare local term is left
-        assert value == pytest.approx(model.c_pl[idx], rel=1e-9)
+        *_, c_pl = model._chain[idx]
+        assert value == pytest.approx(c_pl, rel=1e-9)
 
     def test_tie_breaks_to_first_mode(self):
-        value, tag = _first_max((2.0, 2.0, 2.0))
+        value, tag = _first_max(2.0, 2.0, 2.0)
         assert value == 2.0
         assert tag == "bending"
-        _, tag = _first_max((1.0, 3.0, 3.0))
+        _, tag = _first_max(1.0, 3.0, 3.0)
         assert tag == "local_pancake"
+
+    def test_nan_local_term_keeps_the_kernel_order(self):
+        # max(t_b, max(t_pl, t_pg)) as the kernel has it: t_pg does not top
+        # a NaN t_pl, and the NaN does not top bending
+        assert _first_max(1.0, math.nan, 3.0) == (1.0, "bending")
+        assert max(1.0, max(math.nan, 3.0)) == 1.0
 
 
 class TestTotalExpectedCost:
@@ -360,7 +368,7 @@ class TestEarlyExit:
         assert tuple(stage for stage, _ in model._pairs) == model._chain
         # suffix[k] is the largest of 0, c_pg and every stage cost from stage k on
         costs = [0.0, model.c_pg]
-        suffix = [max(costs + model.c_b[k:] + model.c_pl[k:]) for k in range(len(model.stages))]
+        suffix = [max(costs + [c for stage in model._chain[k:] for c in stage[3:]]) for k in range(len(model.stages))]
         assert len(set(suffix[1:])) == len(suffix) - 1
         # the initial extent's cap bounds the stages after it, a later
         # stage's cap that stage and those after it
@@ -444,7 +452,7 @@ class TestEarlyExit:
         bending = 0
         for p_ld in (1e-6, 1e-3, 0.1, 1.0):
             model = RiskModel(replace(scn, p_ld=p_ld), design)
-            assert all(c_b > c_pl for c_b, c_pl in zip(model.c_b[1:], model.c_pl[1:]))
+            assert all(c_b > c_pl for *_, c_b, c_pl in model._chain[1:])
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
                 assert_kernel_matches_unpruned_walk(model, lb, lc)
                 bending += 3 in stage_phis(model, lb, lc)[1:]
@@ -471,12 +479,19 @@ class TestProgressionTrace:
             reach *= row.p_pl
             prev_pl = row.p_pl
 
-    def test_objective_uses_trace_terms(self, ref_scenario, ref_design):
-        model = RiskModel(ref_scenario, ref_design)
-        rows = RiskModel(ref_scenario, ref_design).trace(OPTIMIZED)
-        assert model.damage_branch(0.9, 1.3) == pytest.approx(
-            max(r.expected_cost for r in rows), rel=1e-12
-        )
+    def test_objective_uses_trace_terms(self):
+        # breakdown reduces the trace rows: its branch is their largest
+        # expected cost and its total has the bits of evaluate, on every
+        # catalog frame and damage variant, at unit and optimized factors
+        # and at the corners of the optimizer's bounds
+        lo, hi = FACTOR_BOUNDS
+        for geometry, damage, catenary in product(FRAME_CATALOG.values(), DAMAGE_VARIANTS, (False, True)):
+            model = RiskModel(validate(Scenario(geometry=geometry, damage=damage, include_catenary=catenary)))
+            for lb, lc in ((1.0, 1.0), (0.9, 1.3), (lo, lo), (lo, hi), (hi, lo), (hi, hi)):
+                rows, cost = model.trace(DesignFactors(lb, lc)), model.breakdown(lb, lc)
+                case = geometry, damage, catenary, lb, lc
+                assert cost.damage_branch == model.damage_branch(lb, lc) == max(r.expected_cost for r in rows), case
+                assert cost.total == model.evaluate(lb, lc), case
 
     def test_failure_costs_constant_across_design_points(self, ref_scenario, ref_design):
         low = RiskModel(ref_scenario, ref_design).trace(DesignFactors(0.3, 0.3))
