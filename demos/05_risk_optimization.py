@@ -12,14 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from framerisk import RiskModel, Scenario, Series, design_members, emit_svg, minimize_total_cost, validate
+from framerisk import RiskModel, Scenario, Series, emit_svg, minimize_total_cost, validate
 
 OUT = Path(__file__).parent / "out"
 
 scenario = validate(Scenario())
-design = design_members(scenario)
 
-result = minimize_total_cost(scenario, design)
+result = minimize_total_cost(scenario)
 print(f"Reference frame, p_ld = {scenario.p_ld}:")
 print(f"  lambda_b* = {result.factors.lambda_b:.3f}   (beams a bit weaker than code strengthening)")
 print(f"  lambda_c* = {result.factors.lambda_c:.3f}   (columns 30% stronger)")
@@ -30,7 +29,7 @@ print(f"  conditional indexes at the optimum: bending {bd.beta_b:.2f}, "
 print()
 
 # Brute-force check on a dense grid: the multi-start simplex should match.
-model = RiskModel(scenario, design)
+model = RiskModel(scenario)
 grid = model.evaluate_grid(np.linspace(0.05, 3.0, 300), np.linspace(0.05, 3.0, 300))
 print(f"  300x300 grid minimum: {grid.min():.6f} (optimizer found {result.c_te:.6f})")
 print()
@@ -40,7 +39,7 @@ print("Optimal factors as the 50-year damage probability varies:")
 ps = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
 curve = []
 for p in ps:
-    r = minimize_total_cost(replace(scenario, p_ld=p), design)
+    r = minimize_total_cost(replace(scenario, p_ld=p))
     curve.append(r)
     print(f"  p_ld = {p:7.4f}: lambda* = ({r.factors.lambda_b:.3f}, {r.factors.lambda_c:.3f}), "
           f"beta_b* = {r.beta_damaged.beta_b:+.2f}")

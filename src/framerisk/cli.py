@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 from .catalog import parse_damage_token, parse_frame_token
 from .design import design_members
-from .model import DesignFactors, Scenario, ValidationError, annual_from_lifetime, validate
+from .model import DesignFactors, Scenario, annual_from_lifetime, validate
 from .optimize import BRACKETED, OptimizationError, minimize_total_cost, threshold_probability
 from .output import emit_csv, format_value
 from .risk import RiskModel
@@ -125,7 +124,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="framerisk", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("design", parents=[], help="size members and print strengthening factors")
+    p = sub.add_parser("design", help="size members and print strengthening factors")
     _add_scenario_args(p)
 
     p = sub.add_parser("beta", help="print the reliability-index grid")
@@ -239,7 +238,7 @@ def _cmd_sweep(args) -> int:
         with_threshold=args.threshold,
         jobs=_jobs(args),
     )
-    header, rows = run_study(study)
+    _, rows = run_study(study)
     print(f"wrote {Path(args.outdir) / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
@@ -275,7 +274,7 @@ def run_command(argv: list[str]) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSON and validation errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OptimizationError, ArithmeticError) as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .design import MemberDesign
 from .model import DesignFactors, Scenario
 from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
@@ -77,20 +76,20 @@ def _clamp(x: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def minimize_total_cost(
-    scenario: Scenario, design: MemberDesign | None = None, model: RiskModel | None = None
-) -> OptimizationResult:
+def minimize_total_cost(scenario: Scenario, *, model: RiskModel | None = None) -> OptimizationResult:
     """Best local minimum of the total expected cost over the design factors.
 
     Deterministic: fixed 5x5 start grid, simplex search per start, ties
     broken by objective value then lexicographic factors.  Every call goes
     to one :meth:`RiskModel.objective`, clamped to ``FACTOR_BOUNDS``.  A
-    prebuilt ``model`` of the scenario at any ``p_ld`` (and its design) lends
-    its memo: the solve answers each point it, or an earlier solve on it, has
-    seen from there.  A solve handed no model builds its own and keeps no
-    memo: a lone search revisits too few points to pay for one.
+    design other than the scenario's own sizing enters through ``model``,
+    a prebuilt ``RiskModel`` of the scenario at any ``p_ld``, which also
+    lends its memo: the solve answers each point it, or an earlier solve on
+    it, has seen from there.  A solve handed no model builds its own on the
+    default design and keeps no memo: a lone search revisits too few points
+    to pay for one.
     """
-    model, memo = (RiskModel(scenario, design), None) if model is None else (model, model.memo)
+    model, memo = (RiskModel(scenario), None) if model is None else (model, model.memo)
     if not model.stages:  # the optimum's damaged indexes need a lost column
         raise ValueError(f"the initial damage must remove a column, got n_rc0={scenario.damage.n_rc0}")
     seen = 0 if memo is None else len(memo)
@@ -128,16 +127,16 @@ def minimize_total_cost(
     )
 
 
-def threshold_probability(
-    scenario: Scenario, design: MemberDesign | None = None, model: RiskModel | None = None
-) -> ThresholdResult:
+def threshold_probability(scenario: Scenario, *, model: RiskModel | None = None) -> ThresholdResult:
     """Bisection on log10(p_ld) for the zero of the optimal bending index.
 
     Every evaluation runs the full multi-start so basin hopping near the
     indifference point resolves the same way at every probe.  All probes
-    share one model and its memo (``model``, or one built here).
+    share one model and its memo: ``model``, through which a design other
+    than the scenario's own sizing enters, or one built here on the default
+    design.
     """
-    frame = RiskModel(scenario, design) if model is None else model
+    frame = RiskModel(scenario) if model is None else model
     probes: list[tuple[float, OptimizationResult]] = []
 
     def beta_b_at_optimum(log10_p: float) -> float:

@@ -22,10 +22,11 @@ factors, which makes a single objective evaluation cheap enough for dense
 grids and multi-start optimization.  ``RiskModel._chain`` is the one
 per-stage table.  One walk over it yields each stage's terms: the vectorized
 grid runs it on arrays, and :meth:`RiskModel.trace` runs it on floats and
-keeps a row per stage, whose largest ``expected_cost`` is the damage branch
-:meth:`RiskModel.breakdown` reports.  A solve calls one closure from
-``RiskModel.objective`` that clamps, reads the memo and runs the float
-kernel, the walk's arithmetic written out in one frame with an exact exit.
+keeps a row per stage.  Every scalar number comes from one closure built by
+``RiskModel.objective``, which clamps, reads the memo and runs the float
+kernel, the walk's arithmetic written out in one frame with an exact exit:
+a solve calls it, and :meth:`RiskModel.breakdown` reads its terms from the
+memo entry of one call.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class RiskModel:
         # costed when its check runs, those after the initial extent or a
         # later stage's own and those after it.
         self._pairs = tuple(zip(self._chain, caps[1:2] + caps[1:]))
-        # (A, B) = (construction + normal, c_id + branch) per factor pair, which
-        # hold at any p_ld: solve objectives read and fill it, nothing else does
+        # (normal, branch) per factor pair, the kernel's terms free of p_ld:
+        # solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}
 
     # -- the progression chain ---------------------------------------------
@@ -174,8 +175,9 @@ class RiskModel:
         """The total expected cost at ``p_ld`` as a function of the design
         factors, built once per solve.  In one frame it clamps each factor into
         ``bounds``, answers from ``memo`` the pairs it holds, or runs the float
-        kernel and stores ``(A, B) = (construction + normal, c_id + branch)``,
-        which hold at any ``p_ld``; it returns ``A + p_ld * B``.
+        kernel and stores its terms ``(normal, branch)``, which hold at any
+        ``p_ld``.  Either way it returns ``construction + normal + p_ld * (c_id
+        + branch)``, added left to right.
 
         The kernel is the walk's arithmetic in its order, with ``y if y > x
         else x`` for the builtin ``max(x, y)``, so it has the walk's bits.  It
@@ -196,8 +198,9 @@ class RiskModel:
         def total(lambda_b: float, lambda_c: float) -> float:
             lb = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
             lc = lo if lambda_c < lo else hi if lambda_c > hi else lambda_c
-            if memo is not None and (ab := memo.get((lb, lc))) is not None:
-                return ab[0] + p_ld * ab[1]
+            if memo is not None and (parts := memo.get((lb, lc))) is not None:
+                normal, best = parts
+                return const_0 + const_b * lb + const_c * lc + normal + p_ld * (c_id + best)
             r = a_b50 * lb
             pf_b = 0.5 * erfc((r * mu_rb - mu_l) / sqrt(r * r * var_rb + var_l) / sqrt2)
             r = a_pg50 * lc
@@ -232,10 +235,9 @@ class RiskModel:
                             top = top if top > t_b else t_b
                         stage = reach * top
                         best = stage if stage > best else best
-            a, b = const_0 + const_b * lb + const_c * lc + normal, c_id + best
             if memo is not None:
-                memo[lb, lc] = a, b
-            return a + p_ld * b
+                memo[lb, lc] = normal, best
+            return const_0 + const_b * lb + const_c * lc + normal + p_ld * (c_id + best)
 
         return total
 
@@ -249,18 +251,13 @@ class RiskModel:
         return self.objective(self.p_ld)(lambda_b, lambda_c)
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
-        """The terms of :meth:`evaluate` at the given design factors.  The
-        damage branch is the largest ``expected_cost`` of the :meth:`trace`
-        rows; its probabilities and its stage maxima, in the kernel's order,
-        give the kernel's bits, so the record's ``total`` equals ``evaluate``
-        bit for bit."""
-        lb, lc, mu_l, var_l = lambda_b, lambda_c, self.mu_l50, self.var_l50
-        pf_b = _pf_float(_moment_index(self.a_b50 * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt))
-        pf_pg = _pf_float(_moment_index(self.a_pg50 * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt))
-        normal = self.c_nlc_bending * pf_b + self.c_pg * pf_pg
-        branch = max((row.expected_cost for row in self.trace(DesignFactors(lb, lc))), default=0.0)
-        construction = self.construction(lb, lc)
-        return ExpectedCost(construction, normal, self.c_id, branch, construction + normal + self.p_ld * (self.c_id + branch))
+        """The terms of :meth:`evaluate` at the given design factors, read from
+        the memo entry of one call of an unbounded :meth:`objective`, so the
+        record's ``total`` is ``evaluate`` by construction."""
+        memo: dict = {}
+        total = self.objective(self.p_ld, memo)(lambda_b, lambda_c)
+        ((normal, branch),) = memo.values()
+        return ExpectedCost(self.construction(lambda_b, lambda_c), normal, self.c_id, branch, total)
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -296,10 +293,10 @@ class RiskModel:
         return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + (0.0 if best is None else best))
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
-        """One row per damage extent on the chain, for tables and plots.  This
-        is the chain's one scalar walk, whose rows :meth:`breakdown` reduces;
-        each probability is ``_pf_float(_moment_index(...))`` as the
-        objective's kernel has it."""
+        """One row per damage extent on the chain, for tables and plots: the
+        chain's one scalar walk over every stage.  Each probability is
+        ``_pf_float(_moment_index(...))`` as the objective's kernel has it, so
+        the largest ``expected_cost`` is the kernel's damage branch."""
         lb, lc, mu_l, var_l, c_pg = factors.lambda_b, factors.lambda_c, self.mu_lapt, self.var_lapt, self.c_pg
         probs = [
             (

@@ -237,7 +237,7 @@ def reliability_grid(
     factors.  Local pancake has no intact index; its cells are empty."""
     design = design_members(scenario)
     if optimized is None:
-        optimized = minimize_total_cost(scenario, design).factors
+        optimized = minimize_total_cost(scenario).factors
     unit = DesignFactors(1.0, 1.0)
     nlc = unit_strengths(scenario, design.b_y_nlc, design.r_c_nlc)
     strengthened = unit_strengths(scenario, design.b_y_0, design.r_c_0)

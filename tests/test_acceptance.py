@@ -200,10 +200,9 @@ def test_criterion_9_optimal_factor_trends(tall_optima, threshold_tall):
 
     # the optimal bending index must cross zero exactly once on the bracket
     scn = validate(Scenario(geometry=FrameGeometry(16, 5)))
-    design = design_members(scn)
     betas = []
     for p in np.logspace(-6, 0, 9):
-        result = minimize_total_cost(replace(scn, p_ld=float(p)), design)
+        result = minimize_total_cost(replace(scn, p_ld=float(p)))
         betas.append(result.beta_damaged.beta_b)
     signs = [b > 0 for b in betas]
     crossings = sum(1 for a, b in zip(signs, signs[1:]) if a != b)

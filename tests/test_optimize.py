@@ -49,9 +49,9 @@ def test_never_worse_than_unit_design(ref_optimum, ref_scenario, ref_design):
     assert ref_optimum.c_te <= RiskModel(ref_scenario, ref_design).evaluate(1.0, 1.0) + 1e-9
 
 
-def test_determinism(ref_scenario, ref_design):
-    a = minimize_total_cost(ref_scenario, ref_design)
-    b = minimize_total_cost(ref_scenario, ref_design)
+def test_determinism(ref_scenario):
+    a = minimize_total_cost(ref_scenario)
+    b = minimize_total_cost(ref_scenario)
     assert a.factors == b.factors
     assert a.c_te == b.c_te
     assert a.starts_used == b.starts_used == 25
@@ -78,11 +78,11 @@ def kernel_runs(monkeypatch):
     return runs
 
 
-def test_reference_solve_evaluation_count(kernel_runs, ref_scenario, ref_design):
+def test_reference_solve_evaluation_count(kernel_runs, ref_scenario):
     # deterministic work count of the reference solve (25 start checks plus
     # the simplex evaluations): a change to the search path fails here
     # even when the optimum still rounds to the same printed digits
-    result = minimize_total_cost(ref_scenario, ref_design)
+    result = minimize_total_cost(ref_scenario)
     assert result.evaluations == 2092
     assert result.starts_used == 25
     # a lone solve keeps no memo, so every objective call runs the kernel
@@ -90,20 +90,20 @@ def test_reference_solve_evaluation_count(kernel_runs, ref_scenario, ref_design)
     assert result.converged_starts == 25
 
 
-def test_reference_threshold_counts(kernel_runs, ref_scenario, ref_design):
+def test_reference_threshold_counts(kernel_runs, ref_scenario):
     # deterministic work counts of the reference threshold search: objective
     # calls summed over its probes, and those the frame's memo answered
-    result = threshold_probability(ref_scenario, ref_design)
+    result = threshold_probability(ref_scenario)
     assert result.evaluations == 26024
     assert result.memo_hits == 9387
     # the memo answers a call or the kernel runs, never both
     assert kernel_runs[0] == result.evaluations - result.memo_hits == 16637
     # a solve handed no model keeps no memo (one kept for a lone search
     # answered only the 28 points it revisits)
-    assert minimize_total_cost(ref_scenario, ref_design).memo_hits == 0
+    assert minimize_total_cost(ref_scenario).memo_hits == 0
 
 
-def test_reference_normal_cdf_counts(monkeypatch, ref_scenario, ref_design):
+def test_reference_normal_cdf_counts(monkeypatch, ref_scenario):
     # failure probabilities (math.erfc calls) computed by the reference solve
     # and threshold search: a bound of the float kernel that stops cutting
     # its chain walk short fails here, though the bits and calls hold
@@ -116,10 +116,10 @@ def test_reference_normal_cdf_counts(monkeypatch, ref_scenario, ref_design):
         return erfc(x)
 
     monkeypatch.setattr(math, "erfc", counted)
-    minimize_total_cost(ref_scenario, ref_design)
+    minimize_total_cost(ref_scenario)
     assert calls == 12607
     calls = 0
-    threshold_probability(ref_scenario, ref_design)
+    threshold_probability(ref_scenario)
     assert calls == 87883
 
 
@@ -150,10 +150,10 @@ def solve_bits(result):
 
 def test_second_solve_on_a_model_is_all_memo_hits(ref_scenario, ref_design):
     model = RiskModel(ref_scenario, ref_design)
-    first = minimize_total_cost(ref_scenario, ref_design, model=model)
+    first = minimize_total_cost(ref_scenario, model=model)
     # a lone search revisits 28 of its points
     assert (first.evaluations, first.memo_hits) == (2092, 28)
-    second = minimize_total_cost(ref_scenario, ref_design, model=model)
+    second = minimize_total_cost(ref_scenario, model=model)
     assert second.memo_hits == second.evaluations == 2092
     assert solve_bits(second) == solve_bits(first)
 
@@ -193,8 +193,8 @@ def test_unbounded_objective_is_breakdown_total(ref_scenario, ref_design):
 
 
 def test_objective_memo_holds_p_ld_free_parts(ref_scenario, ref_design):
-    # one memo serves objectives at every p_ld: (A, B) = (construction +
-    # normal, c_id + branch), and A + p_ld * B is the total at that p_ld
+    # one memo serves objectives at every p_ld: it holds the kernel's terms
+    # (normal, branch), from which a hit adds up the total at its own p_ld
     model, memo = RiskModel(ref_scenario, ref_design), {}
     points = np.random.default_rng(3).uniform(0.05, 5.0, size=(20, 2)).tolist()
     for p_ld in (1e-6, 0.1, 1.0):
@@ -203,9 +203,9 @@ def test_objective_memo_holds_p_ld_free_parts(ref_scenario, ref_design):
         for lb, lc in points:
             assert objective(lb, lc).hex() == at_p_ld.breakdown(lb, lc).total.hex()
     assert len(memo) == len(points)
-    for (lb, lc), (a, b) in memo.items():
+    for (lb, lc), parts in memo.items():
         cost = model.breakdown(lb, lc)
-        assert (a, b) == (cost.construction + cost.normal_loading, cost.initial_damage + cost.damage_branch)
+        assert parts == (cost.normal_loading, cost.damage_branch)
 
 
 @pytest.mark.parametrize("order", ["rising", "falling"])
@@ -214,8 +214,8 @@ def test_solves_sharing_a_memo_match_fresh_models(ref_scenario, ref_design, orde
     model = RiskModel(ref_scenario, ref_design)
     for p_ld in p_lds if order == "rising" else p_lds[::-1]:
         scn = replace(ref_scenario, p_ld=p_ld)
-        shared = minimize_total_cost(scn, ref_design, model=model)
-        fresh = minimize_total_cost(scn, ref_design)  # its own model, no memo
+        shared = minimize_total_cost(scn, model=model)
+        fresh = minimize_total_cost(scn)  # its own model, no memo
         assert solve_bits(shared) == solve_bits(fresh)
         assert shared.evaluations == fresh.evaluations
         assert shared.memo_hits > fresh.memo_hits == 0
@@ -237,7 +237,7 @@ def test_separable_limit_matches_1d_scans():
         Scenario(p_ld=0.0, costs=CostParameters(alpha_b=0.0, alpha_c=0.0, n_reinf_s=0))
     )
     design = design_members(scn)
-    result = minimize_total_cost(scn, design)
+    result = minimize_total_cost(scn)
     model = RiskModel(scn, design)
     lams = np.linspace(0.05, 5.0, 400)
     scan_b = [model.evaluate(l, result.factors.lambda_c) for l in lams]
@@ -275,7 +275,7 @@ def random_scenarios(n, seed):
 def test_optimizer_matches_brute_force_on_random_scenarios():
     for scn in random_scenarios(10, seed=67):
         design = design_members(scn)
-        result = minimize_total_cost(scn, design)
+        result = minimize_total_cost(scn)
         model = RiskModel(scn, design)
         grid = model.evaluate_grid(np.linspace(0.05, 5.0, 300), np.linspace(0.05, 5.0, 300))
         grid_min = float(grid.min())
@@ -283,11 +283,11 @@ def test_optimizer_matches_brute_force_on_random_scenarios():
         assert result.c_te <= grid_min + 1e-9
 
 
-def test_optimal_bending_index_monotone_in_threat(ref_scenario, ref_design):
+def test_optimal_bending_index_monotone_in_threat(ref_scenario):
     ps = np.logspace(-4, 0, 20)
     betas = []
     for p in ps:
-        result = minimize_total_cost(replace(ref_scenario, p_ld=float(p)), ref_design)
+        result = minimize_total_cost(replace(ref_scenario, p_ld=float(p)))
         betas.append(result.beta_damaged.beta_b)
     assert all(b >= a - 1e-9 for a, b in zip(betas, betas[1:]))
 
@@ -314,11 +314,19 @@ def test_all_starts_nonfinite_raises(ref_scenario):
         minimize_total_cost(broken)
 
 
+def test_design_enters_only_through_the_model(ref_scenario, ref_design):
+    # a design passed where a model is expected fails at the call, not later
+    with pytest.raises(TypeError):
+        minimize_total_cost(ref_scenario, ref_design)
+    with pytest.raises(TypeError):
+        threshold_probability(ref_scenario, ref_design)
+
+
 def test_no_initial_damage_rejected(ref_scenario):
     # validate rejects n_rc0 = 0; a model built on a design passed in does not
     scn = replace(ref_scenario, damage=DamageScenario(0, 0))
     with pytest.raises(ValueError, match="n_rc0"):
-        minimize_total_cost(scn, nlc_member_design(scn))
+        minimize_total_cost(scn, model=RiskModel(scn, nlc_member_design(scn)))
 
 
 class TestThresholds:
@@ -339,8 +347,8 @@ class TestThresholds:
     def test_bracket_endpoints_reported(self, threshold_low):
         assert threshold_low.g_low < 0 < threshold_low.g_high
 
-    def test_probes_and_bracket_recorded(self, ref_scenario, ref_design):
-        result = threshold_probability(ref_scenario, ref_design)
+    def test_probes_and_bracket_recorded(self, ref_scenario):
+        result = threshold_probability(ref_scenario)
         assert result.status == BRACKETED and len(result.probes) == 12
         (x0, g0), (x1, g1) = result.probes[:2]
         assert (x0, x1) == LOG10_P_RANGE and (g0, g1) == (result.g_low, result.g_high)

@@ -4,8 +4,10 @@ exit 2), never with another exception, and ``framerisk evaluate`` on such a
 document keeps to its exit codes.  An accepted document sizes, builds and
 evaluates to finite terms, and its float kernel, which prunes the chain
 walk, keeps the bits of the walk over every stage.  Every collapse strength
-is homogeneous of degree one in its capacity.  None of them runs the
-optimizer."""
+is homogeneous of degree one in its capacity.  On accepted documents the
+sizing, costs, objective terms and reliability indexes agree with the
+independent numpy evaluator of the benchmark (``perfbench/reference.py``).
+None of them runs the optimizer."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from dataclasses import MISSING, astuple, fields, is_dataclass, replace
 from pathlib import Path
@@ -25,6 +28,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
+    DAMAGE_VARIANTS,
+    DesignFactors,
     FrameGeometry,
     RiskModel,
     Scenario,
@@ -40,7 +45,11 @@ from framerisk import (  # noqa: E402
 )
 from framerisk.cli import run_command  # noqa: E402
 from framerisk.optimize import FACTOR_BOUNDS  # noqa: E402
+from framerisk.studies import reliability_grid  # noqa: E402
 from test_risk import assert_kernel_matches_unpruned_walk  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from reference import Reference  # noqa: E402
 
 
 def _field_names(instance, prefix: str = ""):
@@ -149,6 +158,43 @@ def test_kernel_matches_unpruned_walk(doc, k_ductile, k_brittle, points):
     model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
     for lb, lc in points:
         assert_kernel_matches_unpruned_walk(model, lb, lc)
+
+
+def _reference_document(doc: dict, include_catenary: bool, damage) -> dict:
+    """``doc`` keeping only the nominal loads, from which the reference
+    derives every load statistic, with the catenary switch and a catalog
+    damage variant set (each variant fits every frame the valid branch
+    draws)."""
+    loads = {key: value for key, value in doc.get("loads", {}).items() if key in ("d_n", "l_n")}
+    damage = {"n_rc0": damage.n_rc0, "n_rs0": damage.n_rs0}
+    return {**doc, "loads": loads, "include_catenary": include_catenary, "damage": damage}
+
+
+reference_documents = st.builds(
+    _reference_document, _documents(Scenario(), None), st.booleans(), st.sampled_from(DAMAGE_VARIANTS)
+)
+
+
+# the benchmark's tolerances: 1e-12 for sizing, 1e-9 for values and indexes;
+# phi_nlc / phi_apm below 0.8 sizes the strengthened beams below the normal
+# ones, which design_members warns of and the reference reproduces
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=200)
+@given(doc=reference_documents, point=factors)
+def test_model_matches_the_independent_reference(doc, point):
+    scenario, ref, (lb, lc) = scenario_from_dict(doc), Reference(doc), point
+    design = design_members(scenario)
+    for name in ("b_y_nlc", "r_c_nlc", "b_y_0", "r_c_0", "b_sf", "r_sf"):
+        assert getattr(design, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+    model = RiskModel(scenario, design)
+    assert model.construction(lb, lc) == pytest.approx(float(ref.construction(lb, lc)), rel=1e-9)
+    assert model.evaluate(lb, lc) == pytest.approx(float(ref.objective(lb, lc)[0, 0]), rel=1e-9)
+    branch = float(ref.damage_branch(lb, lc)[0, 0])
+    assert model.breakdown(lb, lc).damage_branch == pytest.approx(branch, rel=1e-9)
+    betas = ref.beta_grid(lb, lc)
+    for live, mode, *cells in reliability_grid(scenario, DesignFactors(lb, lc))[1]:
+        for cell, want in zip(cells, betas[live, mode], strict=True):
+            assert cell == ("" if want is None else pytest.approx(want, rel=0.0, abs=1e-9)), (live, mode)
 
 
 @given(doc=_either(scenario_documents, json_scalars, st.lists(json_scalars, max_size=3)))

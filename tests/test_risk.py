@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import replace
 from itertools import product
@@ -28,6 +27,7 @@ from framerisk import (
     validate,
 )
 from framerisk.optimize import FACTOR_BOUNDS
+from framerisk.reliability import _moment_index, _pf_float
 from framerisk.risk import _first_max
 
 UNIT = DesignFactors(1.0, 1.0)
@@ -175,9 +175,9 @@ class TestTotalExpectedCost:
         for b in lb.tolist():
             for c in lc.tolist():
                 cost = model.breakdown(b, c)
-                assert model.damage_branch(b, c) == cost.damage_branch == 0.0
-                assert kernel_parts(model, b, c) == (cost.normal_loading, 0.0)
-                written_out = model.construction(b, c) + cost.normal_loading + scn.p_ld * (model.c_id + 0.0)
+                branch, normal, written_out = unpruned(model, b, c)
+                assert model.damage_branch(b, c) == cost.damage_branch == branch == 0.0
+                assert kernel_parts(model, b, c) == (cost.normal_loading, 0.0) == (normal, 0.0)
                 assert model.evaluate(b, c).hex() == cost.total.hex() == written_out.hex()
                 assert objective(b, c).hex() == written_out.hex()
         assert_grid_equals_evaluate(model, lb, lc)
@@ -189,7 +189,7 @@ class TestTotalExpectedCost:
         assert math.isnan(model.breakdown(*factors).total)
         # the walk's max keeps the kernel's NaN handling: a NaN lambda_b gives
         # a NaN branch, a NaN lambda_c alone the initial extent's bending term
-        assert model.damage_branch(*factors).hex() == kernel_parts(model, *factors)[1].hex()
+        assert unpruned(model, *factors)[0].hex() == kernel_parts(model, *factors)[1].hex()
 
     @pytest.mark.parametrize("catenary", [False, True])
     @pytest.mark.parametrize(
@@ -253,30 +253,31 @@ def test_grid_matches_scalar_on_every_catalog_frame(frame, damage, catenary):
 
 
 def unpruned(model, lb, lc):
-    """Damage branch and objective with every chain stage walked: the
-    largest trace row plus the objective's own sum."""
+    """Damage branch, normal-loading term and objective with every chain
+    stage walked: the largest trace row, the intact frame's two failure
+    probabilities at the 50-year horizon, and the objective's sum."""
     branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
-    normal = model.breakdown(lb, lc).normal_loading
-    return branch, model.construction(lb, lc) + normal + model.p_ld * (model.c_id + branch)
+    mu_l, var_l = model.mu_l50, model.var_l50
+    pf_b = _pf_float(_moment_index(model.a_b50 * lb, model.mu_rb, model.var_rb, mu_l, var_l, math.sqrt))
+    pf_pg = _pf_float(_moment_index(model.a_pg50 * lc, model.mu_rc, model.var_rc, mu_l, var_l, math.sqrt))
+    normal = model.c_nlc_bending * pf_b + model.c_pg * pf_pg
+    return branch, normal, model.construction(lb, lc) + normal + model.p_ld * (model.c_id + branch)
 
 
 def kernel_parts(model, lb, lc):
     """``(normal, branch)`` as the objective's float kernel computes them:
-    with the construction coefficients and ``c_id`` zeroed, the memo entry
-    ``(A, B)`` it stores is ``(0.0 + normal, 0.0 + branch)``, which has their
-    bits (at a NaN factor ``normal`` is NaN either way)."""
-    bare, memo = copy.copy(model), {}
-    bare.const_0 = bare.const_b = bare.const_c = bare.c_id = 0.0
-    bare.objective(model.p_ld, memo)(lb, lc)
-    ((normal, branch),) = memo.values()
-    return normal, branch
+    the memo entry of one call of an unbounded objective."""
+    memo = {}
+    model.objective(model.p_ld, memo)(lb, lc)
+    (parts,) = memo.values()
+    return parts
 
 
 def assert_kernel_matches_unpruned_walk(model, lb, lc):
-    branch, objective = unpruned(model, lb, lc)
-    normal, kernel_branch = kernel_parts(model, lb, lc)
+    branch, normal, objective = unpruned(model, lb, lc)
+    kernel_normal, kernel_branch = kernel_parts(model, lb, lc)
     assert kernel_branch.hex() == branch.hex()
-    assert normal.hex() == model.breakdown(lb, lc).normal_loading.hex()
+    assert kernel_normal.hex() == normal.hex()
     assert model.evaluate(lb, lc).hex() == objective.hex()
 
 
@@ -480,10 +481,10 @@ class TestProgressionTrace:
             prev_pl = row.p_pl
 
     def test_objective_uses_trace_terms(self):
-        # breakdown reduces the trace rows: its branch is their largest
-        # expected cost and its total has the bits of evaluate, on every
-        # catalog frame and damage variant, at unit and optimized factors
-        # and at the corners of the optimizer's bounds
+        # breakdown reads the kernel, and the largest expected cost of the
+        # trace rows has the bits of its branch, on every catalog frame and
+        # damage variant, at unit and optimized factors and at the corners
+        # of the optimizer's bounds
         lo, hi = FACTOR_BOUNDS
         for geometry, damage, catenary in product(FRAME_CATALOG.values(), DAMAGE_VARIANTS, (False, True)):
             model = RiskModel(validate(Scenario(geometry=geometry, damage=damage, include_catenary=catenary)))
