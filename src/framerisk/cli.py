@@ -54,7 +54,7 @@ def _resolve_scenario(args) -> Scenario:
         scenario = replace(scenario, damage=parse_damage_token(args.damage))
     if args.p_ld is not None:
         scenario = replace(scenario, p_ld=args.p_ld)
-    if getattr(args, "catenary", False):
+    if args.catenary:
         scenario = replace(scenario, include_catenary=True)
     return validate(scenario)
 

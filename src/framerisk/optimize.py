@@ -90,8 +90,6 @@ def minimize_total_cost(scenario: Scenario, *, model: RiskModel | None = None) -
     to pay for one.
     """
     model, memo = (RiskModel(scenario), None) if model is None else (model, model.memo)
-    if not model.stages:  # the optimum's damaged indexes need a lost column
-        raise ValueError(f"the initial damage must remove a column, got n_rc0={scenario.damage.n_rc0}")
     seen = 0 if memo is None else len(memo)
     objective = model.objective(scenario.p_ld, memo, FACTOR_BOUNDS)
     best: tuple[float, float, float] | None = None

@@ -57,9 +57,13 @@ def _escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+    """About ``target`` round ticks over ``[lo, hi]``, few for every finite
+    ``lo < hi``: each step moves a tick by more than an ulp, up to ``inf``."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / target if hi - lo < math.inf else hi / target - lo / target
+    if raw <= math.ulp(max(abs(lo), abs(hi))):  # an axis a few ulps wide
+        return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -68,7 +72,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    while t <= hi + 1e-9 * step and t < math.inf:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks

@@ -19,21 +19,20 @@ probabilities respond to the design variables.
 
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
-grids and multi-start optimization.  ``RiskModel._chain`` is the one
-per-stage table.  One walk over it yields each stage's terms: the vectorized
-grid runs it on arrays, and :meth:`RiskModel.trace` runs it on floats and
-keeps a row per stage.  Every scalar number comes from one closure built by
-``RiskModel.objective``, which clamps, reads the memo and runs the float
-kernel, the walk's arithmetic written out in one frame with an exact exit:
-a solve calls it, and :meth:`RiskModel.breakdown` reads its terms from the
-memo entry of one call.
+grids and multi-start optimization.  ``RiskModel._chain``, never empty, is
+the one per-stage table.  One walk over it yields each stage's terms: the
+vectorized grid runs it on arrays, and :meth:`RiskModel.trace` runs it on
+floats and keeps a row per stage.  Every scalar number comes from one
+closure built by ``RiskModel.objective``, which clamps, reads the memo and
+runs the float kernel, the walk's arithmetic written out in one frame with
+an exact exit against one cap: a solve calls it, and
+:meth:`RiskModel.breakdown` reads its terms from the memo entry of one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import costs as costmod
@@ -95,10 +94,12 @@ class RiskModel:
     """Precomputed expected-cost evaluator for one scenario and design."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
+        g, dm, cp, loads = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
+        if not 1 <= dm.n_rc0 <= g.n_c - 2:  # validate's rule: every model has a chain
+            raise ValueError(f"the chain needs 1 <= n_rc0 <= n_c - 2 (n_rc0={dm.n_rc0}, n_c={g.n_c})")
         if design is None:
             design = design_members(scenario)
         self.design = design
-        g, dm, cp, loads = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
 
         # Load-effect statistics per horizon.
         self.mu_rb, self.var_rb = loads.beam_resistance.mean, loads.beam_resistance.std**2
@@ -122,7 +123,7 @@ class RiskModel:
 
         # Progression extents: the initial extent, then two more columns at
         # a time, never beyond n_c - 2 (two columns must remain).
-        self.stages = list(range(dm.n_rc0, g.n_c - 1, 2)) if dm.n_rc0 >= 1 else []
+        self.stages = list(range(dm.n_rc0, g.n_c - 1, 2))
         self.stage_strengths = [
             unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, dm.n_rs0)) for j in self.stages
         ]
@@ -132,13 +133,10 @@ class RiskModel:
             (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
             for j, s in zip(self.stages, self.stage_strengths)
         )
-        # Suffix caps: caps[k] >= 0 and >= every unweighted stage cost from stage k on.
-        caps = accumulate((max(c_b, c_pl) for *_, c_b, c_pl in reversed(self._chain)), max, initial=max(0.0, self.c_pg))
-        caps = list(caps)[::-1]
-        # The objective's (stage, cap) pairs: a cap bounds the stages not yet
-        # costed when its check runs, those after the initial extent or a
-        # later stage's own and those after it.
-        self._pairs = tuple(zip(self._chain, caps[1:2] + caps[1:]))
+        # The objective's one cap, >= 0 and >= every cost after the initial
+        # extent, bounds the stages not yet costed at every check; costs never
+        # fall along the chain, so no cap over fewer stages would be lower.
+        self._cap = max(0.0, self.c_pg, *(c for stage in self._chain[1:] for c in stage[3:]))
         # (normal, branch) per factor pair, the kernel's terms free of p_ld:
         # solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}
@@ -182,18 +180,19 @@ class RiskModel:
         The kernel is the walk's arithmetic in its order, with ``y if y > x
         else x`` for the builtin ``max(x, y)``, so it has the walk's bits.  It
         stops once no stage not yet costed, weighted by at most the reach into
-        it and costing at most its cap, can beat ``best``: float ``*`` and
-        ``max`` are monotone, so the exits are exact.  The initial extent, which
-        mostly ends the walk, is written out before the loop.  Past it the bound
-        is checked as soon as ``p_pl`` gives the reach, and bending's
-        probability is left out where ``t_b <= c_b <= top``.
+        it and costing at most the model's one cap, can beat ``best``: float
+        ``*`` and ``max`` are monotone, so the exits are exact.  The initial
+        extent, which mostly ends the walk, is written out before the loop.
+        Past it the bound is checked as soon as ``p_pl`` gives the reach, and
+        bending's probability is left out where ``t_b <= c_b <= top``.
         """
         sqrt, erfc, sqrt2, (lo, hi) = math.sqrt, math.erfc, SQRT2, bounds
         mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
         mu_l, var_l, mu_la, var_la = self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt
         a_b50, a_pg50, c_nlc, c_pg = self.a_b50, self.a_pg50, self.c_nlc_bending, self.c_pg
         const_0, const_b, const_c, c_id = self.const_0, self.const_b, self.const_c, self.c_id
-        first, *later = self._pairs or (None,)
+        first, *later = self._chain
+        cap = self._cap
 
         def total(lambda_b: float, lambda_c: float) -> float:
             lb = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
@@ -206,35 +205,33 @@ class RiskModel:
             r = a_pg50 * lc
             pf_pg = 0.5 * erfc((r * mu_rc - mu_l) / sqrt(r * r * var_rc + var_l) / sqrt2)
             normal = c_nlc * pf_b + c_pg * pf_pg
-            best = 0.0
-            if first is not None:
-                # the initial extent: weight 1, every term weighted
-                (a_b, a_pl, a_pg, c_b, c_pl), cap = first
-                r = a_pl * lc
-                reach = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2)
-                r = a_b * lb
-                t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
-                r = a_pg * lc
-                t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
-                t_pl = reach * c_pl
-                top = t_pg if t_pg > t_pl else t_pl
-                best = top if top > t_b else t_b
-                if not reach * cap <= best:  # a NaN walks on
-                    # later extents: local pancake's advance probability is in the weight
-                    for (a_b, a_pl, a_pg, c_b, c_pl), cap in later:
-                        r = a_pl * lc
-                        reach = reach * (0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2))
-                        if reach * cap <= best:
-                            break
-                        r = a_pg * lc
-                        t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
-                        top = t_pg if t_pg > c_pl else c_pl
-                        if c_b > top:
-                            r = a_b * lb
-                            t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
-                            top = top if top > t_b else t_b
-                        stage = reach * top
-                        best = stage if stage > best else best
+            # the initial extent: weight 1, every term weighted
+            a_b, a_pl, a_pg, c_b, c_pl = first
+            r = a_pl * lc
+            reach = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2)
+            r = a_b * lb
+            t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+            r = a_pg * lc
+            t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+            t_pl = reach * c_pl
+            top = t_pg if t_pg > t_pl else t_pl
+            best = top if top > t_b else t_b
+            if not reach * cap <= best:  # a NaN walks on
+                # later extents: local pancake's advance probability is in the weight
+                for a_b, a_pl, a_pg, c_b, c_pl in later:
+                    r = a_pl * lc
+                    reach = reach * (0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2))
+                    if reach * cap <= best:
+                        break
+                    r = a_pg * lc
+                    t_pg = 0.5 * erfc((r * mu_rc - mu_la) / sqrt(r * r * var_rc + var_la) / sqrt2) * c_pg
+                    top = t_pg if t_pg > c_pl else c_pl
+                    if c_b > top:
+                        r = a_b * lb
+                        t_b = 0.5 * erfc((r * mu_rb - mu_la) / sqrt(r * r * var_rb + var_la) / sqrt2) * c_b
+                        top = top if top > t_b else t_b
+                    stage = reach * top
+                    best = stage if stage > best else best
             if memo is not None:
                 memo[lb, lc] = normal, best
             return const_0 + const_b * lb + const_c * lc + normal + p_ld * (c_id + best)
@@ -264,11 +261,10 @@ class RiskModel:
 
         Returns an array of shape ``(len(lambda_b), len(lambda_c))``; used
         for brute-force minima and for surface plots.  Every chain stage is
-        walked (the damage branch is 0 without a chain).  Each index depends
-        on one factor, so the index rows of each factor are stacked and
-        ``math.erfc`` maps once over both blocks, which gives every point the
-        bits of :meth:`evaluate`.  Only the grid needs numpy, so it is
-        imported here.
+        walked.  Each index depends on one factor, so the index rows of each
+        factor are stacked and ``math.erfc`` maps once over both blocks, which
+        gives every point the bits of :meth:`evaluate`.  Only the grid needs
+        numpy, so it is imported here.
         """
         import numpy as np
 
@@ -290,7 +286,7 @@ class RiskModel:
             stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
             best = stage if best is None else np.maximum(best, stage)
         normal = self.c_nlc_bending * pf_b[0] + self.c_pg * pf_c[0]
-        return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + (0.0 if best is None else best))
+        return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + best)
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots: the

@@ -269,8 +269,6 @@ def strengthening_table() -> tuple[list[str], list[tuple]]:
 def trace_table(
     scenario: Scenario, design: MemberDesign | None = None, factors: DesignFactors | None = None
 ) -> tuple[list[str], list[tuple]]:
-    if design is None:
-        design = design_members(scenario)
     if factors is None:
         factors = DesignFactors(1.0, 1.0)
     return list(ProgressionRow._fields), RiskModel(scenario, design).trace(factors)

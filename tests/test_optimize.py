@@ -60,7 +60,8 @@ def test_determinism(ref_scenario):
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """Runs of the objective's float kernel on models built from here: each
-    run unpacks the initial extent's pair once, and a memo hit none."""
+    run unpacks the initial extent's row of the chain once, and a memo hit
+    none."""
     runs = [0]
 
     class Counted(tuple):
@@ -72,7 +73,7 @@ def kernel_runs(monkeypatch):
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._pairs = (Counted(self._pairs[0]), *self._pairs[1:])
+        self._chain = (Counted(self._chain[0]), *self._chain[1:])
 
     monkeypatch.setattr(RiskModel, "__init__", counted_init)
     return runs
@@ -323,7 +324,8 @@ def test_design_enters_only_through_the_model(ref_scenario, ref_design):
 
 
 def test_no_initial_damage_rejected(ref_scenario):
-    # validate rejects n_rc0 = 0; a model built on a design passed in does not
+    # validate rejects n_rc0 = 0, and so does the model build, on a design
+    # passed in too
     scn = replace(ref_scenario, damage=DamageScenario(0, 0))
     with pytest.raises(ValueError, match="n_rc0"):
         minimize_total_cost(scn, model=RiskModel(scn, nlc_member_design(scn)))

@@ -1,13 +1,37 @@
 from __future__ import annotations
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from framerisk import Series, emit_csv, emit_svg
-from framerisk.output import format_value
+from framerisk.output import _nice_ticks, format_value
+
+MAX = sys.float_info.max
+
+
+def bounded(call, *args, events=100_000):
+    """``call(*args)``, failed once its frames have raised ``events`` trace
+    events: a tick loop that never ends fails within a second instead of
+    filling the memory."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += 1
+        if count > events:
+            raise AssertionError(f"{call.__name__} ran past {events} trace events")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return call(*args)
+    finally:
+        sys.settrace(previous)
 
 
 class TestCsv:
@@ -117,3 +141,37 @@ class TestSvg:
     def test_empty_series_still_valid(self, tmp_path):
         emit_svg([Series("nothing", [], [])], tmp_path / "empty.svg")
         ET.parse(tmp_path / "empty.svg")
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("ends", [(6.0, 6.000000000000001), (0.0, 5e-324)], ids=["one-ulp", "subnormal"])
+    def test_axis_a_few_ulps_wide(self, tmp_path, axis, ends):
+        # a step under half an ulp of 6 never moved a tick, and a span of
+        # 5e-324 has a sixth of 0, whose log10 raised
+        xs, ys = (list(ends), [1.0, 2.0]) if axis == "x" else ([1.0, 2.0], list(ends))
+        bounded(emit_svg, [Series("narrow", xs, ys)], tmp_path / "narrow.svg")
+        text = (tmp_path / "narrow.svg").read_text()
+        ET.parse(tmp_path / "narrow.svg")
+        assert text.count('stroke="#e3e3e3"') <= 2 * 8  # gridlines, one per tick
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.0, 1.0),
+        (6.0, 6.000000000000001),
+        (1.0, 1.0000000000000007),
+        (7.99999999999999, 8.00000000000001),  # the ulp doubles at 8
+        (0.0, 5e-324),
+        (-5e-324, 5e-324),
+        (0.0, 1e-310),
+        (-MAX, MAX),  # the span overflows
+        (1e308, MAX),  # a step past the last tick overflows
+        (-MAX, -1e308),
+    ],
+)
+def test_nice_ticks_are_few_distinct_and_on_the_axis(lo, hi):
+    ticks = bounded(_nice_ticks, lo, hi)
+    assert 2 <= len(ticks) <= 8
+    assert ticks == sorted(set(ticks))
+    tol = 1e-9 * (hi / 6 - lo / 6)
+    assert lo - tol <= ticks[0] and ticks[-1] <= hi + tol

@@ -3,7 +3,9 @@ scenario is either accepted or rejected with a ``ValueError`` (a data error,
 exit 2), never with another exception, and ``framerisk evaluate`` on such a
 document keeps to its exit codes.  An accepted document sizes, builds and
 evaluates to finite terms, and its float kernel, which prunes the chain
-walk, keeps the bits of the walk over every stage.  Every collapse strength
+walk, keeps the bits of the walk over every stage; its stage costs never
+fall along the chain, so the kernel's one cap prunes as a cap per stage
+would.  Every collapse strength
 is homogeneous of degree one in its capacity.  On accepted documents the
 sizing, costs, objective terms and reliability indexes agree with the
 independent numpy evaluator of the benchmark (``perfbench/reference.py``).
@@ -158,6 +160,22 @@ def test_kernel_matches_unpruned_walk(doc, k_ductile, k_brittle, points):
     model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
     for lb, lc in points:
         assert_kernel_matches_unpruned_walk(model, lb, lc)
+
+
+# Each check of the float kernel bounds the stages not yet costed by one cap,
+# the largest cost past the initial extent.  It prunes as much as a cap over
+# the stages from the checked one on only because stage costs never fall
+# along a valid chain, so the gated work counts rest on this.
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=100)
+@given(doc=_documents(Scenario(), None), k_ductile=positive, k_brittle=positive)
+def test_stage_costs_never_fall_along_the_chain(doc, k_ductile, k_brittle):
+    scenario = scenario_from_dict(doc)
+    model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
+    for (*_, c_b, c_pl), (*_, next_b, next_pl) in zip(model._chain, model._chain[1:]):
+        assert c_b <= next_b and c_pl <= next_pl
+    for k in range(1, len(model._chain)):
+        assert max(0.0, model.c_pg, *(c for stage in model._chain[k:] for c in stage[3:])) == model._cap
 
 
 def _reference_document(doc: dict, include_catenary: bool, damage) -> dict:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -163,24 +164,17 @@ class TestTotalExpectedCost:
         assert model.stages == [1]
         assert math.isfinite(total(scn, design, UNIT))
 
-    def test_model_without_a_chain(self):
-        # validate rejects n_rc0 = 0 and strengthening cannot size it, but a
-        # model with the normal design builds: no chain stage, a zero branch
-        scn = Scenario(damage=DamageScenario(0, 0))
-        model = RiskModel(scn, nlc_member_design(scn))
-        assert model.stages == [] and model._pairs == ()
-        assert model.trace(UNIT) == []
-        lb, lc = np.geomspace(*FACTOR_BOUNDS, 9), np.linspace(*FACTOR_BOUNDS, 7)
-        objective = model.objective(scn.p_ld, {}, FACTOR_BOUNDS)
-        for b in lb.tolist():
-            for c in lc.tolist():
-                cost = model.breakdown(b, c)
-                branch, normal, written_out = unpruned(model, b, c)
-                assert model.damage_branch(b, c) == cost.damage_branch == branch == 0.0
-                assert kernel_parts(model, b, c) == (cost.normal_loading, 0.0) == (normal, 0.0)
-                assert model.evaluate(b, c).hex() == cost.total.hex() == written_out.hex()
-                assert objective(b, c).hex() == written_out.hex()
-        assert_grid_equals_evaluate(model, lb, lc)
+    @pytest.mark.parametrize("n_rc0", [0, 8])  # the reference frame has n_c = 9
+    def test_build_needs_a_chain(self, n_rc0):
+        # validate rejects both, and so does the build, before it sizes a
+        # design or a stage: on a design passed in and on its own sizing
+        scn = Scenario(damage=DamageScenario(n_rc0, 0))
+        rule = re.escape("1 <= n_rc0 <= n_c - 2")
+        with pytest.raises(ValueError, match=rule):
+            RiskModel(scn, nlc_member_design(scn))
+        with pytest.raises(ValueError, match=rule):
+            RiskModel(scn)
+        assert RiskModel(replace(scn, damage=DamageScenario(7, 0))).stages == [7]
 
     @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_nan_factor_gives_nan_objective(self, ref_scenario, ref_design, factors):
@@ -256,7 +250,7 @@ def unpruned(model, lb, lc):
     """Damage branch, normal-loading term and objective with every chain
     stage walked: the largest trace row, the intact frame's two failure
     probabilities at the 50-year horizon, and the objective's sum."""
-    branch = max((row.expected_cost for row in model.trace(DesignFactors(lb, lc))), default=0.0)
+    branch = max(row.expected_cost for row in model.trace(DesignFactors(lb, lc)))
     mu_l, var_l = model.mu_l50, model.var_l50
     pf_b = _pf_float(_moment_index(model.a_b50 * lb, model.mu_rb, model.var_rb, mu_l, var_l, math.sqrt))
     pf_pg = _pf_float(_moment_index(model.a_pg50 * lc, model.mu_rc, model.var_rc, mu_l, var_l, math.sqrt))
@@ -281,40 +275,29 @@ def assert_kernel_matches_unpruned_walk(model, lb, lc):
     assert model.evaluate(lb, lc).hex() == objective.hex()
 
 
-def kernel_caps(model):
-    """The caps of the pairs: ``caps[0]`` bounds the stages after the
-    initial extent, ``caps[k]`` for ``k >= 1`` stage ``k`` and those after it."""
-    return [cap for _, cap in model._pairs]
-
-
-def with_caps(model, caps):
-    """Rewrite the caps of the pairs; objectives built from here read them."""
-    model._pairs = tuple(zip(model._chain, caps, strict=True))
-
-
 def stage_phis(model, lb, lc):
     """Failure probabilities (``math.erfc`` calls) the float kernel of an
     objective computes in each chain stage it reads, in chain order.  A
     later stage left with one, its ``p_pl``, was cut by the bound in the
-    stage; one with two or three is complete.  Each pair is swapped for a
-    generator that notes the count of calls so far when the kernel unpacks
-    it."""
-    pairs, erfc, calls, marks = model._pairs, math.erfc, [0], []
+    stage; one with two or three is complete.  Each row of the chain is
+    swapped for a generator that notes the count of calls so far when the
+    kernel unpacks it."""
+    chain, erfc, calls, marks = model._chain, math.erfc, [0], []
 
-    def marked(pair):
+    def marked(stage):
         marks.append(calls[0])
-        yield from pair
+        yield from stage
 
     def counted_erfc(x):
         calls[0] += 1
         return erfc(x)
 
-    model._pairs = [marked(pair) for pair in pairs]
+    model._chain = [marked(stage) for stage in chain]
     math.erfc = counted_erfc
     try:
         model.objective(model.p_ld)(lb, lc)
     finally:
-        model._pairs, math.erfc = pairs, erfc
+        model._chain, math.erfc = chain, erfc
     counts = [end - start for start, end in zip(marks, [*marks[1:], calls[0]])]
     # the normal-loading pair comes first and the initial extent is complete:
     # a helper that misses the kernel's stages fails here, not in silence
@@ -328,13 +311,22 @@ def walked_stages(model, lb, lc):
 
 
 def tied_cap(reach, best):
-    """The largest cap whose bound ``reach * cap`` equals ``best``, if any."""
+    """The largest cap whose bound ``reach * cap`` equals ``best``, if any:
+    written to ``model._cap``, objectives built from there read it."""
     cap = best / reach
     while reach * cap > best:
         cap = math.nextafter(cap, 0.0)
     while reach * math.nextafter(cap, math.inf) <= best:
         cap = math.nextafter(cap, math.inf)
     return cap if reach * cap == best else None
+
+
+@pytest.fixture
+def falling_bending(monkeypatch):
+    """A 4x16 model whose bending costs, ``1e3 / n_fc``, fall along the
+    chain, as no physical chain's do."""
+    monkeypatch.setattr("framerisk.costs.bending_collapse_cost", lambda scenario, design, j: 1e3 / j)
+    return RiskModel(validate(Scenario(geometry=FRAME_CATALOG["4x16"])))
 
 
 class TestEarlyExit:
@@ -351,7 +343,7 @@ class TestEarlyExit:
             # the kernel reads the strength table's own floats
             intact = unit_strengths(base, design.b_y_0, design.r_c_0)
             assert (model.a_b50, model.a_pg50) == (intact.beta_b, intact.beta_pg)
-            for j, (stage, _) in zip(model.stages, model._pairs, strict=True):
+            for j, stage in zip(model.stages, model._chain, strict=True):
                 table = unit_strengths(base, design.b_y_0, design.r_c_0, (j, damage.n_rs0))
                 assert stage[:3] == (table.beta_b, table.beta_pl, table.beta_pg)
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
@@ -360,35 +352,36 @@ class TestEarlyExit:
         if len(model.stages) > 1:
             assert stopped > 0  # the exit is taken, not only harmless
 
-    def test_pairs_hold_the_chain_and_its_caps(self, monkeypatch):
-        # On physical chains costs rise along the chain and every cap is the
-        # same, so a cap read one stage off would pass.  Bending costs that
-        # fall along the chain make each suffix cap differ.
-        monkeypatch.setattr("framerisk.costs.bending_collapse_cost", lambda scenario, design, j: 1e3 / j)
-        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["4x16"])))
-        assert tuple(stage for stage, _ in model._pairs) == model._chain
-        # suffix[k] is the largest of 0, c_pg and every stage cost from stage k on
-        costs = [0.0, model.c_pg]
-        suffix = [max(costs + [c for stage in model._chain[k:] for c in stage[3:]]) for k in range(len(model.stages))]
-        assert len(set(suffix[1:])) == len(suffix) - 1
-        # the initial extent's cap bounds the stages after it, a later
-        # stage's cap that stage and those after it
-        assert kernel_caps(model) == [suffix[1], *suffix[1:]]
+    def test_one_cap_while_costs_fall(self, falling_bending):
+        # On physical chains costs never fall, so the one cap is also the
+        # largest cost of the stages from any later one on.  Bending costs
+        # that fall along the chain make it the cost of stage 1 alone: the
+        # kernel keeps the unpruned bits under this looser bound.
+        model = falling_bending
+        later = [max(stage[3:]) for stage in model._chain[1:]]
+        assert model._cap == max(0.0, model.c_pg, *later) == later[0] == 1e3 / 3
+        assert all(a > b for a, b in zip(later, later[1:]))
+        walked = set()
+        for lb, lc in np.random.default_rng(11).uniform(0.05, 5.0, size=(200, 2)).tolist():
+            assert_kernel_matches_unpruned_walk(model, lb, lc)
+            walked.add(walked_stages(model, lb, lc))
+        assert {1, len(model.stages)} < walked  # exits at the start, in the chain and none
 
     def test_exit_on_a_tied_bound(self):
         # Each bound compares reach * cap with the best stage cost so far, by
         # ``<=``: after the initial extent with the reach past it, and in a
         # later stage k with the reach into it, once its p_pl is known.
-        # Raise the cap of the check that stopped the walk to the largest
-        # value at which the bound ties the best cost: the walk stops at the
-        # same place, one ulp more walks on, and both keep the unpruned bits.
+        # Raise the cap to the largest value at which the bound of the check
+        # that stopped the walk ties the best cost: no earlier check fires on
+        # a larger cap, so the walk stops at the same place; one ulp more
+        # walks on, and both keep the unpruned bits.
         scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
         model = RiskModel(scn)
-        caps = kernel_caps(model)
+        cap0 = model._cap
         ties = {}
         for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
-            k = len(phis) - 1  # the pair whose check ran last
+            k = len(phis) - 1  # the stage whose check ran last
             if (k > 0) in ties or (phis[k] > 1 if k else len(rows) == 1):
                 continue  # walked on past its check, or no stage after it
             best = max(row.expected_cost for row in rows[: k or 1])
@@ -400,48 +393,57 @@ class TestEarlyExit:
         else:
             pytest.fail("no exit of each kind whose bound can tie the best stage cost")
         for lb, lc, k, cap in ties.values():
-            assert cap >= caps[k]
-            with_caps(model, [*caps[:k], cap, *caps[k + 1 :]])
+            assert cap >= cap0
+            model._cap = cap
             phis = stage_phis(model, lb, lc)
             assert len(phis) == k + 1 and (k == 0 or phis[k] == 1)  # stopped at the same check
             assert_kernel_matches_unpruned_walk(model, lb, lc)
-            with_caps(model, [*caps[:k], math.nextafter(cap, math.inf), *caps[k + 1 :]])
+            model._cap = math.nextafter(cap, math.inf)
             phis = stage_phis(model, lb, lc)
             assert phis[k] > 1 if k else len(phis) > 1  # completes stage k, or reads stage 1
             assert_kernel_matches_unpruned_walk(model, lb, lc)
-        with_caps(model, caps)
 
-    def test_next_stage_ends_the_walk_on_a_later_tie(self):
-        # No bound runs after a later stage k - 1.  Where one, reach past
-        # stage k - 1 times cap[k], would tie the best cost, stage k's own
+    def test_next_stage_ends_the_walk_on_a_later_tie(self, falling_bending):
+        # No bound runs after a later stage k - 1.  Where one, the reach past
+        # stage k - 1 times the cap, would tie the best cost, stage k's own
         # check, with the reach into stage k (at most the reach past k - 1),
         # ends the walk after one more Phi, its p_pl, with the unpruned bits.
-        # A catalog chain never meets such a tie: past the initial extent its
-        # caps are all c_pg.  Lower cap[k] to it at a point where the walk
-        # completes stage k, whose best cost the stages before k already have.
-        model = RiskModel(validate(Scenario(geometry=FRAME_CATALOG["6x11"], damage=DamageScenario(1, 1))))
-        caps = kernel_caps(model)
+        # Lower the cap to such a tie at a point where the walk completes
+        # stage k, whose best cost the stages before k already have.  Catalog
+        # chains have no such point (their best stage is the initial extent
+        # or the last one), so the costs here fall.  A lower cap can fire an
+        # earlier check, so the point is one where every check before stage k
+        # walks on.
+        model = falling_bending
+        cap0 = model._cap
+
         def tie(lb, lc):
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
+            costs = [row.expected_cost for row in rows]
             for k in range(2, len(phis)):  # stage k complete, stage k - 1 a later one
-                best = max(row.expected_cost for row in rows[:k])
+                best = max(costs[:k])
                 cap = tied_cap(rows[k - 1].chain_probability, best)
-                if phis[k] > 1 and cap is not None and max(row.expected_cost for row in rows[k:]) <= best:
-                    return rows, k, best, cap
+                if phis[k] == 1 or cap is None or max(costs[k:]) > best:
+                    continue
+                # the bound of each check before stage k's on the lowered cap:
+                # the initial extent's with the reach past it, stage j's with
+                # the reach into it, each against the best cost before it
+                bounds = [rows[0].p_pl * cap] + [rows[j].chain_probability * cap for j in range(1, k)]
+                if all(bound > max(costs[: j or 1]) for j, bound in enumerate(bounds)):
+                    return k, cap
             return None
 
         for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
             if found := tie(lb, lc):
-                rows, k, best, cap = found
+                k, cap = found
                 break
         else:
             pytest.fail("no walk through a later stage whose best cost the stages before it have")
-        assert cap < caps[k] and rows[k - 1].chain_probability * cap == best
-        with_caps(model, [*caps[:k], cap, *caps[k + 1 :]])
+        assert cap < cap0
+        model._cap = cap
         phis = stage_phis(model, lb, lc)
-        assert len(phis) == k + 1 and phis[k] == 1
+        assert len(phis) == k + 1 and phis[k] == 1  # reached stage k and stopped at its p_pl
         assert_kernel_matches_unpruned_walk(model, lb, lc)
-        with_caps(model, caps)
 
     def test_computed_bending_matches_unpruned_walk(self):
         # with ductile collapse dearer than brittle, c_b > c_pl at every later
