@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,7 @@ class Series:
 _PALETTE = ("#4063d8", "#cb3c33", "#389826", "#9558b2", "#e69f00", "#56b4e9", "#666666")
 _WIDTH, _HEIGHT = 960, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 200, 60, 70
+_MAX = sys.float_info.max
 
 
 def _escape(text: str) -> str:
@@ -86,6 +88,29 @@ def _tick_label(value: float) -> str:
     return f"{value:.4g}"
 
 
+def _axis(values: Sequence[float], start: float, end: float, log: bool = False, pad: float = 0.0):
+    """Pixel map and ticks of one axis from ``start`` to ``end``, over the
+    span of ``values`` (a unit span about a lone value) widened by ``pad`` of
+    it at each end; on a ``log`` axis the values are log10 and the ticks
+    whole decades.  Every finite value maps to a finite pixel."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if hi == lo:  # from 2**52 on, a half moves no value; an ulp does
+        step = max(0.5, math.ulp(lo))
+        lo, hi = max(lo - step, -_MAX), min(hi + step, _MAX)
+    # a span past the float range is taken in halves, exact but for subnormals
+    half = 0.5 if hi - lo == math.inf else 1.0
+    widen = pad * (hi * half - lo * half) / half
+    lo, hi = max(lo - widen, -_MAX), min(hi + widen, _MAX)
+    half = 0.5 if hi - lo == math.inf else 1.0
+    low, span = lo * half, hi * half - lo * half
+
+    def at(v: float) -> float:
+        return start + (v * half - low) / span * (end - start)
+
+    ticks = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1) if log else _nice_ticks(lo, hi)
+    return at, ticks
+
+
 def emit_svg(
     series: Sequence[Series],
     path: str | Path,
@@ -94,19 +119,20 @@ def emit_svg(
     y_label: str = "",
     log_x: bool = False,
 ) -> int:
-    """Write a static SVG 1.1 line chart; returns the count of dropped
-    non-finite (or, on a log axis, nonpositive) points."""
+    """Write a static SVG 1.1 line chart of every finite point, of positive x
+    on a log axis, whatever its magnitude; returns the count dropped."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
+    # a log axis is a linear axis over the log10 of positive x
+    to_axis, x_floor = (math.log10, 0.0) if log_x else (float, -math.inf)
     cleaned: list[tuple[str, list[float], list[float]]] = []
     dropped = 0
     for s in series:
         xs, ys = [], []
         for x, y in zip(s.x, s.y):
-            ok = math.isfinite(x) and math.isfinite(y) and (not log_x or x > 0)
-            if ok:
-                xs.append(float(x))
+            if math.isfinite(x) and math.isfinite(y) and x > x_floor:
+                xs.append(to_axis(x))
                 ys.append(float(y))
             else:
                 dropped += 1
@@ -114,31 +140,10 @@ def emit_svg(
     if dropped:
         warnings.warn(f"dropped {dropped} non-plottable data point(s)", stacklevel=2)
 
-    all_x = [x for _, xs, _ in cleaned for x in xs]
-    all_y = [y for _, _, ys in cleaned for y in ys]
-    if all_x:
-        x_lo, x_hi = min(all_x), max(all_x)
-        y_lo, y_hi = min(all_y), max(all_y)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if log_x:
-        x_lo, x_hi = math.log10(x_lo) if all_x else 0.0, math.log10(x_hi) if all_x else 1.0
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
     plot_l, plot_r = _MARGIN_L, _WIDTH - _MARGIN_R
     plot_t, plot_b = _MARGIN_T, _HEIGHT - _MARGIN_B
-
-    def px(x: float) -> float:
-        v = math.log10(x) if log_x else x
-        return plot_l + (v - x_lo) / (x_hi - x_lo) * (plot_r - plot_l)
-
-    def py(y: float) -> float:
-        return plot_b - (y - y_lo) / (y_hi - y_lo) * (plot_b - plot_t)
+    px, x_ticks = _axis([x for _, xs, _ in cleaned for x in xs], plot_l, plot_r, log=log_x)
+    py, y_ticks = _axis([y for _, _, ys in cleaned for y in ys], plot_b, plot_t, pad=0.05)
 
     out: list[str] = []
     out.append(
@@ -153,22 +158,17 @@ def emit_svg(
         )
 
     # Gridlines and ticks.
-    if log_x:
-        lo_dec, hi_dec = math.floor(x_lo), math.ceil(x_hi)
-        x_ticks = [10.0**d for d in range(int(lo_dec), int(hi_dec) + 1) if x_lo - 1e-9 <= d <= x_hi + 1e-9]
-    else:
-        x_ticks = _nice_ticks(x_lo, x_hi)
     for t in x_ticks:
         x = px(t)
         out.append(
             f'<line x1="{x:.2f}" y1="{plot_t}" x2="{x:.2f}" y2="{plot_b}" stroke="#e3e3e3" stroke-width="1"/>'
         )
-        label = f"1e{int(round(math.log10(t)))}" if log_x else _tick_label(t)
+        label = f"1e{t}" if log_x else _tick_label(t)
         out.append(
             f'<text x="{x:.2f}" y="{plot_b + 22}" text-anchor="middle" '
             f'font-family="Helvetica,Arial,sans-serif" font-size="13">{label}</text>'
         )
-    for t in _nice_ticks(y_lo, y_hi):
+    for t in y_ticks:
         y = py(t)
         out.append(
             f'<line x1="{plot_l}" y1="{y:.2f}" x2="{plot_r}" y2="{y:.2f}" stroke="#e3e3e3" stroke-width="1"/>'
@@ -198,9 +198,7 @@ def emit_svg(
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         if len(xs) > 1:
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
-            )
+            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
         for x, y in zip(xs, ys):
             out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
         ly = plot_t + 10 + 22 * i

@@ -23,6 +23,8 @@ from .model import (
     LoadModel,
     RandomVarStats,
     Scenario,
+    _LOAD_STATS,
+    _scalar_fields,
     annual_from_lifetime,
     validate,
 )
@@ -40,17 +42,14 @@ def _keys(dataclass_or_instance) -> frozenset[str]:
 
 # The JSON keys of each level of the field tree and the fields a sweep axis
 # may set (every scalar above the load statistics), built once from the
-# dataclasses so that neither can drift from them.
+# dataclasses and the model's walk of them so that neither can drift.
 _TOP_KEYS = _keys(Scenario)
 _SECTIONS = {name: _keys(getattr(_DEFAULT, name)) for name in _TOP_KEYS if is_dataclass(getattr(_DEFAULT, name))}
-_STATS = frozenset(name for name in _SECTIONS["loads"] if is_dataclass(getattr(_DEFAULT.loads, name)))
 _STATS_KEYS = _keys(RandomVarStats)
 _STATS_REQUIRED = frozenset(f.name for f in fields(RandomVarStats) if f.default is MISSING)
 # The statistics LoadModel derives from the nominal loads when left unset.
 _DERIVED_STATS = dict.fromkeys((f.name for f in fields(LoadModel) if f.default is None), None)
-_AXES = (_TOP_KEYS - _SECTIONS.keys()) | {
-    f"{section}.{key}" for section, keys in _SECTIONS.items() for key in keys - _STATS
-}
+_AXES = frozenset(name for name, _ in _scalar_fields(Scenario) if name.count(".") < 2)
 
 
 def _section(value, allowed: frozenset[str], where: str) -> dict:
@@ -84,7 +83,7 @@ def _loads_from_dict(value) -> LoadModel:
     # built, so those two must be numbers before it is
     loads = _section(value, _SECTIONS["loads"], "loads")
     return LoadModel(**{
-        key: _stats_from_dict(item, f"loads.{key}") if key in _STATS else _real(item, f"loads.{key}")
+        key: _stats_from_dict(item, f"loads.{key}") if key in _LOAD_STATS else _real(item, f"loads.{key}")
         for key, item in loads.items()
     })
 

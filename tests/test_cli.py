@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,23 @@ def test_sweep_cli(tmp_path, capsys):
     )
     assert (tmp_path / "sweep.csv").exists()
     assert (tmp_path / "sweep.svg").exists()
+
+
+def test_linear_sweep_svg_matches_frozen_bytes(tmp_path, capsys):
+    # a single-axis sweep over a linear axis, written once and frozen: the
+    # goldens pin only a log x axis
+    argv = ["sweep", "--axis", "geometry.L=5,6,7", "--svg", "--outdir", str(tmp_path), "--jobs", "1"]
+    assert run_command(argv) == 0
+    assert (tmp_path / "sweep.svg").read_bytes() == (DATA_DIR / "sweep_geometry_L_5_6_7.svg").read_bytes()
+
+
+def test_sweep_svg_of_a_lone_huge_value(tmp_path, capsys):
+    # 1e17 - 0.5 == 1e17: a lone value this large needs more than a half each way
+    argv = ["sweep", "--axis", "geometry.L=1e17", "--svg", "--outdir", str(tmp_path), "--jobs", "1"]
+    assert run_command(argv) == 0
+    text = (tmp_path / "sweep.svg").read_text()
+    ET.fromstring(text)
+    assert "nan" not in text and "inf" not in text
 
 
 @pytest.fixture

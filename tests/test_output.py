@@ -2,15 +2,32 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framerisk import Series, emit_csv, emit_svg
 from framerisk.output import _nice_ticks, format_value
 
 MAX = sys.float_info.max
+DATA_DIR = Path(__file__).parent / "data"
+
+# Linear-axis charts written once and frozen under tests/data/: the goldens
+# pin only a log x axis.
+FROZEN_CHARTS = {
+    "chart_negative_y.svg": [Series("loss", [1.0, 2.0, 3.0, 4.0], [-3.5, -1.25, -2.0, -0.5])],
+    "chart_two_spans.svg": [
+        Series("narrow", [0.0, 1.0, 2.0], [0.1, 0.5, 0.3]),
+        Series("wide", [0.5, 4.0, 9.5], [12.0, 7.5, 3.25]),
+    ],
+    "chart_lone_value.svg": [Series("lone", [3.0, 3.0], [3.0, 3.0])],
+    "chart_empty.svg": [Series("nothing", [], [])],
+}
 
 
 def bounded(call, *args, events=100_000):
@@ -152,6 +169,35 @@ class TestSvg:
         text = (tmp_path / "narrow.svg").read_text()
         ET.parse(tmp_path / "narrow.svg")
         assert text.count('stroke="#e3e3e3"') <= 2 * 8  # gridlines, one per tick
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_CHARTS))
+    def test_linear_chart_matches_frozen_bytes(self, tmp_path, name):
+        emit_svg(FROZEN_CHARTS[name], tmp_path / name, title=name, x_label="x", y_label="y")
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()
+
+
+# Finite floats with the ends of the float range, ulp-sized spans and the
+# values past which a half no longer moves a float drawn often.
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([MAX, -MAX, 1e308, -1e308, 2.0**53, 1e17, -1e17, 5e-324, 0.0, 1.0]),
+)
+points = st.lists(st.tuples(finite, finite), max_size=6)
+COORDINATES = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.lists(points, min_size=1, max_size=3), log_x=st.booleans())
+def test_every_finite_series_plots(tmp_path_factory, data, log_x):
+    path = tmp_path_factory.mktemp("svg") / "chart.svg"
+    series = [Series(f"s{i}", [x for x, _ in pts], [y for _, y in pts]) for i, pts in enumerate(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        emit_svg(series, path, log_x=log_x)
+    for element in ET.parse(path).getroot():
+        values = [element.attrib[key] for key in COORDINATES if key in element.attrib]
+        values += element.attrib.get("points", "").replace(",", " ").split()
+        assert all(math.isfinite(float(v)) for v in values), ET.tostring(element)
 
 
 @pytest.mark.parametrize(
