@@ -29,6 +29,6 @@ print()
 scn = validate(Scenario(include_catenary=True))
 th = threshold_probability(scn)
 print(f"Reference frame with catenary action (psi = 2): {th.status}")
-print(f"  optimal bending index at p_ld = 1e-6 is already {th.g_low:+.2f}")
+print(f"  optimal bending index at p_ld = 1e-6 is already {th.probes[0][1].beta_damaged.beta_b:+.2f}")
 print("With membrane action counted, the extra beam capacity is so cheap")
 print("that bridging over a lost column pays at any threat probability.")

@@ -222,7 +222,8 @@ def _cmd_threshold(args) -> int:
         print(f"annual   = {annual_from_lifetime(result.p_th):.6g}")
     else:
         print(f"status   = {result.status}")
-        print(f"beta_b* at p=1e-6: {result.g_low:.3f}; at p=1: {result.g_high:.3f}")
+        low, high = (opt.beta_damaged.beta_b for _, opt in result.probes)
+        print(f"beta_b* at p=1e-6: {low:.3f}; at p=1: {high:.3f}")
     print(f"evaluations = {result.evaluations}, memo hits = {result.memo_hits}")
     return 0
 

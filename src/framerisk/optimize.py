@@ -61,13 +61,10 @@ class ThresholdResult:
 
     status: str
     p_th: float | None
-    g_low: float
-    g_high: float
-    optimum_low: OptimizationResult
-    optimum_high: OptimizationResult
     evaluations: int  # objective calls, summed over the probes
     memo_hits: int  # of which answered from the memo
-    probes: tuple[tuple[float, float], ...]  # (log10_p, beta_b*) per probe, in probe order
+    # (log10_p, solve) per probe, in probe order: the range's ends first, then the midpoints
+    probes: tuple[tuple[float, OptimizationResult], ...]
     bracket: tuple[float, float]  # the final (lo, hi) in log10_p
 
 
@@ -156,7 +153,5 @@ def threshold_probability(scenario: Scenario, *, model: RiskModel | None = None)
             else:
                 hi = mid
         p_th = 10.0 ** (0.5 * (lo + hi))
-    solves = [p for _, p in probes]
-    evaluations, memo_hits = sum(p.evaluations for p in solves), sum(p.memo_hits for p in solves)
-    points = tuple((x, p.beta_damaged.beta_b) for x, p in probes)
-    return ThresholdResult(status, p_th, g_lo, g_hi, solves[0], solves[1], evaluations, memo_hits, points, (lo, hi))
+    evaluations, memo_hits = sum(p.evaluations for _, p in probes), sum(p.memo_hits for _, p in probes)
+    return ThresholdResult(status, p_th, evaluations, memo_hits, tuple(probes), (lo, hi))

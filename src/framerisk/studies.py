@@ -28,7 +28,7 @@ from .model import (
     annual_from_lifetime,
     validate,
 )
-from .optimize import BRACKETED, LOG10_P_RANGE, minimize_total_cost, threshold_probability
+from .optimize import BRACKETED, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
 from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set, unit_strengths
 from .risk import ProgressionRow, RiskModel
@@ -142,6 +142,8 @@ class StudyDefinition:
         for name, values in self.axes:
             if len(values) == 0:
                 raise ValueError(f"sweep axis {name!r} has an empty value list")
+            if sum(other == name for other, _ in self.axes) > 1:
+                raise ValueError(f"sweep axis {name!r} is given more than once")
             set_scenario_field(self.base, name, values[0])  # fails fast on bad names
 
 
@@ -284,8 +286,8 @@ def _frame_task(frame_name: str) -> tuple[tuple, list[tuple]]:
     th = threshold_probability(scn, model=model)
     p_th = th.p_th if th.status == BRACKETED else ""
     annual = annual_from_lifetime(th.p_th) if th.status == BRACKETED else ""
-    # the threshold search solved both ends of its range, the grid's 1e-6 and 1.0
-    solved = dict(zip((10.0**log10_p for log10_p in LOG10_P_RANGE), (th.optimum_low, th.optimum_high)))
+    # a curve point the threshold search probed keeps the probe's solve
+    solved = {10.0**log10_p: opt for log10_p, opt in th.probes}
     curve = []
     for p_ld in _CURVE_P_GRID if frame_name in _CURVE_FRAMES else ():
         opt = solved[p_ld] if p_ld in solved else minimize_total_cost(validate(replace(scn, p_ld=p_ld)), model=model)

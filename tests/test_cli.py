@@ -394,6 +394,15 @@ def test_bad_axis_spec_is_data_error(tmp_path):
     assert run_command(["sweep", "--axis", "p_ld", "--outdir", str(tmp_path)]) == 2
 
 
+def test_repeated_axis_is_data_error(tmp_path, capsys):
+    # the last value would win, under a header that names the field twice
+    argv = ["sweep", "--axis", "p_ld=0.1", "--axis", "p_ld=0.001", "--outdir", str(tmp_path), "--jobs", "1"]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "sweep axis 'p_ld' is given more than once" in err and len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_catenary_flag(capsys):
     assert run_command(["optimize", "--catenary", "--p-ld", "0.1"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
-"""Cold start: importing the package and running the scalar commands loads
-neither numpy nor scipy; the first objective grid loads numpy and no scipy,
-because numpy is the only runtime dependency.
+"""Cold start: importing the package and running the scalar commands,
+``paper-tables`` and a threshold sweep loads neither numpy nor scipy; the
+first objective grid loads numpy and no scipy, because numpy is the only
+runtime dependency.
 
 pytest itself has numpy loaded, so the import checks run in a fresh
 interpreter.
@@ -27,21 +28,28 @@ from framerisk.cli import run_command
 def arrays():
     return sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
 
+outdir = sys.argv[1]
+commands = [[command] for command in ("design", "evaluate", "optimize", "threshold", "trace", "beta")] + [
+    ["paper-tables", "--outdir", f"{outdir}/tables", "--jobs", "1"],
+    ["sweep", "--axis", "p_ld=0.1", "--threshold", "--outdir", f"{outdir}/sweep", "--jobs", "1"],
+]
 codes = {}
-for command in ("design", "evaluate", "optimize", "threshold", "trace", "beta"):
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
-        codes[command] = run_command([command])
+        codes[argv[0]] = run_command(argv)
 scalar = arrays()
 framerisk.RiskModel(framerisk.Scenario()).evaluate_grid([1.0], [1.0])
 print(json.dumps({"codes": codes, "scalar": scalar, "grid": arrays()}))
 """
 
 
-def test_scalar_commands_load_no_array_library_and_the_grid_loads_numpy_only():
+def test_scalar_commands_load_no_array_library_and_the_grid_loads_numpy_only(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(framerisk.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True, check=True, env=env)
+    argv = [sys.executable, "-c", COLD_RUN, str(tmp_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
     run = json.loads(out.stdout)
-    assert set(run["codes"].values()) == {0}
+    assert len(run["codes"]) == 8 and set(run["codes"].values()) == {0}
+    assert (tmp_path / "tables" / "optimal_factors_vs_p.csv").exists() and (tmp_path / "sweep" / "sweep.csv").exists()
     assert run["scalar"] == []
     assert "numpy" in run["grid"]
     assert not [m for m in run["grid"] if m.startswith("scipy")]

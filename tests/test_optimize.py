@@ -125,12 +125,8 @@ def test_reference_normal_cdf_counts(monkeypatch, ref_scenario):
 
 
 def threshold_bits(result):
-    def factors(opt):
-        return opt.factors.lambda_b.hex(), opt.factors.lambda_c.hex()
-
     p_th = None if result.p_th is None else result.p_th.hex()
-    return (result.status, p_th, result.g_low.hex(), result.g_high.hex(),
-            factors(result.optimum_low), factors(result.optimum_high), result.evaluations)
+    return result.status, p_th, [(x.hex(), *probe_bits(opt)) for x, opt in result.probes], result.evaluations
 
 
 @pytest.mark.parametrize("frame", list(FRAME_CATALOG))
@@ -147,6 +143,11 @@ def test_shared_model_threshold_matches_fresh_models(monkeypatch, frame):
 
 def solve_bits(result):
     return result.c_te.hex(), result.factors.lambda_b.hex(), result.factors.lambda_c.hex()
+
+
+def probe_bits(result):
+    # a solve's factors, cost and every conditional index of its optimum
+    return (*solve_bits(result), *(None if beta is None else beta.hex() for beta in result.beta_damaged))
 
 
 def test_second_solve_on_a_model_is_all_memo_hits(ref_scenario, ref_design):
@@ -347,30 +348,44 @@ class TestThresholds:
             assert threshold_catenary.status == ALWAYS_STRENGTHEN
 
     def test_bracket_endpoints_reported(self, threshold_low):
-        assert threshold_low.g_low < 0 < threshold_low.g_high
+        (_, low), (_, high) = threshold_low.probes[:2]
+        assert low.beta_damaged.beta_b < 0 < high.beta_damaged.beta_b
 
     def test_probes_and_bracket_recorded(self, ref_scenario):
         result = threshold_probability(ref_scenario)
         assert result.status == BRACKETED and len(result.probes) == 12
-        (x0, g0), (x1, g1) = result.probes[:2]
-        assert (x0, x1) == LOG10_P_RANGE and (g0, g1) == (result.g_low, result.g_high)
+        assert (result.probes[0][0], result.probes[1][0]) == LOG10_P_RANGE
+        beta_b = {x: opt.beta_damaged.beta_b for x, opt in result.probes}
+        g_low, g_high = beta_b[LOG10_P_RANGE[0]], beta_b[LOG10_P_RANGE[1]]
         lo, hi = result.bracket
         assert 0.0 < hi - lo <= LOG10_P_TOL
         assert result.p_th == 10.0 ** (0.5 * (lo + hi))
         # the bracket ends are probes, with the signs of the range ends
-        beta_b = dict(result.probes)
-        assert (beta_b[lo] < 0.0, beta_b[hi] < 0.0) == (result.g_low < 0.0, result.g_high < 0.0)
+        assert (beta_b[lo] < 0.0, beta_b[hi] < 0.0) == (g_low < 0.0, g_high < 0.0)
         # each bisection probe is the midpoint of the bracket before it
         bracket = LOG10_P_RANGE
-        for x, g in result.probes[2:]:
+        for x, opt in result.probes[2:]:
             assert x == 0.5 * (bracket[0] + bracket[1])
-            bracket = (x, bracket[1]) if (g < 0.0) == (result.g_low < 0.0) else (bracket[0], x)
+            below = opt.beta_damaged.beta_b < 0.0
+            bracket = (x, bracket[1]) if below == (g_low < 0.0) else (bracket[0], x)
         assert bracket == result.bracket
+        # the counts are the probes' own, summed
+        assert result.evaluations == sum(opt.evaluations for _, opt in result.probes)
+        assert result.memo_hits == sum(opt.memo_hits for _, opt in result.probes)
+
+    def test_every_probe_is_a_fresh_solve(self, ref_scenario):
+        # each probe keeps the solve at its exact p_ld = 10**log10_p, bit for
+        # bit what a solve on a fresh model finds there
+        result = threshold_probability(ref_scenario)
+        assert len(result.probes) == 12
+        for x, opt in result.probes:
+            fresh = minimize_total_cost(replace(ref_scenario, p_ld=10.0**x))
+            assert probe_bits(opt) == probe_bits(fresh)
 
     def test_unbracketed_search_keeps_the_range(self, threshold_catenary):
         assert threshold_catenary.status == ALWAYS_STRENGTHEN
         assert threshold_catenary.bracket == LOG10_P_RANGE
-        assert threshold_catenary.probes == ((-6.0, threshold_catenary.g_low), (0.0, threshold_catenary.g_high))
+        assert tuple(x for x, _ in threshold_catenary.probes) == LOG10_P_RANGE
 
     def test_status_values(self, threshold_low, threshold_catenary):
         assert {threshold_low.status, threshold_catenary.status} <= {

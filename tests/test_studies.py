@@ -22,7 +22,7 @@ from framerisk import (
     validate,
 )
 from framerisk import studies
-from framerisk.optimize import LOG10_P_RANGE, minimize_total_cost
+from framerisk.optimize import minimize_total_cost
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -110,6 +110,11 @@ class TestStudyDefinition:
         with pytest.raises(ValueError):
             StudyDefinition(base=ref_scenario, axes=(("bogus", (1,)),), outdir=tmp_path)
 
+    def test_repeated_axis_rejected(self, ref_scenario, tmp_path):
+        # the grid would set the field twice and keep only the last value
+        with pytest.raises(ValueError, match="'p_ld' is given more than once"):
+            StudyDefinition(base=ref_scenario, axes=(("p_ld", (0.1,)), ("p_ld", (0.001,))), outdir=tmp_path)
+
     def test_no_axes_rejected(self, ref_scenario, tmp_path):
         with pytest.raises(ValueError):
             StudyDefinition(base=ref_scenario, axes=(), outdir=tmp_path)
@@ -191,10 +196,10 @@ def test_trace_table_reference(ref_scenario):
 
 @pytest.mark.parametrize("frame", studies._CURVE_FRAMES)
 def test_curve_ends_reuse_the_threshold_solves(monkeypatch, frame):
-    # the curve rows at both ends of the threshold search's range come from
-    # its own end solves; each has the bits of a solve on a fresh model
-    ends = [10.0**log10_p for log10_p in LOG10_P_RANGE]
-    assert set(ends) <= set(studies._CURVE_P_GRID)
+    # the curve rows at the points the threshold search probed (both ends of
+    # its range and its first midpoint, 1e-3) come from its own solves; each
+    # has the bits of a solve on a fresh model
+    probed = (1e-6, 1e-3, 1.0)
     solved, solve = [], studies.minimize_total_cost
 
     def counted(scenario, model):
@@ -203,9 +208,10 @@ def test_curve_ends_reuse_the_threshold_solves(monkeypatch, frame):
 
     monkeypatch.setattr(studies, "minimize_total_cost", counted)
     _, curve = studies._frame_task(frame)
-    assert solved == [p_ld for p_ld in studies._CURVE_P_GRID if p_ld not in ends]
+    assert solved == [1e-5, 1e-4, 1e-2, 1e-1]
     by_p = {row[1]: row for row in curve}
-    for p_ld in ends:
+    assert list(by_p) == list(studies._CURVE_P_GRID)
+    for p_ld in probed:
         fresh = minimize_total_cost(validate(Scenario(geometry=FRAME_CATALOG[frame], p_ld=p_ld)))
         bd = fresh.beta_damaged
         expected = (fresh.factors.lambda_b, fresh.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg)
