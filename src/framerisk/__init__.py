@@ -12,7 +12,6 @@ from .catalog import DAMAGE_VARIANTS, FRAME_CATALOG, parse_damage_token, parse_f
 from .costs import (
     bending_collapse_cost,
     construction_cost,
-    global_pancake_cost,
     initial_damage_cost,
     local_pancake_cost,
     reference_cost,

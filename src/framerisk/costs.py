@@ -84,7 +84,3 @@ def local_pancake_cost(scenario: Scenario, design: MemberDesign, n_fc: int) -> f
     extent = min(n_fc + 3, g.n_c - 1) * g.L * beams + min(n_fc + 2, g.n_c) * g.H * cols
     return c.k_brittle / reference_cost(g) * extent
 
-
-def global_pancake_cost(scenario: Scenario, design: MemberDesign) -> float:
-    """Brittle collapse of the whole frame."""
-    return scenario.costs.k_brittle * construction_cost(scenario, design, DesignFactors(1.0, 1.0))

@@ -257,6 +257,16 @@ def violations(scenario: Scenario) -> list[str]:
             s_r, s_d, s_l = float(rv.std), float(ld.dead.std), float(getattr(ld, live).std)
             if s_r * s_r + s_d * s_d + s_l * s_l == 0:
                 out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
+    if not out:
+        # sizing that overflows or vanishes leaves every cost and index nan
+        from .design import design_nlc, strengthen_apm  # design.py imports this module
+        try:
+            b_y, r_c = design_nlc(g, ld, scenario.phi_nlc)
+            sizes = (b_y, r_c, *strengthen_apm(g, ld, dm, scenario.phi_apm, r_c))
+        except OverflowError:  # L**2 beyond float range
+            sizes = ()
+        if not sizes or not all(0 < size < math.inf for size in sizes):
+            out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive ({sizes or 'overflow'})")
     return out
 
 

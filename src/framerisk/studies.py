@@ -3,9 +3,9 @@
 Scenarios are JSON documents whose keys mirror the :class:`Scenario` field
 tree; omitted keys fall back to the reference-case defaults and unknown keys
 are rejected outright (a typo must not silently become a default).  Sweeps
-take a base scenario plus named axes, run the optimizer (and optionally the
-threshold search) at every grid point, and emit CSV/SVG through the
-deterministic writers.
+take a base scenario plus named axes, run the optimizer at every grid point
+(and optionally the threshold search, once for the points that differ only
+in ``p_ld``), and emit CSV/SVG through the deterministic writers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .model import (
     annual_from_lifetime,
     validate,
 )
-from .optimize import BRACKETED, minimize_total_cost, threshold_probability
+from .optimize import BRACKETED, ThresholdResult, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
 from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set, unit_strengths
 from .risk import ProgressionRow, RiskModel
@@ -158,24 +158,22 @@ def _study_points(study: StudyDefinition) -> list[tuple[tuple, Scenario]]:
     return [(coords, validate(scn)) for coords, scn in points]
 
 
-def _evaluate_point(args: tuple[tuple, Scenario, bool]) -> tuple:
-    coords, scenario, with_threshold = args
-    # the solve and the threshold probes share this model's memo; a lone solve keeps none
-    model = RiskModel(scenario) if with_threshold else None
-    opt = minimize_total_cost(scenario, model=model)
-    row = list(coords) + [
-        opt.factors.lambda_b,
-        opt.factors.lambda_c,
-        opt.c_te,
-        opt.beta_damaged.beta_b,
-        opt.beta_damaged.beta_pl,
-        opt.beta_damaged.beta_pg,
-        opt.converged,
-    ]
+def _scenario_task(args: tuple[Scenario, tuple, bool]) -> tuple[ThresholdResult | None, list]:
+    """One scenario's threshold search, if asked for, and its solve at each ``p_ld``.
+
+    With the search, the solves share its model and memo, and a ``p_ld`` it
+    probed keeps the probe's solve.  Without it, each solve keeps no memo.
+    """
+    scenario, p_lds, with_threshold = args
+    model, th, solved = None, None, {}
     if with_threshold:
+        model = RiskModel(scenario)
         th = threshold_probability(scenario, model=model)
-        row += [th.status, th.p_th if th.p_th is not None else ""]
-    return tuple(row)
+        solved = {10.0**log10_p: opt for log10_p, opt in th.probes}
+    return th, [
+        solved[p] if p in solved else minimize_total_cost(validate(replace(scenario, p_ld=p)), model=model)
+        for p in p_lds
+    ]
 
 
 def _map_tasks(jobs: int, fn, tasks: list) -> list:
@@ -194,19 +192,24 @@ def _map_tasks(jobs: int, fn, tasks: list) -> list:
 
 def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:
     """Execute every grid point (optionally in parallel) in input order."""
-    header = [name for name, _ in study.axes] + [
-        "lambda_b_star",
-        "lambda_c_star",
-        "c_te_star",
-        "beta_b_star",
-        "beta_pl_star",
-        "beta_pg_star",
-        "converged",
-    ]
+    header = [name for name, _ in study.axes]
+    header += ["lambda_b_star", "lambda_c_star", "c_te_star", "beta_b_star", "beta_pl_star", "beta_pg_star", "converged"]
     if study.with_threshold:
         header += ["threshold_status", "p_ld_th"]
-    tasks = [(coords, scn, study.with_threshold) for coords, scn in _study_points(study)]
-    rows = _map_tasks(study.jobs, _evaluate_point, tasks)
+    points = _study_points(study)
+    # with a threshold, the points that differ only in p_ld share one task: one model, one search
+    groups: dict = {}
+    for i, (_, scn) in enumerate(points):
+        groups.setdefault(replace(scn, p_ld=0.0) if study.with_threshold else i, []).append(i)
+    tasks = [
+        (points[idx[0]][1], tuple(points[i][1].p_ld for i in idx), study.with_threshold) for idx in groups.values()
+    ]
+    rows: list[tuple] = [()] * len(points)
+    for idx, (th, opts) in zip(groups.values(), _map_tasks(study.jobs, _scenario_task, tasks)):
+        for i, opt in zip(idx, opts):
+            bd = opt.beta_damaged
+            cells = (opt.factors.lambda_b, opt.factors.lambda_c, opt.c_te, bd.beta_b, bd.beta_pl, bd.beta_pg, opt.converged)
+            rows[i] = points[i][0] + cells + (() if th is None else (th.status, "" if th.p_th is None else th.p_th))
 
     outdir = Path(study.outdir)
     emit_csv(outdir / "sweep.csv", header, rows)
@@ -279,23 +282,6 @@ _CURVE_FRAMES = ("16x4", "4x16")
 _CURVE_P_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 
-def _frame_task(frame_name: str) -> tuple[tuple, list[tuple]]:
-    """Threshold row and (curve frames only) curve rows of one frame, solved on one model and memo."""
-    scn = validate(Scenario(geometry=FRAME_CATALOG[frame_name]))
-    model = RiskModel(scn)
-    th = threshold_probability(scn, model=model)
-    p_th = th.p_th if th.status == BRACKETED else ""
-    annual = annual_from_lifetime(th.p_th) if th.status == BRACKETED else ""
-    # a curve point the threshold search probed keeps the probe's solve
-    solved = {10.0**log10_p: opt for log10_p, opt in th.probes}
-    curve = []
-    for p_ld in _CURVE_P_GRID if frame_name in _CURVE_FRAMES else ():
-        opt = solved[p_ld] if p_ld in solved else minimize_total_cost(validate(replace(scn, p_ld=p_ld)), model=model)
-        bd = opt.beta_damaged
-        curve.append((frame_name, p_ld, opt.factors.lambda_b, opt.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg))
-    return (frame_name, th.status, p_th, annual), curve
-
-
 def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
     """Regenerate the published-study reference tables and curve data.
 
@@ -316,19 +302,27 @@ def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
 
     # one task per frame, the curve frames (the longest tasks) first
     frames = sorted(FRAME_CATALOG, key=lambda frame: frame not in _CURVE_FRAMES)
-    by_frame = dict(zip(frames, _map_tasks(jobs, _frame_task, frames)))
-    threshold_rows = [by_frame[frame][0] for frame in FRAME_CATALOG]
-    curve_rows = [row for frame in _CURVE_FRAMES for row in by_frame[frame][1]]
+    tasks = [
+        (validate(Scenario(geometry=FRAME_CATALOG[frame])), _CURVE_P_GRID if frame in _CURVE_FRAMES else (), True)
+        for frame in frames
+    ]
+    by_frame = dict(zip(frames, _map_tasks(jobs, _scenario_task, tasks)))
+    threshold_rows = []
+    for frame in FRAME_CATALOG:
+        th = by_frame[frame][0]
+        p_th = (th.p_th, annual_from_lifetime(th.p_th)) if th.status == BRACKETED else ("", "")
+        threshold_rows.append((frame, th.status, *p_th))
+    curve_rows, series = [], []
+    for frame in _CURVE_FRAMES:
+        opts = by_frame[frame][1]
+        for p_ld, opt in zip(_CURVE_P_GRID, opts):
+            bd = opt.beta_damaged
+            curve_rows.append((frame, p_ld, opt.factors.lambda_b, opt.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg))
+        series.append(Series(f"lambda_b* ({frame})", _CURVE_P_GRID, [opt.factors.lambda_b for opt in opts]))
+        series.append(Series(f"lambda_c* ({frame})", _CURVE_P_GRID, [opt.factors.lambda_c for opt in opts]))
 
     header = ["frame", "p_ld", "lambda_b_star", "lambda_c_star", "beta_b_star", "beta_pl_star", "beta_pg_star"]
     written.append(emit_csv(outdir / "optimal_factors_vs_p.csv", header, curve_rows))
-
-    series = []
-    for frame in _CURVE_FRAMES:
-        rows_f = [r for r in curve_rows if r[0] == frame]
-        xs = [r[1] for r in rows_f]
-        series.append(Series(f"lambda_b* ({frame})", xs, [r[2] for r in rows_f]))
-        series.append(Series(f"lambda_c* ({frame})", xs, [r[3] for r in rows_f]))
     emit_svg(
         series,
         outdir / "optimal_factors_vs_p.svg",

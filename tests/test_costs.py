@@ -10,9 +10,9 @@ from framerisk import (
     DamageScenario,
     DesignFactors,
     FrameGeometry,
+    RiskModel,
     bending_collapse_cost,
     construction_cost,
-    global_pancake_cost,
     initial_damage_cost,
     local_pancake_cost,
     reference_cost,
@@ -117,7 +117,7 @@ class TestFailureCosts:
         # once the min operators hit the frame edges the local cost equals
         # the global collapse cost exactly
         n_c = ref_scenario.geometry.n_c
-        c_pg = global_pancake_cost(ref_scenario, ref_design)
+        c_pg = RiskModel(ref_scenario, ref_design).c_pg
         saturated = local_pancake_cost(ref_scenario, ref_design, n_c - 2)
         assert saturated == pytest.approx(c_pg, rel=1e-12)
 
@@ -125,13 +125,13 @@ class TestFailureCosts:
         n0 = ref_scenario.damage.n_rc0
         c_b = bending_collapse_cost(ref_scenario, ref_design, n0)
         c_pl = local_pancake_cost(ref_scenario, ref_design, n0)
-        c_pg = global_pancake_cost(ref_scenario, ref_design)
+        c_pg = RiskModel(ref_scenario, ref_design).c_pg
         assert c_pg > c_pl > c_b > 0
 
     def test_local_pancake_bounded_by_global(self, ref_scenario, ref_design):
-        c_pg = global_pancake_cost(ref_scenario, ref_design)
+        c_pg = RiskModel(ref_scenario, ref_design).c_pg
         for n_fc in range(1, ref_scenario.geometry.n_c):
             assert local_pancake_cost(ref_scenario, ref_design, n_fc) <= c_pg + 1e-12
 
     def test_reference_global_value(self, ref_scenario, ref_design):
-        assert global_pancake_cost(ref_scenario, ref_design) == pytest.approx(45.15, abs=0.15)
+        assert RiskModel(ref_scenario, ref_design).c_pg == pytest.approx(45.15, abs=0.15)

@@ -12,6 +12,7 @@ from framerisk import (
     Scenario,
     ValidationError,
     annual_from_lifetime,
+    scenario_from_dict,
     validate,
     violations,
 )
@@ -69,6 +70,22 @@ def test_damage_extent_bounds():
     assert violations(replace(scn, damage=replace(scn.damage, n_rc0=8)))  # n_c - 2 = 7
     assert violations(replace(scn, damage=replace(scn.damage, n_rs0=9)))
     assert not violations(replace(scn, damage=replace(scn.damage, n_rc0=7)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"psi": 1.0, "phi_apm": 2.2250738585072014e-308},
+        {"loads": {"l_n": 1e150}, "phi_nlc": 1e-300},
+        {"geometry": {"L": 6e-300}},
+        {"geometry": {"L": 1e200}},
+    ],
+    ids=["b_y_0 overflows", "b_y_nlc overflows", "L squared vanishes", "L squared overflows"],
+)
+def test_sizing_that_overflows_or_vanishes_rejected(doc):
+    # each range rule holds, but the member sizing is not finite and positive
+    with pytest.raises(ValidationError, match="b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive"):
+        scenario_from_dict(doc)
 
 
 def test_default_load_statistics():

@@ -21,7 +21,6 @@ from framerisk import (
     beta_intact,
     construction_cost,
     design_members,
-    global_pancake_cost,
     initial_damage_cost,
     nlc_member_design,
     unit_strengths,
@@ -112,7 +111,7 @@ class TestTotalExpectedCost:
             factors = DesignFactors(lb, lc)
             c_const = construction_cost(ref_scenario, ref_design, factors)
             c_11 = construction_cost(ref_scenario, ref_design, UNIT)
-            c_pg = global_pancake_cost(ref_scenario, ref_design)
+            c_pg = RiskModel(ref_scenario, ref_design).c_pg
             c_id = initial_damage_cost(ref_scenario)
             k_d = ref_scenario.costs.k_ductile
             bound = c_const + k_d * c_11 + c_pg + ref_scenario.p_ld * (c_id + c_pg)

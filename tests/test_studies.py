@@ -136,16 +136,54 @@ class TestRunStudy:
         # lambda_c* should not be hugely sensitive here, lambda_b* grows with p
         assert rows[1][1] >= rows[0][1]
 
-    def test_parallel_matches_serial(self, ref_scenario, tmp_path):
+    def test_parallel_matches_serial(self, ref_scenario, tmp_path, monkeypatch):
+        # without a threshold each of the 4 points is a pool task; with one,
+        # the points that differ only in p_ld share a task, which leaves 2
+        task_counts, map_tasks = [], studies._map_tasks
+
+        def counted(jobs, fn, tasks):
+            task_counts.append(len(tasks))
+            return map_tasks(jobs, fn, tasks)
+
+        monkeypatch.setattr(studies, "_map_tasks", counted)
         axes = (("p_ld", (0.05, 0.2)), ("costs.k_ductile", (20.0, 40.0)))
-        serial = run_study(
-            StudyDefinition(base=ref_scenario, axes=axes, outdir=tmp_path / "s", jobs=1)
-        )
-        parallel = run_study(
-            StudyDefinition(base=ref_scenario, axes=axes, outdir=tmp_path / "p", jobs=2)
-        )
-        assert serial == parallel
-        assert (tmp_path / "s" / "sweep.csv").read_bytes() == (tmp_path / "p" / "sweep.csv").read_bytes()
+        for with_threshold in (False, True):
+            out = tmp_path / str(with_threshold)
+            serial = run_study(
+                StudyDefinition(base=ref_scenario, axes=axes, outdir=out / "s", with_threshold=with_threshold, jobs=1)
+            )
+            parallel = run_study(
+                StudyDefinition(base=ref_scenario, axes=axes, outdir=out / "p", with_threshold=with_threshold, jobs=2)
+            )
+            assert serial == parallel
+            assert (out / "s" / "sweep.csv").read_bytes() == (out / "p" / "sweep.csv").read_bytes()
+        assert task_counts == [4, 4, 2, 2]
+
+    def test_threshold_sweep_runs_one_search_per_scenario(self, ref_scenario, tmp_path, monkeypatch):
+        # p_ld is the outer axis, so the two scenarios' points interleave;
+        # each row still has the bits of a fresh solve and a fresh search
+        searches, search = [], studies.threshold_probability
+
+        def counted(scenario, model):
+            searches.append(scenario)
+            return search(scenario, model=model)
+
+        monkeypatch.setattr(studies, "threshold_probability", counted)
+        axes = (("p_ld", (1e-4, 1e-3, 1e-2, 1.0)), ("costs.alpha_b", (0.5, 0.7)))
+        _, rows = run_study(StudyDefinition(base=ref_scenario, axes=axes, outdir=tmp_path, with_threshold=True))
+        assert len(searches) == 2
+        assert [row[:2] for row in rows] == [(p, a) for p in axes[0][1] for a in axes[1][1]]
+        for row in rows:
+            scn = validate(set_scenario_field(set_scenario_field(ref_scenario, "p_ld", row[0]), "costs.alpha_b", row[1]))
+            opt, th = minimize_total_cost(scn), search(scn, model=None)
+            bd = opt.beta_damaged
+            expected = (
+                *row[:2], opt.factors.lambda_b, opt.factors.lambda_c, opt.c_te, bd.beta_b, bd.beta_pl, bd.beta_pg,
+                opt.converged, th.status, "" if th.p_th is None else th.p_th,
+            )
+            assert [x.hex() if isinstance(x, float) else x for x in row] == [
+                x.hex() if isinstance(x, float) else x for x in expected
+            ]
 
     def test_sweep_with_threshold(self, tmp_path):
         base = validate(Scenario(geometry=FrameGeometry(16, 5)))
@@ -196,9 +234,9 @@ def test_trace_table_reference(ref_scenario):
 
 @pytest.mark.parametrize("frame", studies._CURVE_FRAMES)
 def test_curve_ends_reuse_the_threshold_solves(monkeypatch, frame):
-    # the curve rows at the points the threshold search probed (both ends of
-    # its range and its first midpoint, 1e-3) come from its own solves; each
-    # has the bits of a solve on a fresh model
+    # the curve points the threshold search probed (both ends of its range
+    # and its first midpoint, 1e-3) take its own solves; each has the bits of
+    # a solve on a fresh model
     probed = (1e-6, 1e-3, 1.0)
     solved, solve = [], studies.minimize_total_cost
 
@@ -207,12 +245,17 @@ def test_curve_ends_reuse_the_threshold_solves(monkeypatch, frame):
         return solve(scenario, model=model)
 
     monkeypatch.setattr(studies, "minimize_total_cost", counted)
-    _, curve = studies._frame_task(frame)
+    scn = validate(Scenario(geometry=FRAME_CATALOG[frame]))
+    th, curve = studies._scenario_task((scn, studies._CURVE_P_GRID, True))
+    assert th is not None
     assert solved == [1e-5, 1e-4, 1e-2, 1e-1]
-    by_p = {row[1]: row for row in curve}
-    assert list(by_p) == list(studies._CURVE_P_GRID)
+    assert len(curve) == len(studies._CURVE_P_GRID)
+    by_p = dict(zip(studies._CURVE_P_GRID, curve))
+
+    def bits(opt):
+        bd = opt.beta_damaged
+        return [x.hex() for x in (opt.factors.lambda_b, opt.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg)]
+
     for p_ld in probed:
         fresh = minimize_total_cost(validate(Scenario(geometry=FRAME_CATALOG[frame], p_ld=p_ld)))
-        bd = fresh.beta_damaged
-        expected = (fresh.factors.lambda_b, fresh.factors.lambda_c, bd.beta_b, bd.beta_pl, bd.beta_pg)
-        assert [x.hex() for x in by_p[p_ld][2:]] == [x.hex() for x in expected]
+        assert bits(by_p[p_ld]) == bits(fresh)
