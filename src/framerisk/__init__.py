@@ -23,8 +23,8 @@ from .design import (
     design_members,
     design_nlc,
     nlc_member_design,
+    size_members,
     strengthen_apm,
-    strengthening_factors,
 )
 from .mechanics import (
     CollapseMode,

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 from .model import DamageScenario, FrameGeometry, LoadModel, Scenario
 
-NLC_COMBO = (1.2, 1.6)
-REMOVAL_COMBO = (1.2, 0.5)
-
 
 @dataclass(frozen=True)
 class MemberDesign:
@@ -34,18 +31,13 @@ class MemberDesign:
     r_sf: float
 
 
-def factored_load(loads: LoadModel, combo: tuple[float, float]) -> float:
-    dead_f, live_f = combo
-    return dead_f * loads.d_n + live_f * loads.l_n
-
-
 def design_nlc(geom: FrameGeometry, loads: LoadModel, phi: float) -> tuple[float, float]:
     """Required beam moment (kNm) and column capacity (kN) under normal
     loading, i.e. the intact-frame strength equations inverted at the
     factored design load."""
     if not 0 < phi <= 1:
         raise ValueError(f"phi must be in (0, 1], got {phi}")
-    q = factored_load(loads, NLC_COMBO)
+    q = 1.2 * loads.d_n + 1.6 * loads.l_n  # factored load, 1.2D + 1.6L
     b_y = geom.L**2 / (16.0 * phi) * q
     r_c = geom.L * geom.n_s * (geom.n_c - 1) / (phi * geom.n_c) * q
     return b_y, r_c
@@ -70,37 +62,34 @@ def strengthen_apm(
         raise ValueError("strengthening requires n_rc0 >= 1; size with design_nlc instead")
     if damage.n_rc0 > geom.n_c - 2:
         raise ValueError(f"n_rc0 must leave two intact columns (n_rc0={damage.n_rc0}, n_c={geom.n_c})")
-    q = factored_load(loads, REMOVAL_COMBO)
+    q = 1.2 * loads.d_n + 0.5 * loads.l_n  # factored load, 1.2D + 0.5L
     b_y_0 = damage.n_rc0 * geom.L**2 / (4.0 * phi) * q
     share = 2.0 - (geom.n_c - 1) / geom.n_c + damage.n_rc0 * (1.0 - damage.n_rs0 / geom.n_s)
     r_c_0 = max(r_c_nlc, geom.L * geom.n_s / phi * share * q)
     return b_y_0, r_c_0
 
 
-def strengthening_factors(design: MemberDesign) -> tuple[float, float]:
-    if design.b_y_nlc <= 0 or design.r_c_nlc <= 0:
-        raise ValueError("normal-condition capacities must be positive")
-    return design.b_y_0 / design.b_y_nlc, design.r_c_0 / design.r_c_nlc
+def size_members(scenario: Scenario) -> MemberDesign:
+    """NLC design, strengthening for the scenario's damage, and their ratios."""
+    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
+    b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
+    return MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_y_0 / b_y_nlc, r_c_0 / r_c_nlc)
 
 
 def design_members(scenario: Scenario) -> MemberDesign:
-    """Full sizing pipeline for a scenario: NLC design, then strengthening
-    for the scenario's discretionary damage."""
-    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
-    b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
-    if b_y_0 < b_y_nlc:
+    """:func:`size_members`, warning where the strengthened beam is the weaker."""
+    design = size_members(scenario)
+    if design.b_y_0 < design.b_y_nlc:
         # The removal condition has no floor at the normal-condition beam
         # strength.  L cancels from b_y_0/b_y_nlc =
         # 4 n_rc0 (phi_nlc/phi_apm) (1.2d + 0.5l)/(1.2d + 1.6l), so whatever
         # the bay length this binds only for phi_nlc/phi_apm < 0.8/n_rc0.
         warnings.warn(
-            f"strengthened beam requirement {b_y_0:.4g} kNm is below the "
-            f"normal-condition requirement {b_y_nlc:.4g} kNm",
+            f"strengthened beam requirement {design.b_y_0:.4g} kNm is below the "
+            f"normal-condition requirement {design.b_y_nlc:.4g} kNm",
             stacklevel=2,
         )
-    design = MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, 0.0, 0.0)
-    b_sf, r_sf = strengthening_factors(design)
-    return MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_sf, r_sf)
+    return design
 
 
 def nlc_member_design(scenario: Scenario) -> MemberDesign:

@@ -105,6 +105,16 @@ class LoadModel:
             m = LIVE_50_BIAS * self.l_n
             object.__setattr__(self, "live_50", RandomVarStats(m, LIVE_50_COV * m, "gumbel"))
 
+    def moments(self) -> tuple[float, ...]:
+        """``mu_rb, var_rb, mu_rc, var_rc`` of the resistance factors, then
+        ``mu_l50, var_l50, mu_lapt, var_lapt`` of dead plus live load, as floats:
+        a std is squared as a float, so one squared beyond range raises OverflowError."""
+        rb, rc, d, l50, lapt = self.beam_resistance, self.column_resistance, self.dead, self.live_50, self.live_apt
+        var_d = float(d.std) ** 2
+        return (float(rb.mean), float(rb.std) ** 2, float(rc.mean), float(rc.std) ** 2,
+                float(d.mean) + float(l50.mean), var_d + float(l50.std) ** 2,
+                float(d.mean) + float(lapt.mean), var_d + float(lapt.std) ** 2)
+
 
 @dataclass(frozen=True)
 class CostParameters:
@@ -250,23 +260,26 @@ def violations(scenario: Scenario) -> list[str]:
         rv = getattr(ld, name)
         if not rv.mean > 0:
             out.append(f"{name}.mean > 0 violated ({name}.mean={rv.mean})")
-        # A zero total variance leaves the reliability index undefined.  The
-        # squares are taken as float products so that huge stds give inf, not
-        # OverflowError, and tiny ones count as zero where they underflow.
-        for live in ("live_apt", "live_50"):
-            s_r, s_d, s_l = float(rv.std), float(ld.dead.std), float(getattr(ld, live).std)
-            if s_r * s_r + s_d * s_d + s_l * s_l == 0:
-                out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
-    if not out:
-        # sizing that overflows or vanishes leaves every cost and index nan
-        from .design import design_nlc, strengthen_apm  # design.py imports this module
+    try:  # the moments RiskModel reads: an index needs them finite, each total variance nonzero
+        moments = ld.moments()
+    except OverflowError:
+        moments = ()
+    if not moments or not all(map(math.isfinite, moments)):
+        out.append(f"load and resistance means and variances must be finite {moments or '(overflow)'}")
+    elif 0 in moments[1::2]:  # a total variance is zero only where its two variances are
+        for name, var_r in (("beam_resistance", moments[1]), ("column_resistance", moments[3])):
+            for live, var_l in (("live_apt", moments[7]), ("live_50", moments[5])):
+                if var_r + var_l == 0:
+                    out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
+    if not out:  # sizing that overflows or vanishes leaves every cost and index nan
         try:
-            b_y, r_c = design_nlc(g, ld, scenario.phi_nlc)
-            sizes = (b_y, r_c, *strengthen_apm(g, ld, dm, scenario.phi_apm, r_c))
-        except OverflowError:  # L**2 beyond float range
+            d = _design.size_members(scenario)
+            sizes = (d.b_y_nlc, d.r_c_nlc, d.b_y_0, d.r_c_0, d.b_sf, d.r_sf)
+        except (OverflowError, ZeroDivisionError):  # L**2 beyond float range, or a capacity of 0
             sizes = ()
-        if not sizes or not all(0 < size < math.inf for size in sizes):
-            out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive ({sizes or 'overflow'})")
+        if not (sizes and all(map(math.isfinite, sizes)) and min(sizes) > 0):
+            out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive, and so must the "
+                       f"strengthening factors b_sf, r_sf {sizes or '(overflow)'}")
     return out
 
 
@@ -292,3 +305,6 @@ def annual_from_lifetime(p_ld: float) -> float:
     if not 0.0 <= p_ld < 1.0:
         raise ValueError(f"p_ld must be in [0, 1), got {p_ld}")
     return -math.log1p(-p_ld) / 50.0
+
+
+from . import design as _design  # noqa: E402  (bound last: design.py imports this module)

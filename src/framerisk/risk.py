@@ -101,13 +101,8 @@ class RiskModel:
             design = design_members(scenario)
         self.design = design
 
-        # Load-effect statistics per horizon.
-        self.mu_rb, self.var_rb = loads.beam_resistance.mean, loads.beam_resistance.std**2
-        self.mu_rc, self.var_rc = loads.column_resistance.mean, loads.column_resistance.std**2
-        self.mu_l50 = loads.dead.mean + loads.live_50.mean
-        self.var_l50 = loads.dead.std**2 + loads.live_50.std**2
-        self.mu_lapt = loads.dead.mean + loads.live_apt.mean
-        self.var_lapt = loads.dead.std**2 + loads.live_apt.std**2
+        (self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
+         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = loads.moments()
 
         # Failure costs of the whole frame are held at unit design factors.
         self.const_0, self.const_b, self.const_c = costmod.construction_coefficients(scenario, design)

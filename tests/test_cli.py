@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from framerisk import RiskModel, Scenario, cli, studies, validate
+from framerisk import ExpectedCost, OptimizationError, RiskModel, Scenario, cli, size_members, studies, validate
 from framerisk.cli import run_command
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -66,11 +68,40 @@ def test_unknown_scenario_key_is_data_error(tmp_path, capsys):
     assert "floors" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "scn.json"
-    # finite loads this large overflow the load-effect variances
+    # finite loads this large overflow the load-effect variances, which
+    # validate computes as RiskModel does, so optimize never starts
     path.write_text('{"loads": {"d_n": 1e200, "l_n": 1e200}}')
-    assert run_command(["optimize", "--scenario", str(path)]) == 3
+    assert run_command(["optimize", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: load and resistance means and variances must be finite")
+    assert len(err.splitlines()) == 1
+
+
+def _raise_optimization_error(*args, **kwargs):
+    raise OptimizationError("the objective was not finite at any start point")
+
+
+# One numerical failure per command, injected past validation: a result with
+# a non-finite term or a solve that fails.
+_NUMERICAL_FAILURES = {
+    "design": (cli, "design_members", lambda scenario: replace(size_members(scenario), b_sf=math.inf)),
+    "evaluate": (RiskModel, "breakdown", lambda model, lb, lc: ExpectedCost(1.0, math.nan, 0.0, 0.0, math.nan)),
+    "trace": (cli, "trace_table", lambda scenario, factors: (["n_fc", "expected_cost"], [(1, math.inf)])),
+    "beta": (cli, "reliability_grid", lambda scenario, factors: (["live", "mode", "beta"], [("apt", "bending", math.nan)])),
+    "optimize": (cli, "minimize_total_cost", _raise_optimization_error),
+    "threshold": (cli, "threshold_probability", _raise_optimization_error),
+}
+
+
+@pytest.mark.parametrize("command", list(_NUMERICAL_FAILURES))
+def test_numerical_failure_is_exit_3(monkeypatch, capsys, command):
+    monkeypatch.setattr(*_NUMERICAL_FAILURES[command])
+    assert run_command([command]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
 def test_string_catenary_flag_is_data_error(tmp_path, capsys):
@@ -214,16 +245,17 @@ def test_evaluate_prints_breakdown(capsys):
 
 @pytest.mark.parametrize("command", ["design", "evaluate", "trace", "beta"])
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, command):
-    # validate accepts this scenario, as its capacities are finite, but the
-    # strengthening factor b_y_0 / b_y_nlc overflows and so does the beam
-    # resistance's variance, and the result's terms come out non-finite
+    # the strengthening factor b_y_0 / b_y_nlc of this scenario overflows and
+    # so does the beam resistance's variance; validate reads the moments
+    # RiskModel reads and rejects the scenario before any command computes
     path = tmp_path / "scn.json"
     loads = {"d_n": 1e-10, "l_n": 1e-10, "beam_resistance": {"mean": 1.22, "std": 1e300}}
     path.write_text(json.dumps({"geometry": {"L": 0.1}, "phi_apm": 1e-308, "loads": loads}))
-    assert run_command([command, "--scenario", str(path)]) == 3
+    assert run_command([command, "--scenario", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    assert err.startswith("error: load and resistance means and variances must be finite")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])

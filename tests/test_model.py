@@ -72,19 +72,35 @@ def test_damage_extent_bounds():
     assert not violations(replace(scn, damage=replace(scn.damage, n_rc0=7)))
 
 
+SIZING = "b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive"
+MOMENTS = "load and resistance means and variances must be finite"
+
+
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"psi": 1.0, "phi_apm": 2.2250738585072014e-308},
-        {"loads": {"l_n": 1e150}, "phi_nlc": 1e-300},
-        {"geometry": {"L": 6e-300}},
-        {"geometry": {"L": 1e200}},
+        ({"psi": 1.0, "phi_apm": 2.2250738585072014e-308}, SIZING),
+        ({"loads": {"l_n": 1e150}, "phi_nlc": 1e-300}, SIZING),
+        ({"geometry": {"L": 6e-300}}, SIZING),
+        ({"geometry": {"L": 1e200}}, SIZING),
+        ({"geometry": {"L": 0.1}, "phi_apm": 1e-308, "loads": {"d_n": 1e-10, "l_n": 1e-10}}, SIZING),
+        ({"loads": {"d_n": 1e200, "l_n": 1e200}}, MOMENTS),
+        ({"loads": {"beam_resistance": {"mean": 1.22, "std": 10**200}}}, MOMENTS),
     ],
-    ids=["b_y_0 overflows", "b_y_nlc overflows", "L squared vanishes", "L squared overflows"],
+    ids=[
+        "b_y_0 overflows",
+        "b_y_nlc overflows",
+        "L squared vanishes",
+        "L squared overflows",
+        "b_sf overflows",
+        "load variances overflow",
+        "integer std squared overflows",
+    ],
 )
-def test_sizing_that_overflows_or_vanishes_rejected(doc):
-    # each range rule holds, but the member sizing is not finite and positive
-    with pytest.raises(ValidationError, match="b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive"):
+def test_sizing_that_overflows_or_vanishes_rejected(doc, message):
+    # each range rule holds, but the member sizing, its ratios or the
+    # moments RiskModel reads are not finite (and positive)
+    with pytest.raises(ValidationError, match=message):
         scenario_from_dict(doc)
 
 

@@ -2,14 +2,15 @@
 scenario is either accepted or rejected with a ``ValueError`` (a data error,
 exit 2), never with another exception, and ``framerisk evaluate`` on such a
 document keeps to its exit codes.  An accepted document sizes, builds and
-evaluates to finite terms, and its float kernel, which prunes the chain
-walk, keeps the bits of the walk over every stage; its stage costs never
-fall along the chain, so the kernel's one cap prunes as a cap per stage
-would.  Every collapse strength
-is homogeneous of degree one in its capacity.  On accepted documents the
-sizing, costs, objective terms and reliability indexes agree with the
-independent numpy evaluator of the benchmark (``perfbench/reference.py``).
-None of them runs the optimizer."""
+evaluates to finite terms; where its numbers may lie anywhere in the float
+range, it still sizes to finite capacities and ratios, has finite moments
+and builds.  Its float kernel, which prunes the chain walk, keeps the bits
+of the walk over every stage; its stage costs never fall along the chain, so
+the kernel's one cap prunes as a cap per stage would.  Every collapse
+strength is homogeneous of degree one in its capacity.  On accepted
+documents the sizing, costs, objective terms and reliability indexes agree
+with the independent numpy evaluator of the benchmark
+(``perfbench/reference.py``).  None of them runs the optimizer."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
@@ -43,6 +44,7 @@ from framerisk import (  # noqa: E402
     local_pancake_strength,
     scenario_from_dict,
     set_scenario_field,
+    size_members,
     validate,
 )
 from framerisk.cli import run_command  # noqa: E402
@@ -86,22 +88,40 @@ def _either(*strategies) -> st.SearchStrategy:
     return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
 
 
-def _documents(instance, junk: st.SearchStrategy | None) -> st.SearchStrategy:
+def _halved(value) -> st.SearchStrategy:
+    """A number's default scaled by a factor in [1/2, 1], which keeps every
+    rule of :func:`validate`."""
+    if type(value) is int:
+        return st.integers((value + 1) // 2, value)
+    return st.floats(value / 2, value)
+
+
+# log-uniform in magnitude across the float range, subnormals included, of either sign
+magnitudes = st.builds(
+    lambda mantissa, exponent, sign: sign * math.ldexp(mantissa, exponent),
+    st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023), st.sampled_from((1, -1)),
+)
+
+
+def _spread(value) -> st.SearchStrategy:
+    """One time in eight any magnitude of either sign (an integer for a
+    count), else :func:`_halved`, so that about half the documents pass."""
+    return st.integers(0, 7).flatmap(lambda k: magnitudes.map(type(value)) if k == 0 else _halved(value))
+
+
+def _documents(instance, junk: st.SearchStrategy | None, number=_halved) -> st.SearchStrategy:
     """JSON objects over the keys of a dataclass instance.  A key maps to a
     valid value or, as often when ``junk`` is given, to a draw from it.  The
-    valid value of a number is its default scaled by a factor in [1/2, 1],
-    which keeps every rule of :func:`validate`, and that of a dataclass field
-    a document of the field's own keys.  Keys of fields without a default
-    are always present."""
+    valid value of a number is drawn by ``number`` from its default, and that
+    of a dataclass field is a document of the field's own keys.  Keys of
+    fields without a default are always present."""
     required, optional = {}, {}
     for f in fields(instance):
         value = getattr(instance, f.name)
         if is_dataclass(value):
-            valid = _documents(value, junk)
-        elif type(value) is int:
-            valid = st.integers((value + 1) // 2, value)
-        elif type(value) is float:
-            valid = st.floats(value / 2, value)
+            valid = _documents(value, junk, number)
+        elif type(value) in (int, float):
+            valid = number(value)
         else:
             valid = st.just(value)
         keys = required if f.default is MISSING and f.default_factory is MISSING else optional
@@ -141,6 +161,27 @@ def test_accepted_scenario_evaluates_to_finite_terms(doc):
     model = RiskModel(scenario, design_members(scenario))
     assert math.isfinite(model.evaluate(1.0, 1.0))
     assert all(math.isfinite(term) for term in astuple(model.breakdown(1.0, 1.0)))
+
+
+# Every number of a document may be drawn from anywhere in the float range
+# (see _spread).  validate must reject what the build cannot size or build: an
+# accepted scenario has finite, positive sizes and strengthening factors,
+# finite moments with nonzero total variances, and a RiskModel.
+@settings(max_examples=400)
+@given(doc=_documents(Scenario(), None, _spread))
+@example(doc={"geometry": {"L": 0.1}, "phi_apm": 1e-308, "loads": {"d_n": 1e-10, "l_n": 1e-10}})  # b_sf overflows
+@example(doc={"loads": {"d_n": 1e200, "l_n": 1e200}})  # the load variances overflow
+def test_accepted_scenario_sizes_and_builds(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValueError:
+        return
+    d = size_members(scenario)
+    assert all(0 < size < math.inf for size in (d.b_y_nlc, d.r_c_nlc, d.b_y_0, d.r_c_0, d.b_sf, d.r_sf)), d
+    _, var_rb, _, var_rc, _, var_l50, _, var_lapt = moments = scenario.loads.moments()
+    assert all(math.isfinite(m) for m in moments), moments
+    assert all(var_r + var_l > 0 for var_r in (var_rb, var_rc) for var_l in (var_l50, var_lapt)), moments
+    RiskModel(scenario, d)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
