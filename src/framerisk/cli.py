@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .catalog import parse_damage_token, parse_frame_token
 from .design import design_members
-from .model import DesignFactors, Scenario, annual_from_lifetime, validate
+from .model import MAX_FACTOR, DesignFactors, Scenario, annual_from_lifetime, validate
 from .optimize import BRACKETED, OptimizationError, minimize_total_cost, threshold_probability
 from .output import emit_csv, format_value
 from .risk import RiskModel
@@ -57,12 +57,6 @@ def _resolve_scenario(args) -> Scenario:
     if args.catenary:
         scenario = replace(scenario, include_catenary=True)
     return validate(scenario)
-
-
-# Far above any design the model means (the optimizer searches [0.05, 5]);
-# the reliability index squares the factored strength, which overflows
-# from about 1e154 and loses every digit long before.
-MAX_FACTOR = 1e6
 
 
 def _factors(args) -> DesignFactors:

@@ -12,6 +12,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field, is_dataclass
+from math import inf
 from typing import get_type_hints
 
 
@@ -160,6 +161,12 @@ class Scenario:
         """Catenary parameter entering the bending limit states."""
         return self.psi if self.include_catenary else 0.0
 
+    def chain_stages(self) -> range:
+        """Damage extents of the progression chain: the initial extent, then
+        two more columns at a time, never beyond n_c - 2 (two columns must
+        remain)."""
+        return range(self.damage.n_rc0, self.geometry.n_c - 1, 2)
+
 
 def _scalar_fields(cls, prefix: str = ""):
     """Dotted name and annotated type of every scalar field under ``cls``."""
@@ -205,6 +212,37 @@ _LOAD_STATS = tuple(name for name, hint in get_type_hints(LoadModel).items() if 
 # catalog frame has 17.
 MAX_COLUMNS = 1000
 
+# Far above any design the model means (the optimizer searches [0.05, 5]);
+# the reliability index squares the factored strength, which overflows
+# from about 1e154 and loses every digit long before.
+MAX_FACTOR = 1e6
+
+# The range of every bounded field: low bound, high bound (inf when the rule is
+# one-sided, or the earlier field whose value bounds it) and whether the low
+# bound is strict.  Only 1 <= n_rc0 <= n_c - 2 and nonzero loads are
+# written out in ``violations``.
+_RANGES = {
+    "geometry.n_s": (1, inf, False), "geometry.n_c": (2, MAX_COLUMNS, False),
+    "geometry.L": (0, inf, True), "geometry.H": (0, inf, True),
+    "loads.d_n": (0, inf, False), "loads.l_n": (0, inf, False),
+    **{f"loads.{name}.std": (0, inf, False) for name in _LOAD_STATS},
+    "loads.beam_resistance.mean": (0, inf, True), "loads.column_resistance.mean": (0, inf, True),
+    "damage.n_rs0": (0, "geometry.n_s", False),
+    "costs.alpha_b": (0, 1, False), "costs.alpha_c": (0, 1, False),
+    "costs.k_ductile": (0, inf, True), "costs.k_brittle": (0, inf, True),
+    "costs.n_reinf_s": (0, "geometry.n_s", False),
+    "p_ld": (0, 1, False), "psi": (0, 4, False), "phi_nlc": (0, 1, True), "phi_apm": (0, 1, True),
+}
+_INDEX = {name: i for i, (name, _, _) in enumerate(_TYPED_FIELDS)}
+_WALK = tuple(_RANGES.get(name) for name in _INDEX)  # aligned with _TYPED_FIELDS
+
+
+def _range_message(name: str, value, low, high, strict: bool, top) -> str:
+    shown = f"{name}={value}" + (f", {high}={top}" if isinstance(high, str) else "")
+    if high == inf:
+        return f"{name} {'>' if strict else '>='} {low} violated ({shown})"
+    return f"{low} {'<' if strict else '<='} {name} <= {high} violated ({shown})"
+
 
 def violations(scenario: Scenario) -> list[str]:
     """Collect every violated invariant of ``scenario`` (empty when valid).
@@ -212,54 +250,27 @@ def violations(scenario: Scenario) -> list[str]:
     Every scalar field must hold its annotated type: counts integers, other
     numbers finite, ``include_catenary`` a boolean and distribution names
     strings.  When one does not, only those type violations are reported,
-    since the range checks need numbers to compare.
+    since the range checks need numbers to compare.  The same walk checks
+    each bounded field against its row of ``_RANGES``; the numbers the
+    build computes from a scenario in range must then be finite.
     """
-    out = [f"{k} must be {what} ({k}={v!r})" for (k, ok, what), v in zip(_TYPED_FIELDS, _scalars(scenario)) if not ok(v)]
-    if out:
-        return out
-    g, dm, c, ld = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
-    if g.n_s < 1:
-        out.append(f"n_s >= 1 violated (n_s={g.n_s})")
-    if not 2 <= g.n_c <= MAX_COLUMNS:
-        out.append(f"2 <= n_c <= {MAX_COLUMNS} violated (n_c={g.n_c})")
-    if not g.L > 0:
-        out.append(f"L > 0 violated (L={g.L})")
-    if not g.H > 0:
-        out.append(f"H > 0 violated (H={g.H})")
+    values = _scalars(scenario)
+    wrong, out = [], []
+    for (name, ok, what), rule, value in zip(_TYPED_FIELDS, _WALK, values):
+        if not ok(value):
+            wrong.append(f"{name} must be {what} ({name}={value!r})")
+        elif rule and not wrong:
+            low, high, strict = rule
+            top = values[_INDEX[high]] if isinstance(high, str) else high
+            if value < low or strict and value == low or value > top:
+                out.append(_range_message(name, value, *rule, top))
+    if wrong:
+        return wrong
+    g, dm, ld = scenario.geometry, scenario.damage, scenario.loads
     if not 1 <= dm.n_rc0 <= g.n_c - 2:
         out.append(f"1 <= n_rc0 <= n_c - 2 violated (n_rc0={dm.n_rc0}, n_c={g.n_c})")
-    if not 0 <= dm.n_rs0 <= g.n_s:
-        out.append(f"0 <= n_rs0 <= n_s violated (n_rs0={dm.n_rs0}, n_s={g.n_s})")
-    if not 0 <= c.alpha_b <= 1:
-        out.append(f"0 <= alpha_b <= 1 violated (alpha_b={c.alpha_b})")
-    if not 0 <= c.alpha_c <= 1:
-        out.append(f"0 <= alpha_c <= 1 violated (alpha_c={c.alpha_c})")
-    if not c.k_ductile > 0:
-        out.append(f"k_ductile > 0 violated (k_ductile={c.k_ductile})")
-    if not c.k_brittle > 0:
-        out.append(f"k_brittle > 0 violated (k_brittle={c.k_brittle})")
-    if not 0 <= c.n_reinf_s <= g.n_s:
-        out.append(f"0 <= n_reinf_s <= n_s violated (n_reinf_s={c.n_reinf_s}, n_s={g.n_s})")
-    if not 0 <= scenario.p_ld <= 1:
-        out.append(f"0 <= p_ld <= 1 violated (p_ld={scenario.p_ld})")
-    if not 0 <= scenario.psi <= 4:
-        out.append(f"0 <= psi <= 4 violated (psi={scenario.psi})")
-    if not 0 < scenario.phi_nlc <= 1:
-        out.append(f"0 < phi_nlc <= 1 violated (phi_nlc={scenario.phi_nlc})")
-    if not 0 < scenario.phi_apm <= 1:
-        out.append(f"0 < phi_apm <= 1 violated (phi_apm={scenario.phi_apm})")
-    if ld.d_n < 0 or ld.l_n < 0:
-        out.append(f"nominal loads must be nonnegative (d_n={ld.d_n}, l_n={ld.l_n})")
-    elif ld.d_n + ld.l_n == 0:
+    if not (ld.d_n or ld.l_n):
         out.append("nominal loads must not both be zero (members would have no size)")
-    for name in _LOAD_STATS:
-        rv = getattr(ld, name)
-        if rv.std < 0:
-            out.append(f"std >= 0 violated ({name}.std={rv.std})")
-    for name in ("beam_resistance", "column_resistance"):
-        rv = getattr(ld, name)
-        if not rv.mean > 0:
-            out.append(f"{name}.mean > 0 violated ({name}.mean={rv.mean})")
     try:  # the moments RiskModel reads: an index needs them finite, each total variance nonzero
         moments = ld.moments()
     except OverflowError:
@@ -280,6 +291,42 @@ def violations(scenario: Scenario) -> list[str]:
         if not (sizes and all(map(math.isfinite, sizes)) and min(sizes) > 0):
             out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive, and so must the "
                        f"strengthening factors b_sf, r_sf {sizes or '(overflow)'}")
+        else:
+            out += _overflows(scenario, d, moments)
+    return out
+
+
+def _overflows(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, ...]) -> list[str]:
+    """The factored strengths and failure costs of a sized scenario that
+    leave float range.
+
+    An index of the factored strength ``r`` is ``(r*mu_r - mu_l) /
+    sqrt(r*r*var_r + var_l)``.  Its strengths are the unit strengths of the
+    normal-condition and strengthened intact frames and of the strengthened
+    frame at each chain stage, and a factor scales them by up to MAX_FACTOR;
+    the largest beam and column strength is checked against the larger
+    load variance and the smaller load mean of the two live-load horizons.
+    RiskModel's failure costs of the whole frame are ``k_ductile`` and
+    ``k_brittle`` times the unit-factor construction cost, and every chain
+    cost is at most one of them.
+    """
+    out = []
+    unit = _reliability.unit_strengths
+    sets = [unit(scenario, d.b_y_nlc, d.r_c_nlc), unit(scenario, d.b_y_0, d.r_c_0)]
+    sets += (unit(scenario, d.b_y_0, d.r_c_0, (j, scenario.damage.n_rs0)) for j in scenario.chain_stages())
+    b, pg, pl, cat = zip(*sets)  # the first two sets, intact frames, have no local pancake
+    mu_l, var_l = min(moments[4], moments[6]), max(moments[5], moments[7])
+    members = (("beam", *moments[0:2], max(b + cat)), ("column", *moments[2:4], max(pg + pl[2:])))
+    for member, mu_r, var_r, top in members:
+        r = top * MAX_FACTOR
+        if not (math.isfinite(r * mu_r - mu_l) and math.isfinite(r * r * var_r + var_l)):
+            out.append(f"{member} unit strengths up to {top:.4g} kN/m times factors up to {MAX_FACTOR:g} "
+                       f"must keep every reliability index's mean and variance finite")
+    c0, cb, cc = _costs.construction_coefficients(scenario, d)
+    c_unit, cp = c0 + cb + cc, scenario.costs
+    if not (math.isfinite(cp.k_ductile * c_unit) and math.isfinite(cp.k_brittle * c_unit)):
+        out.append(f"failure costs k_ductile and k_brittle times the unit-factor construction cost "
+                   f"{c_unit:.4g} must be finite")
     return out
 
 
@@ -307,4 +354,5 @@ def annual_from_lifetime(p_ld: float) -> float:
     return -math.log1p(-p_ld) / 50.0
 
 
-from . import design as _design  # noqa: E402  (bound last: design.py imports this module)
+# bound last: these modules import this one
+from . import costs as _costs, design as _design, reliability as _reliability  # noqa: E402

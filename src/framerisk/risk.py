@@ -116,9 +116,7 @@ class RiskModel:
         self.intact_strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0)
         self.a_b50, self.a_pg50 = self.intact_strengths.beta_b, self.intact_strengths.beta_pg
 
-        # Progression extents: the initial extent, then two more columns at
-        # a time, never beyond n_c - 2 (two columns must remain).
-        self.stages = list(range(dm.n_rc0, g.n_c - 1, 2))
+        self.stages = list(scenario.chain_stages())
         self.stage_strengths = [
             unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, dm.n_rs0)) for j in self.stages
         ]

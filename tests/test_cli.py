@@ -258,6 +258,23 @@ def test_non_finite_result_is_numerical_failure(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["design", "beta", "evaluate", "trace", "optimize", "threshold"])
+@pytest.mark.parametrize(
+    "doc",
+    [{"phi_apm": 1e-160}, {"costs": {"k_ductile": 1e130}, "phi_apm": 1e-224}],
+    ids=["strength overflows", "failure cost overflows"],
+)
+def test_overflowing_strength_or_cost_is_data_error(tmp_path, capsys, command, doc):
+    # every index of these strengthened frames would read 0 (p_f = 0.5), or
+    # their failure costs inf; validate rejects them before any command runs
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_command([command, "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
 @pytest.mark.parametrize("flag", ["--lambda-b", "--lambda-c"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])

@@ -16,6 +16,7 @@ from framerisk import (
     validate,
     violations,
 )
+from framerisk.model import _RANGES, _TYPED_FIELDS
 
 
 def test_reference_scenario_is_valid(ref_scenario):
@@ -72,8 +73,65 @@ def test_damage_extent_bounds():
     assert not violations(replace(scn, damage=replace(scn.damage, n_rc0=7)))
 
 
+# One violating document per row of the range table, then the two rules
+# that join fields; each must give exactly its rule's message.
+_RANGE_CASES = {
+    "geometry.n_s": ({"geometry": {"n_s": 0}}, "geometry.n_s >= 1 violated (geometry.n_s=0)"),
+    "geometry.n_c": ({"geometry": {"n_c": 1001}}, "2 <= geometry.n_c <= 1000 violated (geometry.n_c=1001)"),
+    "geometry.L": ({"geometry": {"L": 0.0}}, "geometry.L > 0 violated (geometry.L=0.0)"),
+    "geometry.H": ({"geometry": {"H": -3.0}}, "geometry.H > 0 violated (geometry.H=-3.0)"),
+    "loads.d_n": ({"loads": {"d_n": -1.0}}, "loads.d_n >= 0 violated (loads.d_n=-1.0)"),
+    "loads.l_n": ({"loads": {"l_n": -1.0}}, "loads.l_n >= 0 violated (loads.l_n=-1.0)"),
+    **{
+        f"loads.{name}.std": ({"loads": {name: {"mean": 1.0, "std": -0.1}}},
+                              f"loads.{name}.std >= 0 violated (loads.{name}.std=-0.1)")
+        for name in ("dead", "live_apt", "live_50", "beam_resistance", "column_resistance")
+    },
+    **{
+        f"loads.{name}.mean": ({"loads": {name: {"mean": 0.0, "std": 0.2}}},
+                               f"loads.{name}.mean > 0 violated (loads.{name}.mean=0.0)")
+        for name in ("beam_resistance", "column_resistance")
+    },
+    "damage.n_rs0": ({"damage": {"n_rs0": 9}},
+                     "0 <= damage.n_rs0 <= geometry.n_s violated (damage.n_rs0=9, geometry.n_s=8)"),
+    "costs.alpha_b": ({"costs": {"alpha_b": 1.5}}, "0 <= costs.alpha_b <= 1 violated (costs.alpha_b=1.5)"),
+    "costs.alpha_c": ({"costs": {"alpha_c": -0.1}}, "0 <= costs.alpha_c <= 1 violated (costs.alpha_c=-0.1)"),
+    "costs.k_ductile": ({"costs": {"k_ductile": 0.0}}, "costs.k_ductile > 0 violated (costs.k_ductile=0.0)"),
+    "costs.k_brittle": ({"costs": {"k_brittle": -40.0}}, "costs.k_brittle > 0 violated (costs.k_brittle=-40.0)"),
+    "costs.n_reinf_s": ({"costs": {"n_reinf_s": 9}},
+                        "0 <= costs.n_reinf_s <= geometry.n_s violated (costs.n_reinf_s=9, geometry.n_s=8)"),
+    "p_ld": ({"p_ld": 1.5}, "0 <= p_ld <= 1 violated (p_ld=1.5)"),
+    "psi": ({"psi": 4.5}, "0 <= psi <= 4 violated (psi=4.5)"),
+    "phi_nlc": ({"phi_nlc": 0.0}, "0 < phi_nlc <= 1 violated (phi_nlc=0.0)"),
+    "phi_apm": ({"phi_apm": 1.5}, "0 < phi_apm <= 1 violated (phi_apm=1.5)"),
+    "n_rc0 leaves two columns": ({"damage": {"n_rc0": 8}}, "1 <= n_rc0 <= n_c - 2 violated (n_rc0=8, n_c=9)"),
+    "loads both zero": (
+        {"loads": {"d_n": 0.0, "l_n": 0.0}}, "nominal loads must not both be zero (members would have no size)"
+    ),
+}
+
+
+def test_range_table_rows_are_scalar_fields_with_a_case():
+    # a bounding field is walked before the field it bounds, so its type is
+    # known when the bound is read
+    names = [name for name, _, _ in _TYPED_FIELDS]
+    assert set(_RANGES) <= set(names) and set(_RANGES) <= set(_RANGE_CASES)
+    for name, (_, high, _) in _RANGES.items():
+        if isinstance(high, str):
+            assert names.index(high) < names.index(name)
+
+
+@pytest.mark.parametrize("doc, message", _RANGE_CASES.values(), ids=_RANGE_CASES.keys())
+def test_each_range_rule_gives_its_message(doc, message):
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert message in err.value.violations
+
+
 SIZING = "b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive"
 MOMENTS = "load and resistance means and variances must be finite"
+STRENGTHS = "unit strengths up to .* must keep every reliability index's mean and variance finite"
+COSTS = "failure costs k_ductile and k_brittle times the unit-factor construction cost"
 
 
 @pytest.mark.parametrize(
@@ -86,6 +144,9 @@ MOMENTS = "load and resistance means and variances must be finite"
         ({"geometry": {"L": 0.1}, "phi_apm": 1e-308, "loads": {"d_n": 1e-10, "l_n": 1e-10}}, SIZING),
         ({"loads": {"d_n": 1e200, "l_n": 1e200}}, MOMENTS),
         ({"loads": {"beam_resistance": {"mean": 1.22, "std": 10**200}}}, MOMENTS),
+        ({"phi_apm": 1e-160}, STRENGTHS),
+        ({"loads": {"beam_resistance": {"mean": 1e305, "std": 0.2}}}, STRENGTHS),
+        ({"costs": {"k_ductile": 1e130}, "phi_apm": 1e-224}, COSTS),
     ],
     ids=[
         "b_y_0 overflows",
@@ -95,11 +156,15 @@ MOMENTS = "load and resistance means and variances must be finite"
         "b_sf overflows",
         "load variances overflow",
         "integer std squared overflows",
+        "factored strength squared overflows",
+        "factored strength times resistance mean overflows",
+        "failure cost overflows",
     ],
 )
 def test_sizing_that_overflows_or_vanishes_rejected(doc, message):
-    # each range rule holds, but the member sizing, its ratios or the
-    # moments RiskModel reads are not finite (and positive)
+    # each range rule holds, but the member sizing, its ratios, the moments
+    # RiskModel reads, the factored strengths of an index or the failure
+    # costs are not finite (and positive)
     with pytest.raises(ValidationError, match=message):
         scenario_from_dict(doc)
 
