@@ -70,10 +70,15 @@ def strengthen_apm(
 
 
 def size_members(scenario: Scenario) -> MemberDesign:
-    """NLC design, strengthening for the scenario's damage, and their ratios."""
-    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
-    b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
-    return MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_y_0 / b_y_nlc, r_c_0 / r_c_nlc)
+    """NLC design, strengthening for the scenario's damage, and their ratios,
+    sized once per scenario instance and kept on it, as
+    :func:`risk.precomputed` keeps the numbers built on it."""
+    store = vars(scenario)
+    if "_sizing" not in store:
+        b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
+        b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
+        store["_sizing"] = MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_y_0 / b_y_nlc, r_c_0 / r_c_nlc)
+    return store["_sizing"]
 
 
 def design_members(scenario: Scenario) -> MemberDesign:

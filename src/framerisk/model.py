@@ -145,6 +145,11 @@ class Scenario:
     cost objective only when ``include_catenary`` is set.  ``phi_nlc`` and
     ``phi_apm`` are the resistance factors for normal-condition design and
     for strengthening.
+
+    ``design.size_members`` and ``risk.precomputed`` keep what they compute
+    from an instance in its ``__dict__``, outside its fields, as
+    ``functools.cached_property`` does: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` see the fields alone.
     """
 
     geometry: FrameGeometry = FrameGeometry(8, 9)
@@ -212,9 +217,12 @@ _LOAD_STATS = tuple(name for name, hint in get_type_hints(LoadModel).items() if 
 # catalog frame has 17.
 MAX_COLUMNS = 1000
 
-# Far above any design the model means (the optimizer searches [0.05, 5]);
-# the reliability index squares the factored strength, which overflows
-# from about 1e154 and loses every digit long before.
+# The box the optimizer searches each design factor in.
+FACTOR_BOUNDS = (0.05, 5.0)
+
+# Far above any design the model means; the reliability index squares the
+# factored strength, which overflows from about 1e154 and loses every digit
+# long before.
 MAX_FACTOR = 1e6
 
 # The range of every bounded field: low bound, high bound (inf when the rule is
@@ -252,7 +260,8 @@ def violations(scenario: Scenario) -> list[str]:
     strings.  When one does not, only those type violations are reported,
     since the range checks need numbers to compare.  The same walk checks
     each bounded field against its row of ``_RANGES``; the numbers the
-    build computes from a scenario in range must then be finite.
+    build computes from a scenario in range must then be finite, and so must
+    every reliability index over the factor range (see ``_indexes``).
     """
     values = _scalars(scenario)
     wrong, out = [], []
@@ -292,41 +301,56 @@ def violations(scenario: Scenario) -> list[str]:
             out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive, and so must the "
                        f"strengthening factors b_sf, r_sf {sizes or '(overflow)'}")
         else:
-            out += _overflows(scenario, d, moments)
+            out += _indexes(scenario, d, moments)
     return out
 
 
-def _overflows(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, ...]) -> list[str]:
-    """The factored strengths and failure costs of a sized scenario that
-    leave float range.
+def _indexes(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, ...]) -> list[str]:
+    """The rules on the reliability indexes and failure costs of a sized
+    scenario, read from the precomputed numbers of its sizing.
 
     An index of the factored strength ``r`` is ``(r*mu_r - mu_l) /
-    sqrt(r*r*var_r + var_l)``.  Its strengths are the unit strengths of the
-    normal-condition and strengthened intact frames and of the strengthened
-    frame at each chain stage, and a factor scales them by up to MAX_FACTOR;
-    the largest beam and column strength is checked against the larger
-    load variance and the smaller load mean of the two live-load horizons.
+    sqrt(r*r*var_r + var_l)`` at either live-load horizon.  Its strengths are
+    the unit strengths of the normal-condition and strengthened intact
+    frames and of the strengthened frame at each chain stage, and a factor
+    scales them by FACTOR_BOUNDS[0] up to MAX_FACTOR, so each member's ``r``
+    lies in ``[lo, hi]``.  At ``hi`` the mean and variance must be finite,
+    and at ``lo`` the variance, which rises with ``r``, nonzero.  The index
+    itself must be finite over ``[lo, hi]``.  For a load mean >= 0 it rises
+    with ``r``, so it is checked at the two ends.  For a negative load mean it
+    is positive, and with ``var_r > 0`` it peaks at ``r = mu_r*var_l /
+    (-mu_l*var_r)``, so that point, held in ``[lo, hi]``, is checked too.
     RiskModel's failure costs of the whole frame are ``k_ductile`` and
     ``k_brittle`` times the unit-factor construction cost, and every chain
-    cost is at most one of them.
+    cost is at most one of them; they must be finite.
     """
+    table = _risk.precomputed(scenario, d)
+    # the first two sets, intact frames, have no local pancake
+    b, pg, pl, cat = zip(table.nlc_strengths, table.intact_strengths, *table.stage_strengths)
+    horizons = (moments[4:6], moments[6:8])  # (mu_l, var_l) at 50 years and at an arbitrary point in time
+    # a mean is finite at both horizons where it is at the smaller load mean,
+    # a variance finite where it is at the larger load variance and nonzero
+    # where it is at the smaller one
+    least_mu_l = min(moments[4], moments[6])
+    least_var_l, most_var_l = min(moments[5], moments[7]), max(moments[5], moments[7])
     out = []
-    unit = _reliability.unit_strengths
-    sets = [unit(scenario, d.b_y_nlc, d.r_c_nlc), unit(scenario, d.b_y_0, d.r_c_0)]
-    sets += (unit(scenario, d.b_y_0, d.r_c_0, (j, scenario.damage.n_rs0)) for j in scenario.chain_stages())
-    b, pg, pl, cat = zip(*sets)  # the first two sets, intact frames, have no local pancake
-    mu_l, var_l = min(moments[4], moments[6]), max(moments[5], moments[7])
-    members = (("beam", *moments[0:2], max(b + cat)), ("column", *moments[2:4], max(pg + pl[2:])))
-    for member, mu_r, var_r, top in members:
-        r = top * MAX_FACTOR
-        if not (math.isfinite(r * mu_r - mu_l) and math.isfinite(r * r * var_r + var_l)):
+    for member, mu_r, var_r, strengths in (("beam", *moments[0:2], b + cat), ("column", *moments[2:4], pg + pl[2:])):
+        low, top = min(strengths), max(strengths)
+        lo, hi = low * FACTOR_BOUNDS[0], top * MAX_FACTOR
+        if not (math.isfinite(hi * mu_r - least_mu_l) and math.isfinite(hi * hi * var_r + most_var_l)):
             out.append(f"{member} unit strengths up to {top:.4g} kN/m times factors up to {MAX_FACTOR:g} "
                        f"must keep every reliability index's mean and variance finite")
-    c0, cb, cc = _costs.construction_coefficients(scenario, d)
-    c_unit, cp = c0 + cb + cc, scenario.costs
-    if not (math.isfinite(cp.k_ductile * c_unit) and math.isfinite(cp.k_brittle * c_unit)):
+        elif not lo * lo * var_r + least_var_l:
+            out.append(f"{member} unit strengths down to {low:.4g} kN/m times factors down to {FACTOR_BOUNDS[0]:g} "
+                       f"must keep every reliability index's variance nonzero")
+        elif not all(math.isfinite(_reliability._moment_index(r, mu_r, var_r, mu_l, var_l, math.sqrt))
+                     for mu_l, var_l in horizons
+                     for r in ((lo, hi, min(max(mu_r * var_l / -mu_l / var_r, lo), hi)) if mu_l < 0 < var_r else (lo, hi))):
+            out.append(f"{member} unit strengths from {low:.4g} to {top:.4g} kN/m times factors from "
+                       f"{FACTOR_BOUNDS[0]:g} to {MAX_FACTOR:g} must keep every reliability index finite")
+    if not (math.isfinite(table.c_nlc_bending) and math.isfinite(table.c_pg)):
         out.append(f"failure costs k_ductile and k_brittle times the unit-factor construction cost "
-                   f"{c_unit:.4g} must be finite")
+                   f"{sum(table.construction):.4g} must be finite")
     return out
 
 
@@ -355,4 +379,4 @@ def annual_from_lifetime(p_ld: float) -> float:
 
 
 # bound last: these modules import this one
-from . import costs as _costs, design as _design, reliability as _reliability  # noqa: E402
+from . import design as _design, reliability as _reliability, risk as _risk  # noqa: E402

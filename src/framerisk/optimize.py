@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import DesignFactors, Scenario
+from .model import FACTOR_BOUNDS, DesignFactors, Scenario
 from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
 from .simplex import minimize
 
 # the floats of np.linspace(0.2, 2.5, 5), bit for bit
 START_GRID = tuple(0.2 + i * ((2.5 - 0.2) / 4) for i in range(5))
-FACTOR_BOUNDS = (0.05, 5.0)
 XTOL = 1e-4
 FTOL = 1e-8
 

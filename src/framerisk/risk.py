@@ -19,7 +19,10 @@ probabilities respond to the design variables.
 
 ``RiskModel`` precomputes everything that does not depend on the design
 factors, which makes a single objective evaluation cheap enough for dense
-grids and multi-start optimization.  ``RiskModel._chain``, never empty, is
+grids and multi-start optimization.  What depends only on the scenario and
+the design, :func:`precomputed` computes once and keeps on the scenario
+instance, where ``validate``, every build and the study tables read it.
+``RiskModel._chain``, never empty, is
 the one per-stage table.  One walk over it yields each stage's terms: the
 vectorized grid runs it on arrays, and :meth:`RiskModel.trace` runs it on
 floats and keeps a row per stage.  Every scalar number comes from one
@@ -38,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import costs as costmod
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import SQRT2, _moment_index, _pf_float, unit_strengths
+from .reliability import SQRT2, BetaSet, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,11 +93,68 @@ class ExpectedCost:
     total: float
 
 
+class Precomputed(NamedTuple):
+    """The numbers of a :class:`RiskModel` that depend only on its scenario
+    and design: unit strengths (they scale linearly with the factors), the
+    chain's one table ``(a_b, a_pl, a_pg, c_b, c_pl)`` per stage with its
+    cap, and the construction and failure costs.  Failure costs of the
+    whole frame are held at unit design factors."""
+
+    nlc_strengths: BetaSet  # the normal-condition intact frame
+    intact_strengths: BetaSet  # the strengthened intact frame
+    stages: range
+    stage_strengths: tuple[BetaSet, ...]  # the strengthened frame at each stage
+    chain: tuple[tuple[float, float, float, float, float], ...]
+    cap: float
+    construction: tuple[float, float, float]  # (c0, cb, cc), affine in the factors
+    c_pg: float
+    c_nlc_bending: float
+    c_id: float
+
+
+def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
+    """The :class:`Precomputed` numbers of ``scenario`` and ``design``,
+    computed once per scenario instance and design value and kept on the
+    instance, as :func:`functools.cached_property` keeps its value: a
+    scenario is frozen, so they never go stale, and ``dataclasses.replace``
+    starts a new instance with none.  ``validate`` fills it for the sizing."""
+    tables = vars(scenario).setdefault("_precomputed", {})
+    table = tables.get(design)
+    if table is None:
+        cp, n_rs0 = scenario.costs, scenario.damage.n_rs0
+        stages = scenario.chain_stages()
+        stage_strengths = tuple(unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, n_rs0)) for j in stages)
+        bending_cost, local_cost = costmod.bending_collapse_cost, costmod.local_pancake_cost
+        chain = tuple(
+            (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
+            for j, s in zip(stages, stage_strengths)
+        )
+        c0, cb, cc = costmod.construction_coefficients(scenario, design)
+        c_unit = c0 + cb * 1.0 + cc * 1.0  # RiskModel.construction(1.0, 1.0)
+        c_pg = cp.k_brittle * c_unit
+        table = tables[design] = Precomputed(
+            unit_strengths(scenario, design.b_y_nlc, design.r_c_nlc),
+            unit_strengths(scenario, design.b_y_0, design.r_c_0),
+            stages,
+            stage_strengths,
+            chain,
+            # The objective's one cap, >= 0 and >= every cost after the initial
+            # extent, bounds the stages not yet costed at every check; costs
+            # never fall along the chain, so no cap over fewer stages would be lower.
+            max(0.0, c_pg, *(c for stage in chain[1:] for c in stage[3:])),
+            (c0, cb, cc),
+            c_pg,
+            cp.k_ductile * c_unit,
+            costmod.initial_damage_cost(scenario),
+        )
+    return table
+
+
 class RiskModel:
     """Precomputed expected-cost evaluator for one scenario and design."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
-        g, dm, cp, loads = scenario.geometry, scenario.damage, scenario.costs, scenario.loads
+        g, dm = scenario.geometry, scenario.damage
         if not 1 <= dm.n_rc0 <= g.n_c - 2:  # validate's rule: every model has a chain
             raise ValueError(f"the chain needs 1 <= n_rc0 <= n_c - 2 (n_rc0={dm.n_rc0}, n_c={g.n_c})")
         if design is None:
@@ -102,34 +162,18 @@ class RiskModel:
         self.design = design
 
         (self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
-         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = loads.moments()
+         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = scenario.loads.moments()
 
-        # Failure costs of the whole frame are held at unit design factors.
-        self.const_0, self.const_b, self.const_c = costmod.construction_coefficients(scenario, design)
-        c_unit = self.construction(1.0, 1.0)
-        self.c_pg = cp.k_brittle * c_unit
-        self.c_nlc_bending = cp.k_ductile * c_unit
-        self.c_id = costmod.initial_damage_cost(scenario)
+        table = precomputed(scenario, design)
+        self.const_0, self.const_b, self.const_c = table.construction
+        self.c_pg, self.c_nlc_bending, self.c_id = table.c_pg, table.c_nlc_bending, table.c_id
         self.p_ld = scenario.p_ld
-
-        # Strengths at unit factors (they scale linearly with the factors).
-        self.intact_strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0)
+        self.intact_strengths = table.intact_strengths
         self.a_b50, self.a_pg50 = self.intact_strengths.beta_b, self.intact_strengths.beta_pg
-
-        self.stages = list(scenario.chain_stages())
-        self.stage_strengths = [
-            unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, dm.n_rs0)) for j in self.stages
-        ]
-        # The chain's one table: (a_b, a_pl, a_pg, c_b, c_pl) per stage.
-        bending_cost, local_cost = costmod.bending_collapse_cost, costmod.local_pancake_cost
-        self._chain = tuple(
-            (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
-            for j, s in zip(self.stages, self.stage_strengths)
-        )
-        # The objective's one cap, >= 0 and >= every cost after the initial
-        # extent, bounds the stages not yet costed at every check; costs never
-        # fall along the chain, so no cap over fewer stages would be lower.
-        self._cap = max(0.0, self.c_pg, *(c for stage in self._chain[1:] for c in stage[3:]))
+        self.stages = list(table.stages)  # a list of this model's own; the table's tuples are shared
+        self.stage_strengths = table.stage_strengths
+        self._chain = table.chain
+        self._cap = table.cap
         # (normal, branch) per factor pair, the kernel's terms free of p_ld:
         # solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}

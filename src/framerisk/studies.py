@@ -30,8 +30,8 @@ from .model import (
 )
 from .optimize import BRACKETED, ThresholdResult, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
-from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set, unit_strengths
-from .risk import ProgressionRow, RiskModel
+from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set
+from .risk import ProgressionRow, RiskModel, precomputed
 
 _DEFAULT = Scenario()
 
@@ -239,14 +239,11 @@ def reliability_grid(
     horizons: the normal and strengthened intact frames, the strengthened
     frame conditional on the design damage, and the same at the optimized
     factors.  Local pancake has no intact index; its cells are empty."""
-    design = design_members(scenario)
+    table = precomputed(scenario, design_members(scenario))
     if optimized is None:
         optimized = minimize_total_cost(scenario).factors
-    unit = DesignFactors(1.0, 1.0)
-    nlc = unit_strengths(scenario, design.b_y_nlc, design.r_c_nlc)
-    strengthened = unit_strengths(scenario, design.b_y_0, design.r_c_0)
-    damaged = unit_strengths(scenario, design.b_y_0, design.r_c_0, (scenario.damage.n_rc0, scenario.damage.n_rs0))
-    columns = ((nlc, unit), (strengthened, unit), (damaged, unit), (damaged, optimized))
+    unit, damaged = DesignFactors(1.0, 1.0), table.stage_strengths[0]
+    columns = ((table.nlc_strengths, unit), (table.intact_strengths, unit), (damaged, unit), (damaged, optimized))
 
     header = ["live_load", "mode", "nlc", "strengthened", "damaged", "optimized"]
     rows: list[tuple] = []

@@ -194,6 +194,29 @@ def test_unevaluable_scenario_is_data_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+# Tiny loads, whose total variance underflows to 0 in an index, and an index
+# that overflows by itself: once exit 3 from some commands and 0 from others
+_UNEVALUABLE_INDEXES = {
+    "tiny loads": {"loads": {"d_n": 1.1e-284, "l_n": 2.5e-261}},
+    "index overflows": {"loads": {
+        "dead": {"mean": 1.05, "std": 1e-150}, "live_apt": {"mean": 0.25, "std": 1e-150},
+        "live_50": {"mean": 1.0, "std": 1e-150}, "column_resistance": {"mean": 1e300, "std": 1e-150},
+    }},
+}
+
+
+@pytest.mark.parametrize("command", ["design", "beta", "evaluate", "trace", "optimize", "threshold"])
+@pytest.mark.parametrize("doc", list(_UNEVALUABLE_INDEXES.values()), ids=list(_UNEVALUABLE_INDEXES))
+def test_unevaluable_index_is_data_error_from_every_command(tmp_path, capsys, doc, command):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert run_command([command, "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "must keep every reliability index" in err
+
+
 @pytest.mark.parametrize("source", ["frame-token", "json"])
 def test_too_many_columns_is_data_error(tmp_path, capsys, monkeypatch, source):
     monkeypatch.setattr(cli, "RiskModel", None)  # validation rejects before any model is built

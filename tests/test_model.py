@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from framerisk import (
+    DesignFactors,
     FrameGeometry,
     LoadModel,
+    RiskModel,
     Scenario,
     ValidationError,
     annual_from_lifetime,
@@ -17,6 +19,7 @@ from framerisk import (
     violations,
 )
 from framerisk.model import _RANGES, _TYPED_FIELDS
+from framerisk.studies import reliability_grid
 
 
 def test_reference_scenario_is_valid(ref_scenario):
@@ -167,6 +170,48 @@ def test_sizing_that_overflows_or_vanishes_rejected(doc, message):
     # costs are not finite (and positive)
     with pytest.raises(ValidationError, match=message):
         scenario_from_dict(doc)
+
+
+# Tiny loads: every variance is nonzero, but r*r*var_r + var_l underflows to 0.
+TINY_LOADS = {"loads": {"d_n": 1.1e-284, "l_n": 2.5e-261}}
+# An index that overflows by itself while its mean and variance stay finite.
+INDEX_OVERFLOWS = {"loads": {
+    "dead": {"mean": 1.05, "std": 1e-150}, "live_apt": {"mean": 0.25, "std": 1e-150},
+    "live_50": {"mean": 1.0, "std": 1e-150}, "column_resistance": {"mean": 1e300, "std": 1e-150},
+}}
+
+
+def _negative_load_mean(mean: float) -> dict:
+    """Column indexes with a negative load mean, which peak at r = 2, inside
+    the factored strength range; the resistance mean is ``mean`` over a std
+    of 1e-160, and the load mean is ``-mean`` over stds of 1e-160."""
+    tiny = {"mean": 0.0, "std": 1e-160}
+    return {"loads": {"dead": {"mean": -mean, "std": 1e-160}, "live_apt": tiny, "live_50": tiny,
+                      "column_resistance": {"mean": mean, "std": 1e-160}}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (TINY_LOADS, "column unit strengths down to .* must keep every reliability index's variance nonzero"),
+        (INDEX_OVERFLOWS, "column unit strengths from .* must keep every reliability index finite"),
+        # finite at both ends of the range (about 1.09e308 and 1.50e308); only
+        # the peak overflows
+        (_negative_load_mean(1.5e148), "column unit strengths from .* must keep every reliability index finite"),
+    ],
+    ids=["tiny loads", "index overflows", "index overflows at its peak"],
+)
+def test_index_that_vanishes_or_overflows_rejected(doc, message):
+    with pytest.raises(ValidationError, match=message):
+        scenario_from_dict(doc)
+
+
+def test_negative_load_mean_with_finite_peak_accepted():
+    # the peak of the same indexes, about 1.71e308, is still finite
+    scenario = scenario_from_dict(_negative_load_mean(1.4e148))
+    _, rows = reliability_grid(scenario, DesignFactors(1.0, 4.0))
+    assert all(math.isfinite(cell) for row in rows for cell in row[2:] if cell != "")
+    assert all(math.isfinite(term) for term in astuple(RiskModel(scenario).breakdown(1.0, 1.0)))
 
 
 def test_default_load_statistics():

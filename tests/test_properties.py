@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -182,6 +183,34 @@ def test_accepted_scenario_sizes_and_builds(doc):
     assert all(math.isfinite(m) for m in moments), moments
     assert all(var_r + var_l > 0 for var_r in (var_rb, var_rc) for var_l in (var_l50, var_lapt)), moments
     RiskModel(scenario, d)
+
+
+# On the same generator, an accepted scenario evaluates: finite breakdown
+# terms, trace rows and reliability indexes at (1, 1) and at the four corners
+# of FACTOR_BOUNDS.
+POINTS = ((1.0, 1.0), *itertools.product(FACTOR_BOUNDS, repeat=2))
+
+
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=400)
+@given(doc=_documents(Scenario(), None, _spread))
+@example(doc={"loads": {"d_n": 1.1e-284, "l_n": 2.5e-261}})  # an index's variance underflows to 0
+@example(doc={"loads": {  # an index overflows by itself
+    "dead": {"mean": 1.05, "std": 1e-150}, "live_apt": {"mean": 0.25, "std": 1e-150},
+    "live_50": {"mean": 1.0, "std": 1e-150}, "column_resistance": {"mean": 1e300, "std": 1e-150},
+}})
+def test_accepted_scenario_evaluates_to_finite_numbers(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValueError:
+        return
+    model = RiskModel(scenario)
+    for lb, lc in POINTS:
+        assert all(math.isfinite(term) for term in astuple(model.breakdown(lb, lc))), (lb, lc)
+        rows = model.trace(DesignFactors(lb, lc))
+        assert all(math.isfinite(value) for row in rows for value in row if type(value) is float), (lb, lc)
+        cells = [cell for row in reliability_grid(scenario, DesignFactors(lb, lc))[1] for cell in row[2:]]
+        assert all(math.isfinite(cell) for cell in cells if cell != ""), (lb, lc)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
