@@ -60,7 +60,6 @@ from .reliability import (
     beta_damaged,
     beta_intact,
     beta_set,
-    cornell_beta,
     unit_strengths,
 )
 from .risk import ExpectedCost, ProgressionRow, RiskModel

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .catalog import parse_damage_token, parse_frame_token
 from .design import design_members
-from .model import MAX_FACTOR, DesignFactors, Scenario, annual_from_lifetime, validate
+from .model import FACTOR_BOUNDS, MAX_FACTOR, DesignFactors, Scenario, annual_from_lifetime, validate
 from .optimize import BRACKETED, OptimizationError, minimize_total_cost, threshold_probability
 from .output import emit_csv, format_value
 from .risk import RiskModel
@@ -61,8 +61,8 @@ def _resolve_scenario(args) -> Scenario:
 
 def _factors(args) -> DesignFactors:
     for flag, value in (("--lambda-b", args.lambda_b), ("--lambda-c", args.lambda_c)):
-        if not 0 < value <= MAX_FACTOR:
-            raise ValueError(f"{flag} must be a finite number > 0 and <= {MAX_FACTOR:g}, got {value}")
+        if not FACTOR_BOUNDS[0] <= value <= MAX_FACTOR:  # the range validate proves evaluable
+            raise ValueError(f"{flag} must be a number >= {FACTOR_BOUNDS[0]:g} and <= {MAX_FACTOR:g}, got {value}")
     return DesignFactors(args.lambda_b, args.lambda_c)
 
 

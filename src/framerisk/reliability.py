@@ -5,6 +5,10 @@ times a model-uncertainty factor) minus dead and live load, so the
 second-moment index beta = E[g]/std[g] is exact for Gaussian inputs.  Live
 load enters at one of two horizons: the 50-year extreme for the intact frame
 and the sustained arbitrary-point-in-time level conditional on damage.
+
+Every scalar index comes from one routine, :func:`_mode_indexes`, on the
+floats of :meth:`LoadModel.moments`: :func:`beta_set` calls it on the
+scenario's moments, :meth:`RiskModel.trace` on the model's own.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import NamedTuple
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
-from .model import DesignFactors, RandomVarStats, Scenario
+from .model import DesignFactors, Scenario
 
 SQRT2 = math.sqrt(2.0)
 
@@ -23,28 +27,8 @@ SQRT2 = math.sqrt(2.0)
 LIVE_50 = "50yr"
 LIVE_APT = "apt"
 
-
-def cornell_beta(
-    r: float,
-    resistance: RandomVarStats,
-    dead: RandomVarStats,
-    live: RandomVarStats,
-) -> float:
-    """Second-moment reliability index of R*r - D - L.
-
-    ``r`` is the deterministic strength (kN/m), ``resistance`` the
-    dimensionless model/material factor on it.
-    """
-    if r <= 0:
-        raise ValueError(f"strength must be positive, got {r}")
-    if resistance.mean <= 0:
-        raise ValueError("resistance mean must be positive")
-    try:
-        return _moment_index(
-            r, resistance.mean, resistance.std**2, dead.mean + live.mean, dead.std**2 + live.std**2, math.sqrt
-        )
-    except ZeroDivisionError:
-        raise ValueError("degenerate statistics: all standard deviations are zero") from None
+# Where each horizon's load mean sits in LoadModel.moments(); its variance follows.
+_LOAD_MOMENTS = {LIVE_50: 4, LIVE_APT: 6}
 
 
 def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
@@ -52,8 +36,8 @@ def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
     and the total load's mean and variance.
 
     Works elementwise on broadcast arrays when ``sqrt`` is ``np.sqrt``:
-    :mod:`risk` calls it once per stacked block of index rows for the grid
-    and once per failure probability for the trace.
+    :mod:`risk` calls it once per stacked block of index rows for the grid,
+    and :func:`_mode_indexes` once per mode on floats.
     """
     return (r * mu_r - mu_l) / sqrt(r * r * var_r + var_l)
 
@@ -103,23 +87,40 @@ def unit_strengths(
     )
 
 
+def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:
+    """Indexes of the modes whose unit-factor ``strengths`` come from
+    :func:`unit_strengths`, at the design ``factors`` and the ``live``
+    horizon, from the floats of :meth:`LoadModel.moments`: beam modes scale
+    with ``lambda_b`` and take the beam resistance, column modes scale with
+    ``lambda_c`` and take the column resistance.  A NaN factor gives NaN."""
+    k = _LOAD_MOMENTS.get(live)
+    if k is None:
+        raise ValueError(f"unknown live-load horizon {live!r}")
+    mu_rb, var_rb, mu_rc, var_rc = moments[:4]
+    mu_l, var_l = moments[k], moments[k + 1]
+    if mu_rb <= 0 or mu_rc <= 0:
+        raise ValueError(f"resistance means must be positive, got {mu_rb} and {mu_rc}")
+    lb, lc, pl = factors.lambda_b, factors.lambda_c, strengths.beta_pl
+    r_b, r_pg, r_cat = lb * strengths.beta_b, lc * strengths.beta_pg, lb * strengths.beta_cat
+    r_pl = None if pl is None else lc * pl
+    if r_b <= 0 or r_pg <= 0 or r_cat <= 0 or (r_pl is not None and r_pl <= 0):
+        raise ValueError(f"factored strengths must be positive, got {strengths} at {factors}")
+    try:
+        return BetaSet(
+            _moment_index(r_b, mu_rb, var_rb, mu_l, var_l, math.sqrt),
+            _moment_index(r_pg, mu_rc, var_rc, mu_l, var_l, math.sqrt),
+            None if r_pl is None else _moment_index(r_pl, mu_rc, var_rc, mu_l, var_l, math.sqrt),
+            _moment_index(r_cat, mu_rb, var_rb, mu_l, var_l, math.sqrt),
+        )
+    except ZeroDivisionError:
+        raise ValueError("degenerate statistics: an index's total variance is zero") from None
+
+
 def beta_set(scenario: Scenario, strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:
     """Indexes of the modes whose unit-factor ``strengths`` come from
     :func:`unit_strengths`, at the design ``factors`` and the ``live``
-    horizon: beam modes scale with ``lambda_b`` and take the beam resistance,
-    column modes scale with ``lambda_c`` and take the column resistance."""
-    loads = scenario.loads
-    live_stats = {LIVE_50: loads.live_50, LIVE_APT: loads.live_apt}.get(live)
-    if live_stats is None:
-        raise ValueError(f"unknown live-load horizon {live!r}")
-    beam, column, dead = loads.beam_resistance, loads.column_resistance, loads.dead
-    lb, lc, pl = factors.lambda_b, factors.lambda_c, strengths.beta_pl
-    return BetaSet(
-        beta_b=cornell_beta(lb * strengths.beta_b, beam, dead, live_stats),
-        beta_pg=cornell_beta(lc * strengths.beta_pg, column, dead, live_stats),
-        beta_pl=None if pl is None else cornell_beta(lc * pl, column, dead, live_stats),
-        beta_cat=cornell_beta(lb * strengths.beta_cat, beam, dead, live_stats),
-    )
+    horizon, by :func:`_mode_indexes` on the scenario's load moments."""
+    return _mode_indexes(scenario.loads.moments(), strengths, factors, live)
 
 
 # The BetaSet field of each mode, in the row order of the study's index grid.

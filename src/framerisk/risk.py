@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import costs as costmod
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario
-from .reliability import SQRT2, BetaSet, _moment_index, _pf_float, unit_strengths
+from .reliability import LIVE_APT, SQRT2, BetaSet, _mode_indexes, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,7 +162,7 @@ class RiskModel:
         self.design = design
 
         (self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
-         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = scenario.loads.moments()
+         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = self.moments = scenario.loads.moments()
 
         table = precomputed(scenario, design)
         self.const_0, self.const_b, self.const_c = table.construction
@@ -327,18 +327,15 @@ class RiskModel:
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots: the
-        chain's one scalar walk over every stage.  Each probability is
-        ``_pf_float(_moment_index(...))`` as the objective's kernel has it, so
-        the largest ``expected_cost`` is the kernel's damage branch."""
-        lb, lc, mu_l, var_l, c_pg = factors.lambda_b, factors.lambda_c, self.mu_lapt, self.var_lapt, self.c_pg
-        probs = [
-            (
-                _pf_float(_moment_index(a_b * lb, self.mu_rb, self.var_rb, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pl * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-                _pf_float(_moment_index(a_pg * lc, self.mu_rc, self.var_rc, mu_l, var_l, math.sqrt)),
-            )
-            for a_b, a_pl, a_pg, _, _ in self._chain
-        ]
+        chain's one scalar walk over every stage.  Each stage's indexes come
+        from the routine behind :func:`~framerisk.reliability.beta_set`, on
+        the model's moments at the arbitrary-point-in-time horizon, with the
+        objective kernel's arithmetic, so the largest ``expected_cost`` is the
+        kernel's damage branch."""
+        c_pg, probs = self.c_pg, []
+        for strengths in self.stage_strengths:
+            betas = _mode_indexes(self.moments, strengths, factors, LIVE_APT)
+            probs.append((_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg)))
         pairwise = [1.0] + [prev[1] * cur[1] for prev, cur in zip(probs, probs[1:])]
         rows = []
         for n_fc, (p_b, p_pl, p_pg), (*_, c_b, c_pl), (terms, w, reach), pair in zip(

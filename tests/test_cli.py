@@ -300,12 +300,33 @@ def test_overflowing_strength_or_cost_is_data_error(tmp_path, capsys, command, d
 
 @pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
 @pytest.mark.parametrize("flag", ["--lambda-b", "--lambda-c"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "0.01", "1e-200"])
 def test_nonpositive_or_non_finite_factor_is_data_error(capsys, command, flag, value):
+    # validate proves a scenario evaluable only for factors from
+    # FACTOR_BOUNDS[0] up; below it an index's variance may underflow to 0
     assert run_command([command, f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
-    assert f"{flag} must be a finite number > 0" in err
+    assert f"{flag} must be a number >= {cli.FACTOR_BOUNDS[0]:g} and <= {cli.MAX_FACTOR:g}" in err
     assert len(err.splitlines()) == 1
+
+
+# every load std zero: validate accepts it, since each index keeps a nonzero
+# variance from the resistance at factors from FACTOR_BOUNDS[0] up
+_ZERO_LOAD_STDS = {"loads": {
+    "dead": {"mean": 1.05, "std": 0}, "live_apt": {"mean": 0.25, "std": 0}, "live_50": {"mean": 1.0, "std": 0},
+}}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace", "beta"])
+def test_factor_whose_index_variance_underflows_is_data_error(tmp_path, capsys, command):
+    # at 1e-200 the resistance variance r*r*var_r underflows to 0 and the
+    # index would divide by zero
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_ZERO_LOAD_STDS))
+    assert run_command([command, "--scenario", str(path), "--lambda-b", "1e-200", "--lambda-c", "1e-200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda-b must be a number >= ") and len(err.splitlines()) == 1
+    assert run_command([command, "--scenario", str(path), "--lambda-b", "0.05", "--lambda-c", "0.05"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -316,9 +337,10 @@ def test_factor_above_bound_is_data_error(capsys, argv):
     # (nan costs, p = 0.5 at every stage, an optimized index of 0)
     assert run_command(argv) == 2
     err = capsys.readouterr().err
-    assert f"must be a finite number > 0 and <= {cli.MAX_FACTOR:g}" in err
+    assert f"must be a number >= {cli.FACTOR_BOUNDS[0]:g} and <= {cli.MAX_FACTOR:g}" in err
     assert len(err.splitlines()) == 1
-    assert run_command([argv[0], argv[1].split("=")[0] + f"={cli.MAX_FACTOR}"]) == 0
+    for value in cli.FACTOR_BOUNDS[0], cli.MAX_FACTOR:  # either end of the range is accepted
+        assert run_command([argv[0], argv[1].split("=")[0] + f"={value}"]) == 0
 
 
 def test_beta_grid_stdout(capsys):

@@ -37,6 +37,7 @@ from framerisk import (  # noqa: E402
     FrameGeometry,
     RiskModel,
     Scenario,
+    beta_set,
     damaged_bending_strength,
     design_members,
     global_pancake_strength,
@@ -51,6 +52,7 @@ from framerisk import (  # noqa: E402
 from framerisk.cli import run_command  # noqa: E402
 from framerisk.optimize import FACTOR_BOUNDS  # noqa: E402
 from framerisk.studies import reliability_grid  # noqa: E402
+from test_reliability import cornell_beta  # noqa: E402
 from test_risk import assert_kernel_matches_unpruned_walk  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -211,6 +213,26 @@ def test_accepted_scenario_evaluates_to_finite_numbers(doc):
         assert all(math.isfinite(value) for row in rows for value in row if type(value) is float), (lb, lc)
         cells = [cell for row in reliability_grid(scenario, DesignFactors(lb, lc))[1] for cell in row[2:]]
         assert all(math.isfinite(cell) for cell in cells if cell != ""), (lb, lc)
+
+
+# beta_set forms each index from LoadModel.moments(); on the same generator
+# it has, at unit factors, the bits of the index formed from the statistics
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=300)
+@given(doc=_documents(Scenario(), None, _spread))
+def test_beta_set_matches_the_index_of_the_statistics(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ValueError:
+        return
+    model, loads = RiskModel(scenario), scenario.loads
+    resistances = (loads.beam_resistance, loads.column_resistance, loads.column_resistance, loads.beam_resistance)
+    for live, stats in (("50yr", loads.live_50), ("apt", loads.live_apt)):
+        for strengths in (model.intact_strengths, *model.stage_strengths):
+            got = beta_set(scenario, strengths, DesignFactors(1.0, 1.0), live)
+            for value, strength, resistance in zip(got, strengths, resistances, strict=True):
+                want = None if strength is None else cornell_beta(strength, resistance, loads.dead, stats)
+                assert (value is None) if want is None else value.hex() == want.hex(), (live, strengths)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import ndtr
 from framerisk import (
     DAMAGE_VARIANTS,
     FRAME_CATALOG,
+    BetaSet,
     CollapseMode,
     DesignFactors,
     FrameGeometry,
@@ -17,7 +19,6 @@ from framerisk import (
     beta_damaged,
     beta_intact,
     beta_set,
-    cornell_beta,
     design_members,
     mechanics,
     minimize_total_cost,
@@ -64,6 +65,19 @@ class TestStdNormalCdf:
         assert phi(40.0) == 1.0
 
 
+def cornell_beta(r: float, resistance: RandomVarStats, dead: RandomVarStats, live: RandomVarStats) -> float:
+    """Second-moment index of R*r - D - L from the statistics themselves: the
+    reference the library's index, formed from ``LoadModel.moments()``, is
+    held to."""
+    mean = r * resistance.mean - (dead.mean + live.mean)
+    return mean / math.sqrt(r * r * resistance.std**2 + (dead.std**2 + live.std**2))
+
+
+def index_at_strengths(scenario, r_beam, r_column, live):
+    """``beta_set`` at unit factors for one beam and one column strength."""
+    return beta_set(scenario, BetaSet(r_beam, r_column, r_column, r_beam), UNIT, live)
+
+
 class TestCornellBeta:
     def test_reference_spot_values(self, ref_scenario):
         loads = ref_scenario.loads
@@ -71,18 +85,29 @@ class TestCornellBeta:
         assert cornell_beta(3.2941, beam, loads.dead, loads.live_50) == pytest.approx(2.76, abs=0.02)
         assert cornell_beta(1.70, beam, loads.dead, loads.live_apt) == pytest.approx(2.03, abs=0.02)
         assert cornell_beta(1.70, col, loads.dead, loads.live_apt) == pytest.approx(1.80, abs=0.02)
+        assert index_at_strengths(ref_scenario, 3.2941, 1.70, "50yr").beta_b == cornell_beta(
+            3.2941, beam, loads.dead, loads.live_50
+        )
+        at_apt = index_at_strengths(ref_scenario, 1.70, 1.70, "apt")
+        assert at_apt.beta_b == cornell_beta(1.70, beam, loads.dead, loads.live_apt)
+        assert at_apt.beta_pl == at_apt.beta_pg == cornell_beta(1.70, col, loads.dead, loads.live_apt)
 
-    def test_degenerate_statistics_error(self):
+    def test_degenerate_statistics_error(self, ref_scenario):
         zero = RandomVarStats(1.0, 0.0)
+        loads = replace(ref_scenario.loads, beam_resistance=zero, column_resistance=zero, dead=zero, live_50=zero)
         with pytest.raises(ValueError, match="degenerate"):
-            cornell_beta(2.0, zero, RandomVarStats(1.0, 0.0), RandomVarStats(0.5, 0.0))
+            index_at_strengths(replace(ref_scenario, loads=loads), 2.0, 2.0, "50yr")
 
     def test_preconditions(self, ref_scenario):
-        loads = ref_scenario.loads
-        with pytest.raises(ValueError):
-            cornell_beta(-1.0, loads.beam_resistance, loads.dead, loads.live_50)
-        with pytest.raises(ValueError):
-            cornell_beta(1.0, RandomVarStats(-1.0, 0.2), loads.dead, loads.live_50)
+        with pytest.raises(ValueError, match="strengths must be positive"):
+            index_at_strengths(ref_scenario, -1.0, 1.0, "50yr")
+        with pytest.raises(ValueError, match="strengths must be positive"):
+            beta_set(ref_scenario, BetaSet(1.0, 1.0, 0.0, 1.0), UNIT, "apt")
+        loads = replace(ref_scenario.loads, beam_resistance=RandomVarStats(-1.0, 0.2))
+        with pytest.raises(ValueError, match="resistance means must be positive"):
+            index_at_strengths(replace(ref_scenario, loads=loads), 1.0, 1.0, "50yr")
+        with pytest.raises(ValueError, match="horizon"):
+            index_at_strengths(ref_scenario, 1.0, 1.0, "10yr")
 
 
 class TestBetaIntact:

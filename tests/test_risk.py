@@ -19,15 +19,17 @@ from framerisk import (
     RiskModel,
     Scenario,
     beta_intact,
+    beta_set,
     construction_cost,
     design_members,
     initial_damage_cost,
     nlc_member_design,
+    scenario_from_dict,
     unit_strengths,
     validate,
 )
 from framerisk.optimize import FACTOR_BOUNDS
-from framerisk.reliability import _moment_index, _pf_float
+from framerisk.reliability import LIVE_APT, _moment_index, _pf_float
 from framerisk.risk import _first_max
 
 UNIT = DesignFactors(1.0, 1.0)
@@ -494,6 +496,30 @@ class TestProgressionTrace:
                 case = geometry, damage, catenary, lb, lc
                 assert cost.damage_branch == model.damage_branch(lb, lc) == max(r.expected_cost for r in rows), case
                 assert cost.total == model.evaluate(lb, lc), case
+
+    @pytest.mark.parametrize("catenary", [False, True])
+    @pytest.mark.parametrize("frame", list(FRAME_CATALOG))
+    def test_probabilities_are_beta_set_at_the_apt_horizon(self, frame, catenary):
+        # trace and beta_set form their indexes by one routine, so each row's
+        # probabilities have the bits of beta_set on that stage's strengths
+        scn = validate(Scenario(geometry=FRAME_CATALOG[frame], include_catenary=catenary))
+        model = RiskModel(scn)
+        for factors in (UNIT, OPTIMIZED, DesignFactors(*FACTOR_BOUNDS), DesignFactors(3.1, 0.07)):
+            for row, strengths in zip(model.trace(factors), model.stage_strengths, strict=True):
+                betas = beta_set(scn, strengths, factors, LIVE_APT)
+                want = (_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg))
+                assert [p.hex() for p in (row.p_b, row.p_pl, row.p_pg)] == [p.hex() for p in want], factors
+
+    def test_zero_variance_is_a_data_error(self):
+        # all load stds zero: at a factor of 1e-200 r*r*var_r underflows, and
+        # trace, like beta_set, reports the zero variance as a ValueError
+        zero = {"mean": 1.0, "std": 0.0}
+        scn = scenario_from_dict({"loads": {"dead": zero, "live_apt": zero, "live_50": zero}})
+        model, tiny = RiskModel(scn), DesignFactors(1e-200, 1e-200)
+        with pytest.raises(ValueError, match="degenerate"):
+            model.trace(tiny)
+        with pytest.raises(ValueError, match="degenerate"):
+            beta_set(scn, model.stage_strengths[0], tiny, LIVE_APT)
 
     def test_failure_costs_constant_across_design_points(self, ref_scenario, ref_design):
         low = RiskModel(ref_scenario, ref_design).trace(DesignFactors(0.3, 0.3))
