@@ -146,10 +146,10 @@ class Scenario:
     ``phi_apm`` are the resistance factors for normal-condition design and
     for strengthening.
 
-    ``design.size_members`` and ``risk.precomputed`` keep what they compute
-    from an instance in its ``__dict__``, outside its fields, as
-    ``functools.cached_property`` does: ``==``, ``hash``, ``repr`` and
-    ``dataclasses.replace`` see the fields alone.
+    ``validate``, ``design.size_members`` and ``risk.precomputed`` keep what
+    they find in an instance's ``__dict__`` (``_valid``, ``_sizing``,
+    ``_precomputed``), outside its fields, as ``functools.cached_property``
+    does: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the fields alone.
     """
 
     geometry: FrameGeometry = FrameGeometry(8, 9)
@@ -320,9 +320,9 @@ def _indexes(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, 
     with ``r``, so it is checked at the two ends.  For a negative load mean it
     is positive, and with ``var_r > 0`` it peaks at ``r = mu_r*var_l /
     (-mu_l*var_r)``, so that point, held in ``[lo, hi]``, is checked too.
-    RiskModel's failure costs of the whole frame are ``k_ductile`` and
-    ``k_brittle`` times the unit-factor construction cost, and every chain
-    cost is at most one of them; they must be finite.
+    The objective adds the construction cost, at most its value at
+    MAX_FACTOR, to failure costs weighted by probabilities and ``p_ld``; the
+    same sum with every weight 1, in the objective's order, must be finite.
     """
     table = _risk.precomputed(scenario, d)
     # the first two sets, intact frames, have no local pancake
@@ -348,9 +348,11 @@ def _indexes(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, 
                      for r in ((lo, hi, min(max(mu_r * var_l / -mu_l / var_r, lo), hi)) if mu_l < 0 < var_r else (lo, hi))):
             out.append(f"{member} unit strengths from {low:.4g} to {top:.4g} kN/m times factors from "
                        f"{FACTOR_BOUNDS[0]:g} to {MAX_FACTOR:g} must keep every reliability index finite")
-    if not (math.isfinite(table.c_nlc_bending) and math.isfinite(table.c_pg)):
+    c0, cb, cc = table.construction  # the largest stage term is at most the cap or an initial-extent cost
+    if not math.isfinite(c0 + cb * MAX_FACTOR + cc * MAX_FACTOR + (table.c_nlc_bending + table.c_pg)
+                         + (table.c_id + max(table.cap, *table.chain[0][3:]))):
         out.append(f"failure costs k_ductile and k_brittle times the unit-factor construction cost "
-                   f"{sum(table.construction):.4g} must be finite")
+                   f"{c0 + cb + cc:.4g}, and the total expected cost at factors up to {MAX_FACTOR:g}, must be finite")
     return out
 
 
@@ -358,12 +360,19 @@ def validate(scenario: Scenario) -> Scenario:
     """Return ``scenario`` unchanged if every invariant holds.
 
     Raises :class:`ValidationError` carrying the full violation list
-    otherwise; there is no partial acceptance.
+    otherwise; there is no partial acceptance.  A success is kept on the instance.
     """
-    found = violations(scenario)
-    if found:
-        raise ValidationError(found)
+    if "_valid" not in vars(scenario):
+        if found := violations(scenario):
+            raise ValidationError(found)
+        vars(scenario)["_valid"] = True
     return scenario
+
+
+def _check_factors(lambda_b: float, lambda_c: float) -> None:
+    """Raise ``ValueError`` unless both factors lie in the range ``validate`` proves evaluable; NaN passes."""
+    if lambda_b < FACTOR_BOUNDS[0] or lambda_b > MAX_FACTOR or lambda_c < FACTOR_BOUNDS[0] or lambda_c > MAX_FACTOR:
+        raise ValueError(f"design factors must be in [{FACTOR_BOUNDS[0]:g}, {MAX_FACTOR:g}], got {lambda_b}, {lambda_c}")
 
 
 def annual_from_lifetime(p_ld: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import FACTOR_BOUNDS, DesignFactors, Scenario
+from .model import FACTOR_BOUNDS, DesignFactors, Scenario, validate
 from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
 from .simplex import minimize
@@ -72,6 +72,13 @@ def _clamp(x: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+def _checked(scenario: Scenario, model: RiskModel) -> RiskModel:
+    """``model``, if it was built for the validated ``scenario`` at some ``p_ld``."""
+    if replace(validate(scenario), p_ld=model.p_ld) != model.scenario:
+        raise ValueError("the model was built for another scenario than the one handed in")
+    return model
+
+
 def minimize_total_cost(scenario: Scenario, *, model: RiskModel | None = None) -> OptimizationResult:
     """Best local minimum of the total expected cost over the design factors.
 
@@ -81,11 +88,11 @@ def minimize_total_cost(scenario: Scenario, *, model: RiskModel | None = None) -
     design other than the scenario's own sizing enters through ``model``,
     a prebuilt ``RiskModel`` of the scenario at any ``p_ld``, which also
     lends its memo: the solve answers each point it, or an earlier solve on
-    it, has seen from there.  A solve handed no model builds its own on the
-    default design and keeps no memo: a lone search revisits too few points
-    to pay for one.
+    it, has seen from there; a model of another scenario raises ``ValueError``.
+    A solve handed no model builds its own on the default design and keeps
+    no memo: a lone search revisits too few points to pay for one.
     """
-    model, memo = (RiskModel(scenario), None) if model is None else (model, model.memo)
+    model, memo = (RiskModel(scenario), None) if model is None else (_checked(scenario, model), model.memo)
     seen = 0 if memo is None else len(memo)
     objective = model.objective(scenario.p_ld, memo, FACTOR_BOUNDS)
     best: tuple[float, float, float] | None = None
@@ -128,9 +135,9 @@ def threshold_probability(scenario: Scenario, *, model: RiskModel | None = None)
     indifference point resolves the same way at every probe.  All probes
     share one model and its memo: ``model``, through which a design other
     than the scenario's own sizing enters, or one built here on the default
-    design.
+    design.  A model of another scenario, ``p_ld`` aside, raises ``ValueError``.
     """
-    frame = RiskModel(scenario) if model is None else model
+    frame = RiskModel(scenario) if model is None else _checked(scenario, model)
     probes: list[tuple[float, OptimizationResult]] = []
 
     def beta_b_at_optimum(log10_p: float) -> float:

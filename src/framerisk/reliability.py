@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
-from .model import DesignFactors, Scenario
+from .model import DesignFactors, Scenario, _check_factors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,7 +106,7 @@ def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: Desig
     if r_b <= 0 or r_pg <= 0 or r_cat <= 0 or (r_pl is not None and r_pl <= 0):
         raise ValueError(f"factored strengths must be positive, got {strengths} at {factors}")
     try:
-        return BetaSet(
+        betas = BetaSet(
             _moment_index(r_b, mu_rb, var_rb, mu_l, var_l, math.sqrt),
             _moment_index(r_pg, mu_rc, var_rc, mu_l, var_l, math.sqrt),
             None if r_pl is None else _moment_index(r_pl, mu_rc, var_rc, mu_l, var_l, math.sqrt),
@@ -114,6 +114,8 @@ def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: Desig
         )
     except ZeroDivisionError:
         raise ValueError("degenerate statistics: an index's total variance is zero") from None
+    _check_factors(lb, lc)  # after the indexes, which report a zero variance at any factor
+    return betas
 
 
 def beta_set(scenario: Scenario, strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:

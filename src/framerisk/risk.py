@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import costs as costmod
 from .design import MemberDesign, design_members
-from .model import DesignFactors, Scenario
+from .model import DesignFactors, Scenario, _check_factors, validate
 from .reliability import LIVE_APT, SQRT2, BetaSet, _mode_indexes, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
@@ -151,20 +151,16 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
 
 
 class RiskModel:
-    """Precomputed expected-cost evaluator for one scenario and design."""
+    """Precomputed expected-cost evaluator for one validated scenario and design."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
-        g, dm = scenario.geometry, scenario.damage
-        if not 1 <= dm.n_rc0 <= g.n_c - 2:  # validate's rule: every model has a chain
-            raise ValueError(f"the chain needs 1 <= n_rc0 <= n_c - 2 (n_rc0={dm.n_rc0}, n_c={g.n_c})")
-        if design is None:
-            design = design_members(scenario)
-        self.design = design
+        self.scenario = validate(scenario)
+        self.design = design_members(scenario) if design is None else design
 
         (self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
          self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = self.moments = scenario.loads.moments()
 
-        table = precomputed(scenario, design)
+        table = precomputed(scenario, self.design)
         self.const_0, self.const_b, self.const_c = table.construction
         self.c_pg, self.c_nlc_bending, self.c_id = table.c_pg, table.c_nlc_bending, table.c_id
         self.p_ld = scenario.p_ld
@@ -280,14 +276,14 @@ class RiskModel:
         return self.breakdown(lambda_b, lambda_c).damage_branch
 
     def evaluate(self, lambda_b: float, lambda_c: float) -> float:
-        """Total expected cost at the given design factors and the model's
-        ``p_ld``, by an unbounded :meth:`objective` without a memo."""
-        return self.objective(self.p_ld)(lambda_b, lambda_c)
+        """Total expected cost at the given design factors and the model's ``p_ld``."""
+        return self.breakdown(lambda_b, lambda_c).total
 
     def breakdown(self, lambda_b: float, lambda_c: float) -> ExpectedCost:
-        """The terms of :meth:`evaluate` at the given design factors, read from
-        the memo entry of one call of an unbounded :meth:`objective`, so the
-        record's ``total`` is ``evaluate`` by construction."""
+        """The terms of the total expected cost at the given design factors,
+        read from the memo entry of one call of an unbounded :meth:`objective`,
+        so the record's ``total`` is the objective's by construction."""
+        _check_factors(lambda_b, lambda_c)
         memo: dict = {}
         total = self.objective(self.p_ld, memo)(lambda_b, lambda_c)
         ((normal, branch),) = memo.values()

@@ -171,7 +171,7 @@ def _scenario_task(args: tuple[Scenario, tuple, bool]) -> tuple[ThresholdResult 
         th = threshold_probability(scenario, model=model)
         solved = {10.0**log10_p: opt for log10_p, opt in th.probes}
     return th, [
-        solved[p] if p in solved else minimize_total_cost(validate(replace(scenario, p_ld=p)), model=model)
+        solved[p] if p in solved else minimize_total_cost(replace(scenario, p_ld=p), model=model)
         for p in p_lds
     ]
 
@@ -239,7 +239,7 @@ def reliability_grid(
     horizons: the normal and strengthened intact frames, the strengthened
     frame conditional on the design damage, and the same at the optimized
     factors.  Local pancake has no intact index; its cells are empty."""
-    table = precomputed(scenario, design_members(scenario))
+    table = precomputed(validate(scenario), design_members(scenario))
     if optimized is None:
         optimized = minimize_total_cost(scenario).factors
     unit, damaged = DesignFactors(1.0, 1.0), table.stage_strengths[0]
@@ -261,8 +261,7 @@ def strengthening_table() -> tuple[list[str], list[tuple]]:
     rows = []
     for frame_name, geometry in FRAME_CATALOG.items():
         for dmg in DAMAGE_VARIANTS:
-            scn = validate(Scenario(geometry=geometry, damage=dmg))
-            d = design_members(scn)
+            d = design_members(Scenario(geometry=geometry, damage=dmg))
             rows.append((frame_name, f"{dmg.n_rc0}x{dmg.n_rs0}", d.b_sf, d.r_sf))
     return header, rows
 
@@ -290,8 +289,7 @@ def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
     outdir = Path(outdir)
     written: list[Path] = []
 
-    scenario = validate(Scenario())
-    header, rows = reliability_grid(scenario)
+    header, rows = reliability_grid(Scenario())
     written.append(emit_csv(outdir / "reliability_indexes.csv", header, rows))
 
     header, rows = strengthening_table()
@@ -300,7 +298,7 @@ def write_study_tables(outdir: str | Path, jobs: int = 1) -> list[Path]:
     # one task per frame, the curve frames (the longest tasks) first
     frames = sorted(FRAME_CATALOG, key=lambda frame: frame not in _CURVE_FRAMES)
     tasks = [
-        (validate(Scenario(geometry=FRAME_CATALOG[frame])), _CURVE_P_GRID if frame in _CURVE_FRAMES else (), True)
+        (Scenario(geometry=FRAME_CATALOG[frame]), _CURVE_P_GRID if frame in _CURVE_FRAMES else (), True)
         for frame in frames
     ]
     by_frame = dict(zip(frames, _map_tasks(jobs, _scenario_task, tasks)))

@@ -1,0 +1,167 @@
+"""The library contract: every pipeline entry point that takes a scenario
+validates it, once per instance, and the scalar entry points take design
+factors only in ``[FACTOR_BOUNDS[0], MAX_FACTOR]``.  Each scenario here is
+built straight from the dataclasses, never through ``scenario_from_dict``."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import astuple, replace
+
+import pytest
+
+from framerisk import (
+    FRAME_CATALOG,
+    CostParameters,
+    DesignFactors,
+    LoadModel,
+    RandomVarStats,
+    RiskModel,
+    Scenario,
+    ValidationError,
+    beta_set,
+    minimize_total_cost,
+    model as model_module,
+    nlc_member_design,
+    threshold_probability,
+    validate,
+)
+from framerisk.model import FACTOR_BOUNDS, MAX_FACTOR
+from framerisk.reliability import LIVE_APT
+from framerisk.studies import reliability_grid, trace_table
+
+_REF = Scenario()
+
+# Each of these reached no error, or a ZeroDivisionError, through the
+# dataclasses before every entry point validated its scenario.
+UNEVALUABLE = {
+    "p_ld above 1": replace(_REF, p_ld=2.0),
+    "factored strength squared overflows": replace(_REF, phi_apm=1e-160),
+    "an index's variance underflows": replace(_REF, loads=LoadModel(d_n=1.1e-284, l_n=2.5e-261)),
+    "L squared vanishes": replace(_REF, geometry=replace(_REF.geometry, L=6e-300)),
+}
+
+ENTRY_POINTS = {
+    "RiskModel": RiskModel,
+    "trace_table": trace_table,
+    "reliability_grid": lambda scenario: reliability_grid(scenario, DesignFactors(1.0, 1.0)),
+    "minimize_total_cost": minimize_total_cost,
+    "threshold_probability": threshold_probability,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("scenario", UNEVALUABLE.values(), ids=UNEVALUABLE.keys())
+def test_entry_points_refuse_unvalidated_scenarios(scenario, entry):
+    with pytest.raises(ValidationError):
+        entry(replace(scenario))  # a fresh instance, so no earlier call has seen it
+
+
+def test_a_model_of_another_frame_is_refused():
+    low = RiskModel(Scenario(geometry=FRAME_CATALOG["4x16"]))
+    for search in (minimize_total_cost, threshold_probability):
+        with pytest.raises(ValueError, match="another scenario"):
+            search(Scenario(), model=low)
+
+
+def test_the_solve_validates_the_scenario_it_is_handed_with_a_model():
+    model = RiskModel(Scenario())
+    with pytest.raises(ValidationError, match="p_ld"):
+        minimize_total_cost(replace(_REF, p_ld=2.0), model=model)
+
+
+def test_a_model_at_another_p_ld_is_accepted_and_solves_as_a_fresh_one():
+    scenario = Scenario(p_ld=0.01)
+    lent = minimize_total_cost(scenario, model=RiskModel(replace(scenario, p_ld=0.5)))
+    fresh = minimize_total_cost(scenario)
+    assert lent.c_te.hex() == fresh.c_te.hex()
+    assert lent.factors == fresh.factors
+    assert (lent.beta_damaged, lent.beta_intact) == (fresh.beta_damaged, fresh.beta_intact)
+    assert (lent.starts_used, lent.evaluations, lent.converged_starts) == (
+        fresh.starts_used, fresh.evaluations, fresh.converged_starts)
+
+
+def test_a_model_on_another_design_of_the_scenario_is_accepted():
+    scenario = Scenario()
+    model = RiskModel(scenario, nlc_member_design(scenario))
+    assert model.scenario is scenario
+    assert math.isfinite(minimize_total_cost(replace(scenario, p_ld=1e-3), model=model).c_te)
+
+
+def test_validate_runs_the_rules_once_per_instance(monkeypatch):
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return original(scenario)
+
+    original = model_module.violations
+    monkeypatch.setattr(model_module, "violations", counted)
+    scenario = Scenario()
+    assert validate(scenario) is scenario and validate(scenario) is scenario
+    RiskModel(scenario)
+    reliability_grid(scenario, DesignFactors(1.0, 1.0))
+    trace_table(scenario)
+    assert len(calls) == 1
+    validate(replace(scenario))  # a new instance is checked anew
+    assert len(calls) == 2
+
+
+def test_a_failed_validation_is_not_remembered():
+    scenario = replace(_REF, p_ld=2.0)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            validate(scenario)
+    assert "_valid" not in vars(scenario)
+
+
+# -- the factor rule -----------------------------------------------------------
+
+ZERO_STD = Scenario(loads=LoadModel(dead=RandomVarStats(1.0, 0.0), live_apt=RandomVarStats(1.0, 0.0),
+                                    live_50=RandomVarStats(1.0, 0.0)))
+OUT_OF_RANGE = [(1e-200, 1e-200), (1e300, 1.0), (1.0, 1e300), (-1.0, 1.0), (0.0, 1.0),
+                (math.nextafter(FACTOR_BOUNDS[0], 0.0), 1.0), (1.0, math.nextafter(MAX_FACTOR, math.inf)),
+                (math.inf, 1.0), (1.0, -math.inf)]
+
+
+@pytest.mark.parametrize("scenario", [_REF, ZERO_STD], ids=["reference", "zero load stds"])
+@pytest.mark.parametrize("factors", OUT_OF_RANGE)
+def test_factors_out_of_range_are_value_errors(scenario, factors):
+    model = RiskModel(scenario)
+    for call in (model.evaluate, model.breakdown, model.damage_branch):
+        with pytest.raises(ValueError, match="design factors must be"):
+            call(*factors)
+    with pytest.raises(ValueError):
+        model.trace(DesignFactors(*factors))
+    with pytest.raises(ValueError):
+        beta_set(scenario, model.stage_strengths[0], DesignFactors(*factors), LIVE_APT)
+
+
+@pytest.mark.parametrize("scenario", [_REF, ZERO_STD], ids=["reference", "zero load stds"])
+@pytest.mark.parametrize("factors", [(FACTOR_BOUNDS[0], FACTOR_BOUNDS[0]), (MAX_FACTOR, MAX_FACTOR),
+                                     (FACTOR_BOUNDS[0], MAX_FACTOR), (1.0, 1.0)])
+def test_factors_at_the_ends_of_the_range_are_finite(scenario, factors):
+    model = RiskModel(scenario)
+    assert all(math.isfinite(term) for term in astuple(model.breakdown(*factors)))
+    assert model.evaluate(*factors) == model.breakdown(*factors).total
+    rows = model.trace(DesignFactors(*factors))
+    assert all(math.isfinite(value) for row in rows for value in row if type(value) is float)
+    assert all(math.isfinite(beta) for beta in beta_set(scenario, model.stage_strengths[0], DesignFactors(*factors),
+                                                        LIVE_APT))
+
+
+@pytest.mark.parametrize("k_ductile, k_brittle, p_ld, accepted", [
+    (1.5e308, 1.5e308, 0.1, False),  # the two normal-loading terms add up beyond float range
+    (5e307, 5e307, 0.1, True),
+    (1.0, 8.5e307, 1.0, False),  # the normal-loading term and, at p_ld = 1, the damage branch
+    (1.0, 7e307, 1.0, True),
+])
+def test_the_largest_total_expected_cost_must_be_finite(k_ductile, k_brittle, p_ld, accepted):
+    # every failure cost is finite; at the low end of the factor range each
+    # is weighted by a probability near 1
+    scenario = replace(_REF, costs=CostParameters(k_ductile=k_ductile, k_brittle=k_brittle), p_ld=p_ld)
+    if accepted:
+        assert math.isfinite(RiskModel(scenario).evaluate(FACTOR_BOUNDS[0], FACTOR_BOUNDS[0]))
+    else:
+        with pytest.raises(ValidationError, match="total expected cost at factors up to"):
+            validate(scenario)

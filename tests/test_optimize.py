@@ -12,7 +12,6 @@ from framerisk import (
     DamageScenario,
     FrameGeometry,
     OptimizationError,
-    RandomVarStats,
     RiskModel,
     Scenario,
     design_members,
@@ -22,6 +21,7 @@ from framerisk import (
     validate,
 )
 from framerisk import optimize
+from framerisk.model import MAX_FACTOR
 from framerisk.optimize import ALWAYS_STRENGTHEN, BRACKETED, LOG10_P_RANGE, LOG10_P_TOL, NEVER_STRENGTHEN
 
 
@@ -186,12 +186,18 @@ def test_bounded_objective_is_evaluate_at_clamped_factors(ref_scenario, ref_desi
 
 
 def test_unbounded_objective_is_breakdown_total(ref_scenario, ref_design):
-    # default bounds pass every factor through, NaN and infinities included
+    # default bounds pass every factor through, NaN and infinities included;
+    # breakdown takes factors in [FACTOR_BOUNDS[0], MAX_FACTOR], and NaN
     model = RiskModel(ref_scenario, ref_design)
     objective = model.objective(model.p_ld)
     for lb in FACTOR_POINTS:
         for lc in FACTOR_POINTS:
-            assert objective(lb, lc).hex() == model.breakdown(lb, lc).total.hex()
+            if all(math.isnan(x) or optimize.FACTOR_BOUNDS[0] <= x <= MAX_FACTOR for x in (lb, lc)):
+                assert objective(lb, lc).hex() == model.breakdown(lb, lc).total.hex()
+            else:
+                assert isinstance(objective(lb, lc), float)
+                with pytest.raises(ValueError, match=r"design factors must be in \[0.05, 1e\+06\]"):
+                    model.breakdown(lb, lc)
 
 
 def test_objective_memo_holds_p_ld_free_parts(ref_scenario, ref_design):
@@ -307,13 +313,12 @@ def test_optimal_cost_does_not_fall_as_threat_rises(frame):
     assert all(b >= a for a, b in zip(costs, costs[1:])), costs
 
 
-def test_all_starts_nonfinite_raises(ref_scenario):
-    broken = replace(
-        ref_scenario,
-        loads=replace(ref_scenario.loads, beam_resistance=RandomVarStats(float("nan"), 0.2)),
-    )
+def test_all_starts_nonfinite_raises(ref_scenario, monkeypatch):
+    # validate rejects every scenario whose objective is not finite, so the
+    # failure is injected past it, as the exit-3 CLI tests inject theirs
+    monkeypatch.setattr(RiskModel, "objective", lambda model, *args: lambda lb, lc: math.nan)
     with pytest.raises(OptimizationError):
-        minimize_total_cost(broken)
+        minimize_total_cost(ref_scenario)
 
 
 def test_design_enters_only_through_the_model(ref_scenario, ref_design):

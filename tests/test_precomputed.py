@@ -108,7 +108,7 @@ def test_the_store_is_not_part_of_the_dataclass():
     before = (hash(scn), repr(scn), asdict(scn), astuple(scn))
     validate(scn)
     RiskModel(scn, nlc_member_design(scn))
-    assert set(vars(scn)) - set(vars(twin)) == {"_sizing", "_precomputed"}
+    assert set(vars(scn)) - set(vars(twin)) == {"_valid", "_sizing", "_precomputed"}
     assert scn == twin
     assert (hash(scn), repr(scn), asdict(scn), astuple(scn)) == before
     assert (hash(twin), repr(twin), asdict(twin), astuple(twin)) == before

@@ -10,7 +10,10 @@ the kernel's one cap prunes as a cap per stage would.  Every collapse
 strength is homogeneous of degree one in its capacity.  On accepted
 documents the sizing, costs, objective terms and reliability indexes agree
 with the independent numpy evaluator of the benchmark
-(``perfbench/reference.py``).  None of them runs the optimizer."""
+(``perfbench/reference.py``).  On scenarios set straight on the
+dataclasses, every entry point that validates, the optimizer and the
+threshold search among them, returns finite numbers or raises
+``ValueError``; only these two properties run the optimizer."""
 
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
     DAMAGE_VARIANTS,
+    CostParameters,
     DesignFactors,
     FrameGeometry,
     RiskModel,
@@ -44,14 +48,18 @@ from framerisk import (  # noqa: E402
     intact_bending_strength,
     intact_pancake_strength,
     local_pancake_strength,
+    minimize_total_cost,
     scenario_from_dict,
     set_scenario_field,
     size_members,
+    threshold_probability,
     validate,
 )
 from framerisk.cli import run_command  # noqa: E402
+from framerisk.model import MAX_FACTOR  # noqa: E402
 from framerisk.optimize import FACTOR_BOUNDS  # noqa: E402
-from framerisk.studies import reliability_grid  # noqa: E402
+from framerisk.reliability import LIVE_50, LIVE_APT  # noqa: E402
+from framerisk.studies import reliability_grid, trace_table  # noqa: E402
 from test_reliability import cornell_beta  # noqa: E402
 from test_risk import assert_kernel_matches_unpruned_walk  # noqa: E402
 
@@ -233,6 +241,93 @@ def test_beta_set_matches_the_index_of_the_statistics(doc):
             for value, strength, resistance in zip(got, strengths, resistances, strict=True):
                 want = None if strength is None else cornell_beta(strength, resistance, loads.dead, stats)
                 assert (value is None) if want is None else value.hex() == want.hex(), (live, strengths)
+
+
+def _instances(instance) -> st.SearchStrategy:
+    """Instances of the dataclass of ``instance``, built straight from the
+    dataclasses as a library caller builds them, never through
+    ``scenario_from_dict``.  A field with a default is set or left at it, as
+    often; a number set is drawn by :func:`_spread` from the value in
+    ``instance``, a flag drawn and a name kept."""
+    required, optional = {}, {}
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if is_dataclass(value):
+            drawn = _instances(value)
+        elif type(value) in (int, float):
+            drawn = _spread(value)
+        else:
+            drawn = st.booleans() if type(value) is bool else st.just(value)
+        keys = required if f.default is MISSING and f.default_factory is MISSING else optional
+        keys[f.name] = drawn
+    return st.fixed_dictionaries(required, optional=optional).map(lambda kwargs: type(instance)(**kwargs))
+
+
+def _finite(value) -> bool:
+    """Every float in ``value``, a number or nested tuples and lists of them, is finite."""
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return type(value) is not float or math.isfinite(value)
+
+
+def _refused(call) -> bool:
+    """``call()`` raises ``ValueError``; any other exception propagates."""
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+scenarios = _instances(Scenario())
+in_range = st.tuples(st.floats(FACTOR_BOUNDS[0], MAX_FACTOR), st.floats(FACTOR_BOUNDS[0], MAX_FACTOR))
+
+
+# Every gated entry point, on a scenario set straight on the dataclasses,
+# returns finite numbers or refuses the scenario with a ValueError, as each
+# other one does; at factors in [FACTOR_BOUNDS[0], MAX_FACTOR] the scalar
+# entry points of an accepted scenario return finite numbers.  Neither ever
+# raises ZeroDivisionError or OverflowError.
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios, point=in_range)
+# each failure cost finite, the largest total expected cost beyond float range
+@example(scenario=replace(Scenario(), costs=CostParameters(k_ductile=1.5e308, k_brittle=1.5e308)), point=(0.05, 0.05))
+@example(scenario=Scenario(costs=CostParameters(k_ductile=1.0, k_brittle=8.5e307), p_ld=1.0), point=(0.05, 0.05))
+def test_gated_entry_points_return_finite_numbers_or_refuse(scenario, point):
+    factors = DesignFactors(*point)
+    entries = (
+        lambda: RiskModel(scenario),
+        lambda: trace_table(scenario, factors=factors),
+        lambda: reliability_grid(scenario, factors),
+        lambda: minimize_total_cost(scenario),
+    )
+    if _refused(entries[0]):
+        assert all(_refused(entry) for entry in entries[1:])
+        return
+    model = RiskModel(scenario)
+    assert _finite(astuple(model.breakdown(*point))) and _finite(model.evaluate(*point)), point
+    assert _finite(model.trace(factors)), point
+    assert _finite(model.evaluate_grid([FACTOR_BOUNDS[0], point[0]], [point[1], MAX_FACTOR]).tolist()), point
+    for strengths, live in ((model.intact_strengths, LIVE_50), *((s, LIVE_APT) for s in model.stage_strengths)):
+        assert _finite(beta_set(scenario, strengths, factors, live)), (point, live)
+    assert _finite(trace_table(scenario, factors=factors)[1]), point
+    assert _finite([cell for row in reliability_grid(scenario, factors)[1] for cell in row[2:] if cell != ""]), point
+    opt = minimize_total_cost(scenario)
+    assert _finite((opt.c_te, astuple(opt.factors), opt.beta_damaged, opt.beta_intact))
+
+
+# The threshold search, about a dozen solves, on fewer draws.
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=12, deadline=None)
+@given(scenario=scenarios)
+def test_threshold_search_returns_finite_numbers_or_refuses(scenario):
+    try:
+        result = threshold_probability(scenario)
+    except ValueError:
+        return
+    assert result.p_th is None or 0.0 < result.p_th <= 1.0
+    assert all(_finite((opt.c_te, opt.beta_damaged, opt.beta_intact)) for _, opt in result.probes)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
