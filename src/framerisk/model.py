@@ -369,10 +369,11 @@ def validate(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def _check_factors(lambda_b: float, lambda_c: float) -> None:
-    """Raise ``ValueError`` unless both factors lie in the range ``validate`` proves evaluable; NaN passes."""
-    if lambda_b < FACTOR_BOUNDS[0] or lambda_b > MAX_FACTOR or lambda_c < FACTOR_BOUNDS[0] or lambda_c > MAX_FACTOR:
-        raise ValueError(f"design factors must be in [{FACTOR_BOUNDS[0]:g}, {MAX_FACTOR:g}], got {lambda_b}, {lambda_c}")
+def _check_factors(*factors: float) -> None:
+    """Raise ``ValueError`` unless every factor lies in the range ``validate`` proves evaluable; NaN passes."""
+    for x in factors:
+        if x < FACTOR_BOUNDS[0] or x > MAX_FACTOR:
+            raise ValueError(f"design factors must be in [{FACTOR_BOUNDS[0]:g}, {MAX_FACTOR:g}], got {x}")
 
 
 def annual_from_lifetime(p_ld: float) -> float:

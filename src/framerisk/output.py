@@ -47,23 +47,16 @@ _PALETTE = ("#4063d8", "#cb3c33", "#389826", "#9558b2", "#e69f00", "#56b4e9", "#
 _WIDTH, _HEIGHT = 960, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 200, 60, 70
 _MAX = sys.float_info.max
+_TICKS = 6  # about this many ticks on a linear axis
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """About ``target`` round ticks over ``[lo, hi]``, few for every finite
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About ``_TICKS`` round ticks over ``[lo, hi]``, few for every finite
     ``lo < hi``: each step moves a tick by more than an ulp, up to ``inf``."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target if hi - lo < math.inf else hi / target - lo / target
+    raw = (hi - lo) / _TICKS if hi - lo < math.inf else hi / _TICKS - lo / _TICKS
     if raw <= math.ulp(max(abs(lo), abs(hi))):  # an axis a few ulps wide
         return [lo, hi]
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -120,7 +113,8 @@ def emit_svg(
     log_x: bool = False,
 ) -> int:
     """Write a static SVG 1.1 line chart of every finite point, of positive x
-    on a log axis, whatever its magnitude; returns the count dropped."""
+    on a log axis, whatever its magnitude, with every text XML-escaped;
+    returns the count dropped."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -146,52 +140,41 @@ def emit_svg(
     py, y_ticks = _axis([y for _, _, ys in cleaned for y in ys], plot_b, plot_t, pad=0.05)
 
     out: list[str] = []
+
+    def text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -> None:
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(f'<text x="{x}" y="{y}"{anchor} font-family="Helvetica,Arial,sans-serif" '
+                   f'font-size="{size}"{extra}>{body.translate(_ESCAPES)}</text>')
+
+    def line(x1, y1, x2, y2, stroke: str = "#e3e3e3", width: int = 1) -> None:
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>')
+
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
+    mid_x, mid_y = f"{(plot_l + plot_r) / 2:.2f}", f"{(plot_t + plot_b) / 2:.2f}"
     if title:
-        out.append(
-            f'<text x="{(plot_l + plot_r) / 2:.2f}" y="34" text-anchor="middle" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="19">{_escape(title)}</text>'
-        )
+        text(mid_x, 34, 19, title)
 
     # Gridlines and ticks.
     for t in x_ticks:
-        x = px(t)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{plot_t}" x2="{x:.2f}" y2="{plot_b}" stroke="#e3e3e3" stroke-width="1"/>'
-        )
-        label = f"1e{t}" if log_x else _tick_label(t)
-        out.append(
-            f'<text x="{x:.2f}" y="{plot_b + 22}" text-anchor="middle" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="13">{label}</text>'
-        )
+        x = f"{px(t):.2f}"
+        line(x, plot_t, x, plot_b)
+        text(x, plot_b + 22, 13, f"1e{t}" if log_x else _tick_label(t))
     for t in y_ticks:
         y = py(t)
-        out.append(
-            f'<line x1="{plot_l}" y1="{y:.2f}" x2="{plot_r}" y2="{y:.2f}" stroke="#e3e3e3" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_l - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="13">{_tick_label(t)}</text>'
-        )
+        line(plot_l, f"{y:.2f}", plot_r, f"{y:.2f}")
+        text(plot_l - 8, f"{y + 4:.2f}", 13, _tick_label(t), anchor="end")
     out.append(
         f'<rect x="{plot_l}" y="{plot_t}" width="{plot_r - plot_l}" height="{plot_b - plot_t}" '
         f'fill="none" stroke="#222222" stroke-width="1.5"/>'
     )
     if x_label:
-        out.append(
-            f'<text x="{(plot_l + plot_r) / 2:.2f}" y="{_HEIGHT - 22}" text-anchor="middle" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="15">{_escape(x_label)}</text>'
-        )
+        text(mid_x, _HEIGHT - 22, 15, x_label)
     if y_label:
-        out.append(
-            f'<text x="24" y="{(plot_t + plot_b) / 2:.2f}" text-anchor="middle" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="15" '
-            f'transform="rotate(-90 24 {(plot_t + plot_b) / 2:.2f})">{_escape(y_label)}</text>'
-        )
+        text(24, mid_y, 15, y_label, extra=f' transform="rotate(-90 24 {mid_y})"')
 
     # Series lines, markers and legend.
     for i, (name, xs, ys) in enumerate(cleaned):
@@ -202,14 +185,8 @@ def emit_svg(
         for x, y in zip(xs, ys):
             out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
         ly = plot_t + 10 + 22 * i
-        out.append(
-            f'<line x1="{plot_r + 14}" y1="{ly:.2f}" x2="{plot_r + 44}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{plot_r + 50}" y="{ly + 4:.2f}" font-family="Helvetica,Arial,sans-serif" '
-            f'font-size="13">{_escape(name)}</text>'
-        )
+        line(plot_r + 14, f"{ly:.2f}", plot_r + 44, f"{ly:.2f}", color, 2)
+        text(plot_r + 50, f"{ly + 4:.2f}", 13, name, anchor="")
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(out) + "\n")

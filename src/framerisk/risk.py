@@ -296,12 +296,15 @@ class RiskModel:
         for brute-force minima and for surface plots.  Every chain stage is
         walked.  Each index depends on one factor, so the index rows of each
         factor are stacked and ``math.erfc`` maps once over both blocks, which
-        gives every point the bits of :meth:`evaluate`.  Only the grid needs
-        numpy, so it is imported here.
+        gives every point the bits of :meth:`evaluate`.  As there, a factor
+        outside ``[FACTOR_BOUNDS[0], MAX_FACTOR]`` raises ``ValueError``,
+        here before any arithmetic.  Only the grid needs numpy, so it is
+        imported here.
         """
         import numpy as np
 
         lb, lc = np.asarray(lambda_b, dtype=float), np.asarray(lambda_c, dtype=float)
+        _check_factors(*lb.tolist(), *lc.tolist())
         n = len(self._chain)
         a_b, a_pl, a_pg = ([stage[k] for stage in self._chain] for k in range(3))
         mu_l = np.array([self.mu_l50] + [self.mu_lapt] * 2 * n)[:, None]

@@ -1,11 +1,13 @@
 """The library contract: every pipeline entry point that takes a scenario
-validates it, once per instance, and the scalar entry points take design
-factors only in ``[FACTOR_BOUNDS[0], MAX_FACTOR]``.  Each scenario here is
-built straight from the dataclasses, never through ``scenario_from_dict``."""
+validates it, once per instance, and the scalar entry points and the grid
+take design factors only in ``[FACTOR_BOUNDS[0], MAX_FACTOR]``.  Each
+scenario here is built straight from the dataclasses, never through
+``scenario_from_dict``."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import pytest
@@ -128,7 +130,7 @@ OUT_OF_RANGE = [(1e-200, 1e-200), (1e300, 1.0), (1.0, 1e300), (-1.0, 1.0), (0.0,
 @pytest.mark.parametrize("factors", OUT_OF_RANGE)
 def test_factors_out_of_range_are_value_errors(scenario, factors):
     model = RiskModel(scenario)
-    for call in (model.evaluate, model.breakdown, model.damage_branch):
+    for call in (model.evaluate, model.breakdown, model.damage_branch, lambda b, c: model.evaluate_grid([b], [c])):
         with pytest.raises(ValueError, match="design factors must be"):
             call(*factors)
     with pytest.raises(ValueError):
@@ -144,10 +146,33 @@ def test_factors_at_the_ends_of_the_range_are_finite(scenario, factors):
     model = RiskModel(scenario)
     assert all(math.isfinite(term) for term in astuple(model.breakdown(*factors)))
     assert model.evaluate(*factors) == model.breakdown(*factors).total
+    assert model.evaluate_grid([factors[0]], [factors[1]])[0, 0] == model.evaluate(*factors)
     rows = model.trace(DesignFactors(*factors))
     assert all(math.isfinite(value) for row in rows for value in row if type(value) is float)
     assert all(math.isfinite(beta) for beta in beta_set(scenario, model.stage_strengths[0], DesignFactors(*factors),
                                                         LIVE_APT))
+
+
+@pytest.mark.parametrize("lambda_b, lambda_c", [
+    ([1e-200, 1.0, 1e300], [1e-200, 1.0]),  # every load std zero: an index divides by zero below the range
+    ([0.05, 1e300], [1.0, 1e6]),  # returned 2.3e299 at 1e300
+    ([1.0, 2.0], [0.05, math.nan, 1e6, 0.0]),
+])
+def test_grid_factors_out_of_range_are_refused_before_any_arithmetic(lambda_b, lambda_c):
+    model = RiskModel(ZERO_STD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail here
+        with pytest.raises(ValueError, match="design factors must be"):
+            model.evaluate_grid(lambda_b, lambda_c)
+
+
+@pytest.mark.parametrize("scenario", [_REF, ZERO_STD], ids=["reference", "zero load stds"])
+def test_a_nan_grid_factor_gives_a_nan_row_and_the_rest_as_evaluate(scenario):
+    model, ends = RiskModel(scenario), [FACTOR_BOUNDS[0], 1.0, MAX_FACTOR]
+    grid = model.evaluate_grid([FACTOR_BOUNDS[0], math.nan, MAX_FACTOR], ends)
+    assert all(math.isnan(value) for value in grid[1])
+    assert [grid[i, j] for i in (0, 2) for j in range(3)] == [model.evaluate(b, c) for b in ends[::2] for c in ends]
+    assert all(math.isnan(value) for value in model.evaluate_grid(ends, [1.0, math.nan])[:, 1])
 
 
 @pytest.mark.parametrize("k_ductile, k_brittle, p_ld, accepted", [

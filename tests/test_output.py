@@ -29,6 +29,16 @@ FROZEN_CHARTS = {
     "chart_empty.svg": [Series("nothing", [], [])],
 }
 
+# Eight series, so the palette of seven wraps, the last a lone point drawn
+# without a polyline, and all four escaped characters in every text.
+ESCAPED_CHART = "chart_escaped_eight_series.svg"
+ESCAPED_SERIES = [
+    *(Series(f"s{i}", [0.0, 1.0, 2.0], [i, i + 0.5, 0.75 * i]) for i in range(6)),
+    Series('cost & "risk" <p_ld>', [0.5, 1.5], [7.25, 2.5]),
+    Series("lone", [1.25], [4.0]),
+]
+ESCAPED_TEXT = {"title": 'R&D "frames" <8x8>', "x_label": "x < 1 & y > 0", "y_label": '"beta" & <p>'}
+
 
 def bounded(call, *args, events=100_000):
     """``call(*args)``, failed once its frames have raised ``events`` trace
@@ -174,6 +184,12 @@ class TestSvg:
     def test_linear_chart_matches_frozen_bytes(self, tmp_path, name):
         emit_svg(FROZEN_CHARTS[name], tmp_path / name, title=name, x_label="x", y_label="y")
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes()
+
+    def test_escaped_chart_of_eight_series_matches_frozen_bytes(self, tmp_path):
+        emit_svg(ESCAPED_SERIES, tmp_path / ESCAPED_CHART, **ESCAPED_TEXT)
+        text = (tmp_path / ESCAPED_CHART).read_text()
+        assert text.count("<polyline") == 7 and text.count("<circle") == 6 * 3 + 2 + 1
+        assert (tmp_path / ESCAPED_CHART).read_bytes() == (DATA_DIR / ESCAPED_CHART).read_bytes()
 
 
 # Finite floats with the ends of the float range, ulp-sized spans and the
