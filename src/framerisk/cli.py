@@ -46,6 +46,11 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catenary", action="store_true", help="include catenary action in the bending limit states")
 
 
+def _add_factor_args(p: argparse.ArgumentParser) -> None:
+    for flag in ("--lambda-b", "--lambda-c"):
+        p.add_argument(flag, type=float, default=1.0)
+
+
 def _resolve_scenario(args) -> Scenario:
     scenario = parse_scenario(args.scenario) if args.scenario else Scenario()
     if args.frame:
@@ -123,19 +128,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("beta", help="print the reliability-index grid")
     _add_scenario_args(p)
-    p.add_argument("--lambda-b", type=float, default=1.0)
-    p.add_argument("--lambda-c", type=float, default=1.0)
+    _add_factor_args(p)
     p.add_argument("--out", metavar="PATH", help="also write the grid as CSV")
 
     p = sub.add_parser("evaluate", help="total expected cost at given design factors")
     _add_scenario_args(p)
-    p.add_argument("--lambda-b", type=float, default=1.0)
-    p.add_argument("--lambda-c", type=float, default=1.0)
+    _add_factor_args(p)
 
     p = sub.add_parser("trace", help="progression-chain table (CSV)")
     _add_scenario_args(p)
-    p.add_argument("--lambda-b", type=float, default=1.0)
-    p.add_argument("--lambda-c", type=float, default=1.0)
+    _add_factor_args(p)
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
 
     p = sub.add_parser("optimize", help="minimize total expected cost over the design factors")

@@ -150,6 +150,7 @@ class Scenario:
     they find in an instance's ``__dict__`` (``_valid``, ``_sizing``,
     ``_precomputed``), outside its fields, as ``functools.cached_property``
     does: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the fields alone.
+    A solve lends its model's sizing and table, free of ``p_ld``, to a ``p_ld`` variant.
     """
 
     geometry: FrameGeometry = FrameGeometry(8, 9)

@@ -73,9 +73,13 @@ def _clamp(x: float) -> float:
 
 
 def _checked(scenario: Scenario, model: RiskModel) -> RiskModel:
-    """``model``, if it was built for the validated ``scenario`` at some ``p_ld``."""
-    if replace(validate(scenario), p_ld=model.p_ld) != model.scenario:
+    """``model``, if it was built for ``scenario`` at some ``p_ld``; ``scenario`` then takes
+    the model's sizing and table, which do not depend on ``p_ld``, and is validated."""
+    if replace(scenario, p_ld=model.p_ld) != model.scenario:
         raise ValueError("the model was built for another scenario than the one handed in")
+    for key in ("_sizing", "_precomputed"):
+        vars(scenario).setdefault(key, vars(model.scenario)[key])
+    validate(scenario)
     return model
 
 
@@ -118,8 +122,8 @@ def minimize_total_cost(scenario: Scenario, *, model: RiskModel | None = None) -
     return OptimizationResult(
         factors=factors,
         c_te=c_te,
-        beta_damaged=beta_set(scenario, model.stage_strengths[0], factors, LIVE_APT),
-        beta_intact=beta_set(scenario, model.intact_strengths, factors, LIVE_50),
+        beta_damaged=beta_set(scenario, model.table.stage_strengths[0], factors, LIVE_APT),
+        beta_intact=beta_set(scenario, model.table.intact_strengths, factors, LIVE_50),
         starts_used=starts_used,
         converged=best_converged,
         evaluations=evaluations,

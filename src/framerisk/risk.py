@@ -21,8 +21,8 @@ probabilities respond to the design variables.
 factors, which makes a single objective evaluation cheap enough for dense
 grids and multi-start optimization.  What depends only on the scenario and
 the design, :func:`precomputed` computes once and keeps on the scenario
-instance, where ``validate``, every build and the study tables read it.
-``RiskModel._chain``, never empty, is
+instance, where ``validate``, every build and the study tables read it; a
+model reads it as ``RiskModel.table``, whose ``chain``, never empty, is
 the one per-stage table.  One walk over it yields each stage's terms: the
 vectorized grid runs it on arrays, and :meth:`RiskModel.trace` runs it on
 floats and keeps a row per stage.  Every scalar number comes from one
@@ -116,8 +116,8 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
     """The :class:`Precomputed` numbers of ``scenario`` and ``design``,
     computed once per scenario instance and design value and kept on the
     instance, as :func:`functools.cached_property` keeps its value: a
-    scenario is frozen, so they never go stale, and ``dataclasses.replace``
-    starts a new instance with none.  ``validate`` fills it for the sizing."""
+    scenario is frozen, so they never go stale.  ``dataclasses.replace`` starts a new
+    instance with none unless a solve lends it its model's; ``validate`` fills it for the sizing."""
     tables = vars(scenario).setdefault("_precomputed", {})
     table = tables.get(design)
     if table is None:
@@ -151,25 +151,14 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
 
 
 class RiskModel:
-    """Precomputed expected-cost evaluator for one validated scenario and design."""
+    """Expected-cost evaluator for one validated scenario and design, on its moments and precomputed table."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
         self.scenario = validate(scenario)
         self.design = design_members(scenario) if design is None else design
-
-        (self.mu_rb, self.var_rb, self.mu_rc, self.var_rc,
-         self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt) = self.moments = scenario.loads.moments()
-
-        table = precomputed(scenario, self.design)
-        self.const_0, self.const_b, self.const_c = table.construction
-        self.c_pg, self.c_nlc_bending, self.c_id = table.c_pg, table.c_nlc_bending, table.c_id
-        self.p_ld = scenario.p_ld
-        self.intact_strengths = table.intact_strengths
-        self.a_b50, self.a_pg50 = self.intact_strengths.beta_b, self.intact_strengths.beta_pg
-        self.stages = list(table.stages)  # a list of this model's own; the table's tuples are shared
-        self.stage_strengths = table.stage_strengths
-        self._chain = table.chain
-        self._cap = table.cap
+        self.moments = scenario.loads.moments()
+        self.table = table = precomputed(scenario, self.design)
+        self.p_ld, self.c_pg, self.stages = scenario.p_ld, table.c_pg, table.stages
         # (normal, branch) per factor pair, the kernel's terms free of p_ld:
         # solve objectives read and fill it, nothing else does
         self.memo: dict[tuple[float, float], tuple[float, float]] = {}
@@ -187,9 +176,9 @@ class RiskModel:
         probability sits in the chain weight ``reach * p_pl``, where
         ``reach`` is the probability that damage got this far at all.
         """
-        c_pg = self.c_pg
+        c_pg = self.table.c_pg
         reach = None  # until the initial extent is done
-        for (p_b, p_pl, p_pg), (_, _, _, c_b, c_pl) in zip(probs, self._chain):
+        for (p_b, p_pl, p_pg), (_, _, _, c_b, c_pl) in zip(probs, self.table.chain):
             if reach is None:
                 yield (p_b * c_b, p_pl * c_pl, p_pg * c_pg), 1.0, 1.0
                 reach = p_pl
@@ -200,7 +189,8 @@ class RiskModel:
     # -- entry points ------------------------------------------------------
 
     def construction(self, lambda_b: float, lambda_c: float) -> float:
-        return self.const_0 + self.const_b * lambda_b + self.const_c * lambda_c
+        c0, cb, cc = self.table.construction
+        return c0 + cb * lambda_b + cc * lambda_c
 
     def objective(self, p_ld: float, memo: dict | None = None, bounds: tuple[float, float] = (-math.inf, math.inf)):
         """The total expected cost at ``p_ld`` as a function of the design
@@ -219,13 +209,12 @@ class RiskModel:
         Past it the bound is checked as soon as ``p_pl`` gives the reach, and
         bending's probability is left out where ``t_b <= c_b <= top``.
         """
-        sqrt, erfc, sqrt2, (lo, hi) = math.sqrt, math.erfc, SQRT2, bounds
-        mu_rb, var_rb, mu_rc, var_rc = self.mu_rb, self.var_rb, self.mu_rc, self.var_rc
-        mu_l, var_l, mu_la, var_la = self.mu_l50, self.var_l50, self.mu_lapt, self.var_lapt
-        a_b50, a_pg50, c_nlc, c_pg = self.a_b50, self.a_pg50, self.c_nlc_bending, self.c_pg
-        const_0, const_b, const_c, c_id = self.const_0, self.const_b, self.const_c, self.c_id
-        first, *later = self._chain
-        cap = self._cap
+        sqrt, erfc, sqrt2, (lo, hi), table = math.sqrt, math.erfc, SQRT2, bounds, self.table
+        mu_rb, var_rb, mu_rc, var_rc, mu_l, var_l, mu_la, var_la = self.moments
+        a_b50, a_pg50 = table.intact_strengths.beta_b, table.intact_strengths.beta_pg
+        (const_0, const_b, const_c), c_nlc, c_pg, c_id = table.construction, table.c_nlc_bending, table.c_pg, table.c_id
+        first, *later = table.chain
+        cap = table.cap
 
         def total(lambda_b: float, lambda_c: float) -> float:
             lb = lo if lambda_b < lo else hi if lambda_b > hi else lambda_b
@@ -287,7 +276,7 @@ class RiskModel:
         memo: dict = {}
         total = self.objective(self.p_ld, memo)(lambda_b, lambda_c)
         ((normal, branch),) = memo.values()
-        return ExpectedCost(self.construction(lambda_b, lambda_c), normal, self.c_id, branch, total)
+        return ExpectedCost(self.construction(lambda_b, lambda_c), normal, self.table.c_id, branch, total)
 
     def evaluate_grid(self, lambda_b: np.ndarray, lambda_c: np.ndarray) -> np.ndarray:
         """Objective on the outer grid of the two factor vectors.
@@ -305,14 +294,15 @@ class RiskModel:
 
         lb, lc = np.asarray(lambda_b, dtype=float), np.asarray(lambda_c, dtype=float)
         _check_factors(*lb.tolist(), *lc.tolist())
-        n = len(self._chain)
-        a_b, a_pl, a_pg = ([stage[k] for stage in self._chain] for k in range(3))
-        mu_l = np.array([self.mu_l50] + [self.mu_lapt] * 2 * n)[:, None]
-        var_l = np.array([self.var_l50] + [self.var_lapt] * 2 * n)[:, None]
-        r_b = np.array([self.a_b50, *a_b])[:, None] * lb
-        r_c = np.array([self.a_pg50, *a_pl, *a_pg])[:, None] * lc
-        beta_b = _moment_index(r_b, self.mu_rb, self.var_rb, mu_l[: n + 1], var_l[: n + 1], np.sqrt)
-        beta_c = _moment_index(r_c, self.mu_rc, self.var_rc, mu_l, var_l, np.sqrt)
+        table, (mu_rb, var_rb, mu_rc, var_rc, mu_l50, var_l50, mu_lapt, var_lapt) = self.table, self.moments
+        n = len(table.chain)
+        a_b, a_pl, a_pg = ([stage[k] for stage in table.chain] for k in range(3))
+        mu_l = np.array([mu_l50] + [mu_lapt] * 2 * n)[:, None]
+        var_l = np.array([var_l50] + [var_lapt] * 2 * n)[:, None]
+        r_b = np.array([table.intact_strengths.beta_b, *a_b])[:, None] * lb
+        r_c = np.array([table.intact_strengths.beta_pg, *a_pl, *a_pg])[:, None] * lc
+        beta_b = _moment_index(r_b, mu_rb, var_rb, mu_l[: n + 1], var_l[: n + 1], np.sqrt)
+        beta_c = _moment_index(r_c, mu_rc, var_rc, mu_l, var_l, np.sqrt)
         x = np.concatenate((beta_b.ravel(), beta_c.ravel())) / SQRT2
         pf = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
         pf_b = pf[: r_b.size].reshape(n + 1, len(lb), 1)
@@ -321,8 +311,8 @@ class RiskModel:
         for (t_b, t_pl, t_pg), weight, _ in self._walk(zip(pf_b[1:], pf_c[1 : n + 1], pf_c[n + 1 :])):
             stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
             best = stage if best is None else np.maximum(best, stage)
-        normal = self.c_nlc_bending * pf_b[0] + self.c_pg * pf_c[0]
-        return self.construction(lb[:, None], lc) + normal + self.p_ld * (self.c_id + best)
+        normal = table.c_nlc_bending * pf_b[0] + table.c_pg * pf_c[0]
+        return self.construction(lb[:, None], lc) + normal + self.p_ld * (table.c_id + best)
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots: the
@@ -331,14 +321,14 @@ class RiskModel:
         the model's moments at the arbitrary-point-in-time horizon, with the
         objective kernel's arithmetic, so the largest ``expected_cost`` is the
         kernel's damage branch."""
-        c_pg, probs = self.c_pg, []
-        for strengths in self.stage_strengths:
+        table, probs = self.table, []
+        for strengths in table.stage_strengths:
             betas = _mode_indexes(self.moments, strengths, factors, LIVE_APT)
             probs.append((_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg)))
         pairwise = [1.0] + [prev[1] * cur[1] for prev, cur in zip(probs, probs[1:])]
-        rows = []
+        c_pg, rows = table.c_pg, []
         for n_fc, (p_b, p_pl, p_pg), (*_, c_b, c_pl), (terms, w, reach), pair in zip(
-            self.stages, probs, self._chain, self._walk(probs), pairwise
+            table.stages, probs, table.chain, self._walk(probs), pairwise
         ):
             cost, mode = _first_max(*terms)
             rows.append(ProgressionRow(n_fc, p_b, p_pl, p_pg, c_b, c_pl, c_pg, w, pair, reach, cost, w * cost, mode))

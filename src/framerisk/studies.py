@@ -163,6 +163,7 @@ def _scenario_task(args: tuple[Scenario, tuple, bool]) -> tuple[ThresholdResult 
 
     With the search, the solves share its model and memo, and a ``p_ld`` it
     probed keeps the probe's solve.  Without it, each solve keeps no memo.
+    A ``p_ld`` equal to the scenario's own solves the scenario, validated once.
     """
     scenario, p_lds, with_threshold = args
     model, th, solved = None, None, {}
@@ -171,7 +172,8 @@ def _scenario_task(args: tuple[Scenario, tuple, bool]) -> tuple[ThresholdResult 
         th = threshold_probability(scenario, model=model)
         solved = {10.0**log10_p: opt for log10_p, opt in th.probes}
     return th, [
-        solved[p] if p in solved else minimize_total_cost(replace(scenario, p_ld=p), model=model)
+        solved[p] if p in solved
+        else minimize_total_cost(scenario if p == scenario.p_ld else replace(scenario, p_ld=p), model=model)
         for p in p_lds
     ]
 

@@ -30,7 +30,7 @@ from framerisk import (
 )
 from framerisk.model import FACTOR_BOUNDS, MAX_FACTOR
 from framerisk.reliability import LIVE_APT
-from framerisk.studies import reliability_grid, trace_table
+from framerisk.studies import StudyDefinition, reliability_grid, run_study, trace_table
 
 _REF = Scenario()
 
@@ -72,6 +72,21 @@ def test_the_solve_validates_the_scenario_it_is_handed_with_a_model():
         minimize_total_cost(replace(_REF, p_ld=2.0), model=model)
 
 
+@pytest.mark.parametrize("search", [minimize_total_cost, threshold_probability])
+def test_a_model_lends_its_sizing_and_table_only_to_its_own_scenario(search):
+    # a scenario that differs from the model's in p_ld alone takes its store
+    # and is still validated; one that differs elsewhere is refused untouched
+    model = RiskModel(Scenario())
+    at_p_ld = replace(_REF, p_ld=2.0)
+    with pytest.raises(ValidationError, match="p_ld"):
+        search(at_p_ld, model=model)
+    assert vars(at_p_ld)["_precomputed"] is vars(model.scenario)["_precomputed"]
+    other = replace(_REF, psi=5.0)
+    with pytest.raises(ValueError, match="another scenario"):
+        search(other, model=model)
+    assert not {"_sizing", "_precomputed"} & vars(other).keys()
+
+
 def test_a_model_at_another_p_ld_is_accepted_and_solves_as_a_fresh_one():
     scenario = Scenario(p_ld=0.01)
     lent = minimize_total_cost(scenario, model=RiskModel(replace(scenario, p_ld=0.5)))
@@ -109,6 +124,15 @@ def test_validate_runs_the_rules_once_per_instance(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_sweep_validates_each_point_once(monkeypatch, tmp_path):
+    # each point's solve takes the point's own validated scenario, not a copy at its p_ld
+    calls = []
+    original = model_module.violations
+    monkeypatch.setattr(model_module, "violations", lambda scenario: calls.append(scenario) or original(scenario))
+    _, rows = run_study(StudyDefinition(Scenario(), (("p_ld", (1e-3, 1e-2, 0.1)),), tmp_path))
+    assert len(rows) == len(calls) == 3
+
+
 def test_a_failed_validation_is_not_remembered():
     scenario = replace(_REF, p_ld=2.0)
     for _ in range(2):
@@ -136,7 +160,7 @@ def test_factors_out_of_range_are_value_errors(scenario, factors):
     with pytest.raises(ValueError):
         model.trace(DesignFactors(*factors))
     with pytest.raises(ValueError):
-        beta_set(scenario, model.stage_strengths[0], DesignFactors(*factors), LIVE_APT)
+        beta_set(scenario, model.table.stage_strengths[0], DesignFactors(*factors), LIVE_APT)
 
 
 @pytest.mark.parametrize("scenario", [_REF, ZERO_STD], ids=["reference", "zero load stds"])
@@ -149,8 +173,8 @@ def test_factors_at_the_ends_of_the_range_are_finite(scenario, factors):
     assert model.evaluate_grid([factors[0]], [factors[1]])[0, 0] == model.evaluate(*factors)
     rows = model.trace(DesignFactors(*factors))
     assert all(math.isfinite(value) for row in rows for value in row if type(value) is float)
-    assert all(math.isfinite(beta) for beta in beta_set(scenario, model.stage_strengths[0], DesignFactors(*factors),
-                                                        LIVE_APT))
+    assert all(math.isfinite(beta) for beta in beta_set(scenario, model.table.stage_strengths[0],
+                                                        DesignFactors(*factors), LIVE_APT))
 
 
 @pytest.mark.parametrize("lambda_b, lambda_c", [

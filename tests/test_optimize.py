@@ -73,7 +73,8 @@ def kernel_runs(monkeypatch):
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._chain = (Counted(self._chain[0]), *self._chain[1:])
+        chain = self.table.chain
+        self.table = self.table._replace(chain=(Counted(chain[0]), *chain[1:]))
 
     monkeypatch.setattr(RiskModel, "__init__", counted_init)
     return runs

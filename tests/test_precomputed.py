@@ -25,7 +25,8 @@ from framerisk import (
     validate,
 )
 from framerisk import costs, design, reliability
-from framerisk.studies import reliability_grid, trace_table
+from framerisk.risk import precomputed
+from framerisk.studies import _CURVE_P_GRID, _scenario_task, reliability_grid, trace_table
 
 SCENARIOS = {
     "reference": Scenario(),
@@ -45,26 +46,33 @@ def test_build_from_the_table_equals_a_fresh_build(scenario, own_design):
     scn = validate(replace(scenario))  # fills the table of the scenario's own sizing
     pick = design_members if own_design else nlc_member_design
     first, again = RiskModel(scn, pick(scn)), RiskModel(scn, pick(scn))
-    assert again._chain is first._chain  # read from the table, not rebuilt
+    assert again.table is first.table  # read from the scenario, not rebuilt
     fresh = replace(scn)
     model = RiskModel(fresh, pick(fresh))
-    assert model._chain is not first._chain
+    assert model.table is not first.table
     assert _attributes(again) == _attributes(model) == _attributes(first)
     if scenario is SCENARIOS["one stage"]:
-        assert model.stages == [1]
+        assert list(model.stages) == [1]
+
+
+def test_a_model_holds_its_numbers_under_the_table_s_names():
+    model = RiskModel(Scenario())
+    assert set(vars(model)) == {"scenario", "design", "moments", "table", "p_ld", "memo", "c_pg", "stages"}
+    assert model.moments == model.scenario.loads.moments()
+    assert model.table is precomputed(model.scenario, model.design)
+    assert model.c_pg is model.table.c_pg and model.stages is model.table.stages
 
 
 def test_models_of_one_scenario_keep_their_own_state():
     scn = validate(Scenario())
     a, b = RiskModel(scn), RiskModel(scn)
-    assert a.memo is not b.memo and a.stages is not b.stages
-    chain, stages = b._chain, list(b.stages)
+    assert a.memo is not b.memo and a.table is b.table
+    table = b.table
     # as the tests that watch the kernel's reads of the chain do
-    a._chain = [iter(stage) for stage in a._chain]
+    a.table = a.table._replace(chain=[iter(stage) for stage in a.table.chain])
     a.memo[1.0, 1.0] = (0.0, 0.0)
-    a.stages.append(99)
-    assert b._chain is chain and b.memo == {} and b.stages == stages
-    assert RiskModel(scn)._chain is chain
+    assert b.table is table and b.memo == {}
+    assert RiskModel(scn).table is table
 
 
 def test_each_number_is_computed_once(monkeypatch):
@@ -101,6 +109,13 @@ def test_each_number_is_computed_once(monkeypatch):
         "construction_coefficients": 1,
         "design_nlc": 1,
     }
+    # the threshold search's probes and the curve solves it did not probe
+    # are other instances at other p_ld: they take the model scenario's
+    # sizing and table and compute none of these again
+    before = counts.copy()
+    th, solves = _scenario_task((scn, _CURVE_P_GRID, True))
+    assert len(th.probes) > 2 and len(solves) == len(_CURVE_P_GRID)
+    assert counts == before
 
 
 def test_the_store_is_not_part_of_the_dataclass():

@@ -236,7 +236,7 @@ def test_beta_set_matches_the_index_of_the_statistics(doc):
     model, loads = RiskModel(scenario), scenario.loads
     resistances = (loads.beam_resistance, loads.column_resistance, loads.column_resistance, loads.beam_resistance)
     for live, stats in (("50yr", loads.live_50), ("apt", loads.live_apt)):
-        for strengths in (model.intact_strengths, *model.stage_strengths):
+        for strengths in (model.table.intact_strengths, *model.table.stage_strengths):
             got = beta_set(scenario, strengths, DesignFactors(1.0, 1.0), live)
             for value, strength, resistance in zip(got, strengths, resistances, strict=True):
                 want = None if strength is None else cornell_beta(strength, resistance, loads.dead, stats)
@@ -309,7 +309,8 @@ def test_gated_entry_points_return_finite_numbers_or_refuse(scenario, point):
     assert _finite(astuple(model.breakdown(*point))) and _finite(model.evaluate(*point)), point
     assert _finite(model.trace(factors)), point
     assert _finite(model.evaluate_grid([FACTOR_BOUNDS[0], point[0]], [point[1], MAX_FACTOR]).tolist()), point
-    for strengths, live in ((model.intact_strengths, LIVE_50), *((s, LIVE_APT) for s in model.stage_strengths)):
+    table = model.table
+    for strengths, live in ((table.intact_strengths, LIVE_50), *((s, LIVE_APT) for s in table.stage_strengths)):
         assert _finite(beta_set(scenario, strengths, factors, live)), (point, live)
     assert _finite(trace_table(scenario, factors=factors)[1]), point
     assert _finite([cell for row in reliability_grid(scenario, factors)[1] for cell in row[2:] if cell != ""]), point
@@ -359,10 +360,11 @@ def test_kernel_matches_unpruned_walk(doc, k_ductile, k_brittle, points):
 def test_stage_costs_never_fall_along_the_chain(doc, k_ductile, k_brittle):
     scenario = scenario_from_dict(doc)
     model = RiskModel(replace(scenario, costs=replace(scenario.costs, k_ductile=k_ductile, k_brittle=k_brittle)))
-    for (*_, c_b, c_pl), (*_, next_b, next_pl) in zip(model._chain, model._chain[1:]):
+    chain = model.table.chain
+    for (*_, c_b, c_pl), (*_, next_b, next_pl) in zip(chain, chain[1:]):
         assert c_b <= next_b and c_pl <= next_pl
-    for k in range(1, len(model._chain)):
-        assert max(0.0, model.c_pg, *(c for stage in model._chain[k:] for c in stage[3:])) == model._cap
+    for k in range(1, len(chain)):
+        assert max(0.0, model.c_pg, *(c for stage in chain[k:] for c in stage[3:])) == model.table.cap
 
 
 def _reference_document(doc: dict, include_catenary: bool, damage) -> dict:

@@ -77,7 +77,7 @@ class TestStageExpectedCost:
         idx = model.stages.index(3)
         value = model.trace(DesignFactors(5.0, 5.0))[idx].stage_expected_cost
         # with all probabilities driven to ~0 only the bare local term is left
-        *_, c_pl = model._chain[idx]
+        *_, c_pl = model.table.chain[idx]
         assert value == pytest.approx(c_pl, rel=1e-9)
 
     def test_tie_breaks_to_first_mode(self):
@@ -162,7 +162,7 @@ class TestTotalExpectedCost:
         scn = validate(Scenario(geometry=FrameGeometry(3, 4), damage=DamageScenario(1, 1)))
         design = design_members(scn)
         model = RiskModel(scn, design)
-        assert model.stages == [1]
+        assert list(model.stages) == [1]
         assert math.isfinite(total(scn, design, UNIT))
 
     @pytest.mark.parametrize("n_rc0", [0, 8])  # the reference frame has n_c = 9
@@ -175,7 +175,7 @@ class TestTotalExpectedCost:
             RiskModel(scn, nlc_member_design(scn))
         with pytest.raises(ValueError, match=rule):
             RiskModel(scn)
-        assert RiskModel(replace(scn, damage=DamageScenario(7, 0))).stages == [7]
+        assert list(RiskModel(replace(scn, damage=DamageScenario(7, 0))).stages) == [7]
 
     @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_nan_factor_gives_nan_objective(self, ref_scenario, ref_design, factors):
@@ -199,7 +199,7 @@ class TestTotalExpectedCost:
             cost = model.breakdown(lb, lc)
             assert cost.total == model.evaluate(lb, lc)
             assert cost.construction == model.construction(lb, lc)
-            assert cost.initial_damage == model.c_id
+            assert cost.initial_damage == model.table.c_id
             assert cost.damage_branch == model.damage_branch(lb, lc)
             damage = cost.initial_damage + cost.damage_branch
             assert cost.total == cost.construction + cost.normal_loading + scn.p_ld * damage
@@ -252,11 +252,12 @@ def unpruned(model, lb, lc):
     stage walked: the largest trace row, the intact frame's two failure
     probabilities at the 50-year horizon, and the objective's sum."""
     branch = max(row.expected_cost for row in model.trace(DesignFactors(lb, lc)))
-    mu_l, var_l = model.mu_l50, model.var_l50
-    pf_b = _pf_float(_moment_index(model.a_b50 * lb, model.mu_rb, model.var_rb, mu_l, var_l, math.sqrt))
-    pf_pg = _pf_float(_moment_index(model.a_pg50 * lc, model.mu_rc, model.var_rc, mu_l, var_l, math.sqrt))
-    normal = model.c_nlc_bending * pf_b + model.c_pg * pf_pg
-    return branch, normal, model.construction(lb, lc) + normal + model.p_ld * (model.c_id + branch)
+    table, (mu_rb, var_rb, mu_rc, var_rc, mu_l, var_l, *_) = model.table, model.moments
+    intact = table.intact_strengths
+    pf_b = _pf_float(_moment_index(intact.beta_b * lb, mu_rb, var_rb, mu_l, var_l, math.sqrt))
+    pf_pg = _pf_float(_moment_index(intact.beta_pg * lc, mu_rc, var_rc, mu_l, var_l, math.sqrt))
+    normal = table.c_nlc_bending * pf_b + table.c_pg * pf_pg
+    return branch, normal, model.construction(lb, lc) + normal + model.p_ld * (table.c_id + branch)
 
 
 def kernel_parts(model, lb, lc):
@@ -283,7 +284,7 @@ def stage_phis(model, lb, lc):
     stage; one with two or three is complete.  Each row of the chain is
     swapped for a generator that notes the count of calls so far when the
     kernel unpacks it."""
-    chain, erfc, calls, marks = model._chain, math.erfc, [0], []
+    table, erfc, calls, marks = model.table, math.erfc, [0], []
 
     def marked(stage):
         marks.append(calls[0])
@@ -293,12 +294,12 @@ def stage_phis(model, lb, lc):
         calls[0] += 1
         return erfc(x)
 
-    model._chain = [marked(stage) for stage in chain]
+    model.table = table._replace(chain=[marked(stage) for stage in table.chain])
     math.erfc = counted_erfc
     try:
         model.objective(model.p_ld)(lb, lc)
     finally:
-        model._chain, math.erfc = chain, erfc
+        model.table, math.erfc = table, erfc
     counts = [end - start for start, end in zip(marks, [*marks[1:], calls[0]])]
     # the normal-loading pair comes first and the initial extent is complete:
     # a helper that misses the kernel's stages fails here, not in silence
@@ -313,7 +314,7 @@ def walked_stages(model, lb, lc):
 
 def tied_cap(reach, best):
     """The largest cap whose bound ``reach * cap`` equals ``best``, if any:
-    written to ``model._cap``, objectives built from there read it."""
+    written to the cap of ``model.table``, objectives built from there read it."""
     cap = best / reach
     while reach * cap > best:
         cap = math.nextafter(cap, 0.0)
@@ -343,8 +344,8 @@ class TestEarlyExit:
             model = RiskModel(replace(base, p_ld=p_ld), design)
             # the kernel reads the strength table's own floats
             intact = unit_strengths(base, design.b_y_0, design.r_c_0)
-            assert (model.a_b50, model.a_pg50) == (intact.beta_b, intact.beta_pg)
-            for j, stage in zip(model.stages, model._chain, strict=True):
+            assert model.table.intact_strengths == intact
+            for j, stage in zip(model.stages, model.table.chain, strict=True):
                 table = unit_strengths(base, design.b_y_0, design.r_c_0, (j, damage.n_rs0))
                 assert stage[:3] == (table.beta_b, table.beta_pl, table.beta_pg)
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
@@ -359,8 +360,8 @@ class TestEarlyExit:
         # that fall along the chain make it the cost of stage 1 alone: the
         # kernel keeps the unpruned bits under this looser bound.
         model = falling_bending
-        later = [max(stage[3:]) for stage in model._chain[1:]]
-        assert model._cap == max(0.0, model.c_pg, *later) == later[0] == 1e3 / 3
+        later = [max(stage[3:]) for stage in model.table.chain[1:]]
+        assert model.table.cap == max(0.0, model.c_pg, *later) == later[0] == 1e3 / 3
         assert all(a > b for a, b in zip(later, later[1:]))
         walked = set()
         for lb, lc in np.random.default_rng(11).uniform(0.05, 5.0, size=(200, 2)).tolist():
@@ -378,7 +379,7 @@ class TestEarlyExit:
         # walks on, and both keep the unpruned bits.
         scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
         model = RiskModel(scn)
-        cap0 = model._cap
+        cap0 = model.table.cap
         ties = {}
         for lb, lc in np.random.default_rng(5).uniform(0.05, 5.0, size=(200, 2)).tolist():
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
@@ -395,11 +396,11 @@ class TestEarlyExit:
             pytest.fail("no exit of each kind whose bound can tie the best stage cost")
         for lb, lc, k, cap in ties.values():
             assert cap >= cap0
-            model._cap = cap
+            model.table = model.table._replace(cap=cap)
             phis = stage_phis(model, lb, lc)
             assert len(phis) == k + 1 and (k == 0 or phis[k] == 1)  # stopped at the same check
             assert_kernel_matches_unpruned_walk(model, lb, lc)
-            model._cap = math.nextafter(cap, math.inf)
+            model.table = model.table._replace(cap=math.nextafter(cap, math.inf))
             phis = stage_phis(model, lb, lc)
             assert phis[k] > 1 if k else len(phis) > 1  # completes stage k, or reads stage 1
             assert_kernel_matches_unpruned_walk(model, lb, lc)
@@ -416,7 +417,7 @@ class TestEarlyExit:
         # earlier check, so the point is one where every check before stage k
         # walks on.
         model = falling_bending
-        cap0 = model._cap
+        cap0 = model.table.cap
 
         def tie(lb, lc):
             rows, phis = model.trace(DesignFactors(lb, lc)), stage_phis(model, lb, lc)
@@ -441,7 +442,7 @@ class TestEarlyExit:
         else:
             pytest.fail("no walk through a later stage whose best cost the stages before it have")
         assert cap < cap0
-        model._cap = cap
+        model.table = model.table._replace(cap=cap)
         phis = stage_phis(model, lb, lc)
         assert len(phis) == k + 1 and phis[k] == 1  # reached stage k and stopped at its p_pl
         assert_kernel_matches_unpruned_walk(model, lb, lc)
@@ -456,7 +457,7 @@ class TestEarlyExit:
         bending = 0
         for p_ld in (1e-6, 1e-3, 0.1, 1.0):
             model = RiskModel(replace(scn, p_ld=p_ld), design)
-            assert all(c_b > c_pl for *_, c_b, c_pl in model._chain[1:])
+            assert all(c_b > c_pl for *_, c_b, c_pl in model.table.chain[1:])
             for lb, lc in rng.uniform(0.05, 5.0, size=(40, 2)).tolist():
                 assert_kernel_matches_unpruned_walk(model, lb, lc)
                 bending += 3 in stage_phis(model, lb, lc)[1:]
@@ -505,7 +506,7 @@ class TestProgressionTrace:
         scn = validate(Scenario(geometry=FRAME_CATALOG[frame], include_catenary=catenary))
         model = RiskModel(scn)
         for factors in (UNIT, OPTIMIZED, DesignFactors(*FACTOR_BOUNDS), DesignFactors(3.1, 0.07)):
-            for row, strengths in zip(model.trace(factors), model.stage_strengths, strict=True):
+            for row, strengths in zip(model.trace(factors), model.table.stage_strengths, strict=True):
                 betas = beta_set(scn, strengths, factors, LIVE_APT)
                 want = (_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg))
                 assert [p.hex() for p in (row.p_b, row.p_pl, row.p_pg)] == [p.hex() for p in want], factors
@@ -519,7 +520,7 @@ class TestProgressionTrace:
         with pytest.raises(ValueError, match="degenerate"):
             model.trace(tiny)
         with pytest.raises(ValueError, match="degenerate"):
-            beta_set(scn, model.stage_strengths[0], tiny, LIVE_APT)
+            beta_set(scn, model.table.stage_strengths[0], tiny, LIVE_APT)
 
     def test_failure_costs_constant_across_design_points(self, ref_scenario, ref_design):
         low = RiskModel(ref_scenario, ref_design).trace(DesignFactors(0.3, 0.3))
