@@ -58,7 +58,6 @@ from .output import Series, emit_csv, emit_svg
 from .reliability import (
     BetaSet,
     beta_damaged,
-    beta_intact,
     beta_set,
     unit_strengths,
 )

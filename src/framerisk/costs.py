@@ -12,7 +12,7 @@ during optimization.
 from __future__ import annotations
 
 from .design import MemberDesign
-from .model import CostParameters, DesignFactors, FrameGeometry, Scenario
+from .model import CostParameters, DesignFactors, FrameGeometry, Scenario, validate
 
 
 def reference_cost(geom: FrameGeometry) -> float:
@@ -53,8 +53,8 @@ def construction_coefficients(scenario: Scenario, design: MemberDesign) -> tuple
 
 
 def construction_cost(scenario: Scenario, design: MemberDesign, factors: DesignFactors) -> float:
-    """Total construction cost, normalized; equals 1 with no strengthening."""
-    c0, cb, cc = construction_coefficients(scenario, design)
+    """Total construction cost of the validated scenario, normalized; equals 1 with no strengthening."""
+    c0, cb, cc = construction_coefficients(validate(scenario), design)
     return c0 + cb * factors.lambda_b + cc * factors.lambda_c
 
 

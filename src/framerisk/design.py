@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .model import DamageScenario, FrameGeometry, LoadModel, Scenario
+from .model import DamageScenario, FrameGeometry, LoadModel, Scenario, validate
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def size_members(scenario: Scenario) -> MemberDesign:
 
 
 def design_members(scenario: Scenario) -> MemberDesign:
-    """:func:`size_members`, warning where the strengthened beam is the weaker."""
-    design = size_members(scenario)
+    """:func:`size_members` of the validated scenario, warning where the strengthened beam is the weaker."""
+    design = size_members(validate(scenario))
     if design.b_y_0 < design.b_y_nlc:
         # The removal condition has no floor at the normal-condition beam
         # strength.  L cancels from b_y_0/b_y_nlc =
@@ -99,6 +99,6 @@ def design_members(scenario: Scenario) -> MemberDesign:
 
 def nlc_member_design(scenario: Scenario) -> MemberDesign:
     """Design of the un-strengthened (normal) frame, expressed in the same
-    record so downstream code can evaluate both frames uniformly."""
-    b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
+    record so downstream code can evaluate both frames uniformly; the scenario is validated."""
+    b_y_nlc, r_c_nlc = design_nlc(validate(scenario).geometry, scenario.loads, scenario.phi_nlc)
     return MemberDesign(b_y_nlc, r_c_nlc, b_y_nlc, r_c_nlc, 1.0, 1.0)

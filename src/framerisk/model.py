@@ -28,6 +28,9 @@ class ValidationError(ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):  # unpickled from the list, not the joined message, as from a pool worker
+        return type(self), (self.violations,)
+
 
 @dataclass(frozen=True)
 class RandomVarStats:
@@ -262,7 +265,7 @@ def violations(scenario: Scenario) -> list[str]:
     since the range checks need numbers to compare.  The same walk checks
     each bounded field against its row of ``_RANGES``; the numbers the
     build computes from a scenario in range must then be finite, and so must
-    every reliability index over the factor range (see ``_indexes``).
+    every reliability index over the factor range (see ``_design_violations``).
     """
     values = _scalars(scenario)
     wrong, out = [], []
@@ -292,23 +295,22 @@ def violations(scenario: Scenario) -> list[str]:
             for live, var_l in (("live_apt", moments[7]), ("live_50", moments[5])):
                 if var_r + var_l == 0:
                     out.append(f"{name}.std, dead.std and {live}.std must not all be zero")
-    if not out:  # sizing that overflows or vanishes leaves every cost and index nan
+    if not out:
         try:
             d = _design.size_members(scenario)
-            sizes = (d.b_y_nlc, d.r_c_nlc, d.b_y_0, d.r_c_0, d.b_sf, d.r_sf)
         except (OverflowError, ZeroDivisionError):  # L**2 beyond float range, or a capacity of 0
-            sizes = ()
-        if not (sizes and all(map(math.isfinite, sizes)) and min(sizes) > 0):
-            out.append(f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive, and so must the "
-                       f"strengthening factors b_sf, r_sf {sizes or '(overflow)'}")
-        else:
-            out += _indexes(scenario, d, moments)
+            d = None
+        out += _design_violations(scenario, d, moments)
     return out
 
 
-def _indexes(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, ...]) -> list[str]:
-    """The rules on the reliability indexes and failure costs of a sized
-    scenario, read from the precomputed numbers of its sizing.
+def _design_violations(scenario: Scenario, d: _design.MemberDesign | None, moments: tuple[float, ...]) -> list[str]:
+    """The rules on a design ``d`` of a scenario whose other rules hold and
+    its ``moments``: its sizing (``None`` where that overflowed) or a design
+    handed to a ``RiskModel``.  Capacities and strengthening factors must be
+    finite and positive, or every cost and index is nan.  Then the rules on
+    the reliability indexes and failure costs, read from the precomputed
+    numbers of the design.
 
     An index of the factored strength ``r`` is ``(r*mu_r - mu_l) /
     sqrt(r*r*var_r + var_l)`` at either live-load horizon.  Its strengths are
@@ -325,6 +327,10 @@ def _indexes(scenario: Scenario, d: _design.MemberDesign, moments: tuple[float, 
     MAX_FACTOR, to failure costs weighted by probabilities and ``p_ld``; the
     same sum with every weight 1, in the objective's order, must be finite.
     """
+    sizes = () if d is None else (d.b_y_nlc, d.r_c_nlc, d.b_y_0, d.r_c_0, d.b_sf, d.r_sf)
+    if not (sizes and all(map(math.isfinite, sizes)) and min(sizes) > 0):
+        return [f"capacities b_y_nlc, r_c_nlc, b_y_0, r_c_0 must be finite and positive, and so must the "
+                f"strengthening factors b_sf, r_sf {sizes or '(overflow)'}"]
     table = _risk.precomputed(scenario, d)
     # the first two sets, intact frames, have no local pancake
     b, pg, pl, cat = zip(table.nlc_strengths, table.intact_strengths, *table.stage_strengths)

@@ -32,7 +32,8 @@ BRACKETED = "bracketed"
 
 
 class OptimizationError(RuntimeError):
-    """The objective was not finite at any start point."""
+    """The objective was not finite at any start point: kept for callers, though ``validate``
+    and a model's check of its design prove the objective finite over FACTOR_BOUNDS."""
 
 
 @dataclass(frozen=True)

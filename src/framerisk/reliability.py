@@ -7,8 +7,9 @@ load enters at one of two horizons: the 50-year extreme for the intact frame
 and the sustained arbitrary-point-in-time level conditional on damage.
 
 Every scalar index comes from one routine, :func:`_mode_indexes`, on the
-floats of :meth:`LoadModel.moments`: :func:`beta_set` calls it on the
-scenario's moments, :meth:`RiskModel.trace` on the model's own.
+floats of a validated :meth:`LoadModel.moments`: :func:`beta_set`, which
+:func:`beta_damaged` calls, validates its scenario and passes its moments,
+:meth:`RiskModel.trace` the model's own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
-from .model import DesignFactors, Scenario, _check_factors
+from .model import DesignFactors, Scenario, _check_factors, validate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,16 +91,14 @@ def unit_strengths(
 def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:
     """Indexes of the modes whose unit-factor ``strengths`` come from
     :func:`unit_strengths`, at the design ``factors`` and the ``live``
-    horizon, from the floats of :meth:`LoadModel.moments`: beam modes scale
-    with ``lambda_b`` and take the beam resistance, column modes scale with
-    ``lambda_c`` and take the column resistance.  A NaN factor gives NaN."""
+    horizon, from the floats of a validated :meth:`LoadModel.moments`: beam
+    modes scale with ``lambda_b`` and take the beam resistance, column modes
+    scale with ``lambda_c`` and take the column resistance.  A NaN factor gives NaN."""
     k = _LOAD_MOMENTS.get(live)
     if k is None:
         raise ValueError(f"unknown live-load horizon {live!r}")
     mu_rb, var_rb, mu_rc, var_rc = moments[:4]
     mu_l, var_l = moments[k], moments[k + 1]
-    if mu_rb <= 0 or mu_rc <= 0:
-        raise ValueError(f"resistance means must be positive, got {mu_rb} and {mu_rc}")
     lb, lc, pl = factors.lambda_b, factors.lambda_c, strengths.beta_pl
     r_b, r_pg, r_cat = lb * strengths.beta_b, lc * strengths.beta_pg, lb * strengths.beta_cat
     r_pl = None if pl is None else lc * pl
@@ -121,8 +120,9 @@ def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: Desig
 def beta_set(scenario: Scenario, strengths: BetaSet, factors: DesignFactors, live: str) -> BetaSet:
     """Indexes of the modes whose unit-factor ``strengths`` come from
     :func:`unit_strengths`, at the design ``factors`` and the ``live``
-    horizon, by :func:`_mode_indexes` on the scenario's load moments."""
-    return _mode_indexes(scenario.loads.moments(), strengths, factors, live)
+    horizon, by :func:`_mode_indexes` on the moments of ``scenario``, which
+    it validates; the strengths and factors it checks as raw numbers."""
+    return _mode_indexes(validate(scenario).loads.moments(), strengths, factors, live)
 
 
 # The BetaSet field of each mode, in the row order of the study's index grid.
@@ -132,24 +132,6 @@ MODE_FIELDS = {
     CollapseMode.BENDING: "beta_b",
     CollapseMode.CATENARY: "beta_cat",
 }
-
-
-def beta_intact(
-    scenario: Scenario,
-    design: MemberDesign,
-    factors: DesignFactors,
-    mode: CollapseMode,
-    live: str = LIVE_50,
-) -> float:
-    """Reliability index of the intact frame (50-year horizon by default).
-
-    Local pancake is undefined for the intact frame: with no removed
-    columns there is no adjacent-column overload mechanism.
-    """
-    if mode is CollapseMode.LOCAL_PANCAKE:
-        raise ValueError("local pancake is undefined for the intact frame")
-    strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0)
-    return getattr(beta_set(scenario, strengths, factors, live), MODE_FIELDS[mode])
 
 
 def beta_damaged(
@@ -163,5 +145,5 @@ def beta_damaged(
 ) -> float:
     """Conditional reliability index given ``n_rc`` lost columns
     (arbitrary-point-in-time live load by default)."""
-    strengths = unit_strengths(scenario, design.b_y_0, design.r_c_0, (n_rc, n_rs))
+    strengths = unit_strengths(validate(scenario), design.b_y_0, design.r_c_0, (n_rc, n_rs))
     return getattr(beta_set(scenario, strengths, factors, live), MODE_FIELDS[mode])

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import costs as costmod
-from .design import MemberDesign, design_members
-from .model import DesignFactors, Scenario, _check_factors, validate
+from .design import MemberDesign, design_members, size_members
+from .model import DesignFactors, Scenario, ValidationError, _check_factors, _design_violations, validate
 from .reliability import LIVE_APT, SQRT2, BetaSet, _mode_indexes, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
@@ -151,12 +151,17 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
 
 
 class RiskModel:
-    """Expected-cost evaluator for one validated scenario and design, on its moments and precomputed table."""
+    """Expected-cost evaluator for one validated scenario and design, on its moments and precomputed table.
+    A design other than the scenario's own sizing must pass the rules ``validate`` holds the sizing to."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
         self.scenario = validate(scenario)
-        self.design = design_members(scenario) if design is None else design
         self.moments = scenario.loads.moments()
+        if design is None:
+            design = design_members(scenario)
+        elif design != size_members(scenario) and (found := _design_violations(scenario, design, self.moments)):
+            raise ValidationError(found)
+        self.design = design
         self.table = table = precomputed(scenario, self.design)
         self.p_ld, self.c_pg, self.stages = scenario.p_ld, table.c_pg, table.stages
         # (normal, branch) per factor pair, the kernel's terms free of p_ld:

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .catalog import DAMAGE_VARIANTS, FRAME_CATALOG
-from .design import MemberDesign, design_members
+from .design import MemberDesign, design_members, size_members
 from .model import (
     DesignFactors,
     LoadModel,
@@ -103,7 +103,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 def parse_scenario(path: str | Path) -> Scenario:
     """Load a scenario JSON file; missing keys take reference defaults."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # a data error, not a fault of the program
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     return scenario_from_dict(data)
 
 
@@ -241,7 +244,7 @@ def reliability_grid(
     horizons: the normal and strengthened intact frames, the strengthened
     frame conditional on the design damage, and the same at the optimized
     factors.  Local pancake has no intact index; its cells are empty."""
-    table = precomputed(validate(scenario), design_members(scenario))
+    table = precomputed(scenario, design_members(scenario))
     if optimized is None:
         optimized = minimize_total_cost(scenario).factors
     unit, damaged = DesignFactors(1.0, 1.0), table.stage_strengths[0]
@@ -258,12 +261,12 @@ def reliability_grid(
 
 
 def strengthening_table() -> tuple[list[str], list[tuple]]:
-    """Strengthening factors for every catalog frame and damage variant."""
+    """Strengthening factors for every catalog frame and damage variant, as ``validate`` sizes them."""
     header = ["frame", "damage", "b_sf", "r_sf"]
     rows = []
     for frame_name, geometry in FRAME_CATALOG.items():
         for dmg in DAMAGE_VARIANTS:
-            d = design_members(Scenario(geometry=geometry, damage=dmg))
+            d = size_members(Scenario(geometry=geometry, damage=dmg))
             rows.append((frame_name, f"{dmg.n_rc0}x{dmg.n_rs0}", d.b_sf, d.r_sf))
     return header, rows
 

@@ -50,6 +50,16 @@ def test_malformed_json_is_data_error(tmp_path, capsys):
     assert run_command(["design", "--scenario", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_deeply_nested_json_is_data_error(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert run_command(["evaluate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_scenario_file_is_data_error(tmp_path):
     assert run_command(["design", "--scenario", str(tmp_path / "nope.json")]) == 2
 

@@ -7,6 +7,7 @@ scenario here is built straight from the dataclasses, never through
 from __future__ import annotations
 
 import math
+import pickle
 import warnings
 from dataclasses import astuple, replace
 
@@ -14,18 +15,24 @@ import pytest
 
 from framerisk import (
     FRAME_CATALOG,
+    CollapseMode,
     CostParameters,
     DesignFactors,
     LoadModel,
+    MemberDesign,
     RandomVarStats,
     RiskModel,
     Scenario,
     ValidationError,
+    beta_damaged,
     beta_set,
+    construction_cost,
+    design_members,
     minimize_total_cost,
     model as model_module,
     nlc_member_design,
     threshold_probability,
+    unit_strengths,
     validate,
 )
 from framerisk.model import FACTOR_BOUNDS, MAX_FACTOR
@@ -43,12 +50,23 @@ UNEVALUABLE = {
     "L squared vanishes": replace(_REF, geometry=replace(_REF.geometry, L=6e-300)),
 }
 
+# A design and strengths of the reference scenario: sizing an unevaluable
+# scenario may raise ZeroDivisionError before the entry point under test runs.
+_REF_DESIGN = design_members(_REF)
+_REF_DAMAGED = unit_strengths(_REF, _REF_DESIGN.b_y_0, _REF_DESIGN.r_c_0, (1, 1))
+UNIT = DesignFactors(1.0, 1.0)
+
 ENTRY_POINTS = {
     "RiskModel": RiskModel,
     "trace_table": trace_table,
-    "reliability_grid": lambda scenario: reliability_grid(scenario, DesignFactors(1.0, 1.0)),
+    "reliability_grid": lambda scenario: reliability_grid(scenario, UNIT),
     "minimize_total_cost": minimize_total_cost,
     "threshold_probability": threshold_probability,
+    "design_members": design_members,
+    "nlc_member_design": nlc_member_design,
+    "construction_cost": lambda scenario: construction_cost(scenario, _REF_DESIGN, UNIT),
+    "beta_set": lambda scenario: beta_set(scenario, _REF_DAMAGED, UNIT, LIVE_APT),
+    "beta_damaged": lambda scenario: beta_damaged(scenario, _REF_DESIGN, UNIT, 1, 1, CollapseMode.BENDING),
 }
 
 
@@ -103,6 +121,24 @@ def test_a_model_on_another_design_of_the_scenario_is_accepted():
     model = RiskModel(scenario, nlc_member_design(scenario))
     assert model.scenario is scenario
     assert math.isfinite(minimize_total_cost(replace(scenario, p_ld=1e-3), model=model).c_te)
+
+
+@pytest.mark.parametrize("design", [
+    MemberDesign(1, 1, 1, 1, math.nan, 1),  # evaluated to nan; a solve on it raised OptimizationError
+    MemberDesign(*[1e300] * 6),  # evaluated to 5.8e300, every probability 0.5
+    MemberDesign(1, 0.0, 1, 1, 1, 1),
+], ids=["nan", "1e300", "zero"])
+def test_a_handed_in_design_is_held_to_the_sizing_rules(design):
+    with pytest.raises(ValidationError, match="capacities|unit strengths"):
+        RiskModel(Scenario(), design)
+
+
+def test_a_validation_error_survives_pickling():
+    error = ValidationError(["p_ld out of range", "psi bad"])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is ValidationError
+    assert copy.violations == error.violations
+    assert str(copy) == str(error) == "p_ld out of range; psi bad"
 
 
 def test_validate_runs_the_rules_once_per_instance(monkeypatch):

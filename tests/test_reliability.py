@@ -16,8 +16,8 @@ from framerisk import (
     FrameGeometry,
     RandomVarStats,
     Scenario,
+    ValidationError,
     beta_damaged,
-    beta_intact,
     beta_set,
     design_members,
     mechanics,
@@ -26,8 +26,9 @@ from framerisk import (
     reliability_grid,
     unit_strengths,
     validate,
+    violations,
 )
-from framerisk.reliability import _pf_float
+from framerisk.reliability import MODE_FIELDS, _pf_float
 
 UNIT = DesignFactors(1.0, 1.0)
 OPTIMIZED = DesignFactors(0.9, 1.3)
@@ -93,10 +94,14 @@ class TestCornellBeta:
         assert at_apt.beta_pl == at_apt.beta_pg == cornell_beta(1.70, col, loads.dead, loads.live_apt)
 
     def test_degenerate_statistics_error(self, ref_scenario):
+        # validate refuses every std zero; on a valid scenario with zero load
+        # stds, a raw strength near 1e-170 squares to 0 in r*r*var_r
         zero = RandomVarStats(1.0, 0.0)
         loads = replace(ref_scenario.loads, beam_resistance=zero, column_resistance=zero, dead=zero, live_50=zero)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValidationError, match="must not all be zero"):
             index_at_strengths(replace(ref_scenario, loads=loads), 2.0, 2.0, "50yr")
+        with pytest.raises(ValueError, match="degenerate"):
+            index_at_strengths(zero_load_stds(ref_scenario), 1e-170, 1.0, "50yr")
 
     def test_preconditions(self, ref_scenario):
         with pytest.raises(ValueError, match="strengths must be positive"):
@@ -104,7 +109,7 @@ class TestCornellBeta:
         with pytest.raises(ValueError, match="strengths must be positive"):
             beta_set(ref_scenario, BetaSet(1.0, 1.0, 0.0, 1.0), UNIT, "apt")
         loads = replace(ref_scenario.loads, beam_resistance=RandomVarStats(-1.0, 0.2))
-        with pytest.raises(ValueError, match="resistance means must be positive"):
+        with pytest.raises(ValidationError, match=r"loads\.beam_resistance\.mean > 0 violated"):
             index_at_strengths(replace(ref_scenario, loads=loads), 1.0, 1.0, "50yr")
         with pytest.raises(ValueError, match="horizon"):
             index_at_strengths(ref_scenario, 1.0, 1.0, "10yr")
@@ -112,14 +117,17 @@ class TestCornellBeta:
 
 class TestBetaIntact:
     def test_strengthened_values(self, ref_scenario, ref_design):
-        gp = beta_intact(ref_scenario, ref_design, UNIT, CollapseMode.GLOBAL_PANCAKE)
-        b = beta_intact(ref_scenario, ref_design, UNIT, CollapseMode.BENDING)
-        assert gp == pytest.approx(2.85, abs=0.02)
-        assert b == pytest.approx(4.50, abs=0.02)
+        d = ref_design
+        intact = beta_set(ref_scenario, unit_strengths(ref_scenario, d.b_y_0, d.r_c_0), UNIT, "50yr")
+        assert intact.beta_pg == pytest.approx(2.85, abs=0.02)
+        assert intact.beta_b == pytest.approx(4.50, abs=0.02)
 
     def test_local_pancake_rejected(self, ref_scenario, ref_design):
-        with pytest.raises(ValueError, match="intact"):
-            beta_intact(ref_scenario, ref_design, UNIT, CollapseMode.LOCAL_PANCAKE)
+        # with no removed column there is no adjacent-column overload: the
+        # intact frame has no local pancake index at either horizon
+        d = ref_design
+        for live in ("50yr", "apt"):
+            assert beta_set(ref_scenario, unit_strengths(ref_scenario, d.b_y_0, d.r_c_0), UNIT, live).beta_pl is None
 
 
 class TestBetaDamaged:
@@ -241,7 +249,7 @@ def test_beta_strictly_increasing_in_design_factor():
             float(rng.uniform(3, 10)), float(rng.uniform(2, 5)),
         )
         scn = Scenario(geometry=geom)
-        if geom.n_c < 3:
+        if violations(scn):  # n_s = 1 is below the default two strengthened stories
             continue
         design = design_members(scn)
         lam = float(rng.uniform(0.1, 3.0))
@@ -255,21 +263,30 @@ def test_beta_strictly_increasing_in_design_factor():
         checked += 1
 
 
+def zero_load_stds(scenario):
+    """``scenario`` with every load std 0 and the resistance stds kept, which ``validate`` accepts."""
+    loads = scenario.loads
+    return replace(scenario, loads=replace(
+        loads,
+        dead=RandomVarStats(loads.dead.mean, 0.0),
+        live_50=RandomVarStats(loads.live_50.mean, 0.0),
+        live_apt=RandomVarStats(loads.live_apt.mean, 0.0),
+    ))
+
+
 def test_degenerate_all_zero_stds_never_silent(ref_scenario, ref_design):
-    loads = ref_scenario.loads
-    degenerate = replace(
-        ref_scenario,
-        loads=replace(
-            loads,
-            dead=RandomVarStats(loads.dead.mean, 0.0),
-            live_50=RandomVarStats(loads.live_50.mean, 0.0),
-            live_apt=RandomVarStats(loads.live_apt.mean, 0.0),
-            beam_resistance=RandomVarStats(1.22, 0.0),
-            column_resistance=RandomVarStats(1.20, 0.0),
-        ),
-    )
+    d = ref_design
+    loads = zero_load_stds(ref_scenario).loads
+    degenerate = replace(ref_scenario, loads=replace(
+        loads, beam_resistance=RandomVarStats(1.22, 0.0), column_resistance=RandomVarStats(1.20, 0.0),
+    ))
+    with pytest.raises(ValidationError, match="must not all be zero"):
+        beta_set(degenerate, unit_strengths(degenerate, d.b_y_0, d.r_c_0), UNIT, "50yr")
+    # the index's own guard, past validate: a raw strength whose square underflows
+    valid = zero_load_stds(ref_scenario)
+    tiny = unit_strengths(valid, 1e-170 * d.b_y_0, d.r_c_0)
     with pytest.raises(ValueError, match="degenerate"):
-        beta_intact(degenerate, ref_design, UNIT, CollapseMode.BENDING)
+        beta_set(valid, tiny, UNIT, "50yr")
 
 
 # Published reliability-index grid for the reference frame.  Keys are
@@ -305,10 +322,14 @@ def computed_reference_grid() -> dict[tuple[str, str, str], float]:
     normal = nlc_member_design(scn)
     grid: dict[tuple[str, str, str], float] = {}
     for live in ("apt", "50yr"):
+        intact = {
+            "nlc": beta_set(scn, unit_strengths(scn, normal.b_y_0, normal.r_c_0), UNIT, live),
+            "str": beta_set(scn, unit_strengths(scn, strengthened.b_y_0, strengthened.r_c_0), UNIT, live),
+        }
         for mode_key, mode in _MODE.items():
             if mode is not CollapseMode.LOCAL_PANCAKE:
-                grid[(live, mode_key, "nlc")] = beta_intact(scn, normal, UNIT, mode, live)
-                grid[(live, mode_key, "str")] = beta_intact(scn, strengthened, UNIT, mode, live)
+                for state, betas in intact.items():
+                    grid[(live, mode_key, state)] = getattr(betas, MODE_FIELDS[mode])
             grid[(live, mode_key, "dam")] = beta_damaged(scn, strengthened, UNIT, 1, 1, mode, live)
             grid[(live, mode_key, "opt")] = beta_damaged(scn, strengthened, OPTIMIZED, 1, 1, mode, live)
     return grid

@@ -11,14 +11,12 @@ import pytest
 from framerisk import (
     DAMAGE_VARIANTS,
     FRAME_CATALOG,
-    CollapseMode,
     CostParameters,
     DamageScenario,
     DesignFactors,
     FrameGeometry,
     RiskModel,
     Scenario,
-    beta_intact,
     beta_set,
     construction_cost,
     design_members,
@@ -100,10 +98,9 @@ class TestTotalExpectedCost:
         design = design_members(scn)
         got = total(scn, design, UNIT)
         k_d, k_b = scn.costs.k_ductile, scn.costs.k_brittle
-        pf_b = 0.5 * math.erfc(beta_intact(scn, design, UNIT, CollapseMode.BENDING) / math.sqrt(2))
-        pf_pg = 0.5 * math.erfc(
-            beta_intact(scn, design, UNIT, CollapseMode.GLOBAL_PANCAKE) / math.sqrt(2)
-        )
+        intact = beta_set(scn, unit_strengths(scn, design.b_y_0, design.r_c_0), UNIT, "50yr")
+        pf_b = 0.5 * math.erfc(intact.beta_b / math.sqrt(2))
+        pf_pg = 0.5 * math.erfc(intact.beta_pg / math.sqrt(2))
         assert got == pytest.approx(1.0 + k_d * pf_b + k_b * pf_pg, rel=1e-12)
 
     def test_probability_upper_bound(self, ref_scenario, ref_design):
@@ -210,10 +207,10 @@ class TestTotalExpectedCost:
         cost = RiskModel(ref_scenario, ref_design).breakdown(0.9, 1.3)
         c_11 = construction_cost(ref_scenario, ref_design, UNIT)
         k_d, k_b = ref_scenario.costs.k_ductile, ref_scenario.costs.k_brittle
-        pf_b = 0.5 * math.erfc(beta_intact(ref_scenario, ref_design, OPTIMIZED, CollapseMode.BENDING) / math.sqrt(2))
-        pf_pg = 0.5 * math.erfc(
-            beta_intact(ref_scenario, ref_design, OPTIMIZED, CollapseMode.GLOBAL_PANCAKE) / math.sqrt(2)
-        )
+        d = ref_design
+        intact = beta_set(ref_scenario, unit_strengths(ref_scenario, d.b_y_0, d.r_c_0), OPTIMIZED, "50yr")
+        pf_b = 0.5 * math.erfc(intact.beta_b / math.sqrt(2))
+        pf_pg = 0.5 * math.erfc(intact.beta_pg / math.sqrt(2))
         assert cost.normal_loading == pytest.approx(c_11 * (k_d * pf_b + k_b * pf_pg), rel=1e-12)
 
     def test_matches_model_evaluate(self, ref_scenario, ref_design):
