@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .model import DamageScenario, FrameGeometry, LoadModel, Scenario, validate
+from .model import DamageScenario, FrameGeometry, LoadModel, Scenario, _derived, validate
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,14 @@ def strengthen_apm(
 
 def size_members(scenario: Scenario) -> MemberDesign:
     """NLC design, strengthening for the scenario's damage, and their ratios,
-    sized once per scenario instance and kept on it, as
-    :func:`risk.precomputed` keeps the numbers built on it."""
-    store = vars(scenario)
-    if "_sizing" not in store:
+    sized once per scenario instance and kept in its record (see
+    :class:`Scenario`), as :func:`risk.precomputed` keeps the numbers built on it."""
+    record = _derived(scenario)
+    if record.sizing is None:
         b_y_nlc, r_c_nlc = design_nlc(scenario.geometry, scenario.loads, scenario.phi_nlc)
         b_y_0, r_c_0 = strengthen_apm(scenario.geometry, scenario.loads, scenario.damage, scenario.phi_apm, r_c_nlc)
-        store["_sizing"] = MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_y_0 / b_y_nlc, r_c_0 / r_c_nlc)
-    return store["_sizing"]
+        record.sizing = MemberDesign(b_y_nlc, r_c_nlc, b_y_0, r_c_0, b_y_0 / b_y_nlc, r_c_0 / r_c_nlc)
+    return record.sizing
 
 
 def design_members(scenario: Scenario) -> MemberDesign:

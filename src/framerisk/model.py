@@ -149,11 +149,16 @@ class Scenario:
     ``phi_apm`` are the resistance factors for normal-condition design and
     for strengthening.
 
-    ``validate``, ``design.size_members`` and ``risk.precomputed`` keep what
-    they find in an instance's ``__dict__`` (``_valid``, ``_sizing``,
-    ``_precomputed``), outside its fields, as ``functools.cached_property``
-    does: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the fields alone.
-    A solve lends its model's sizing and table, free of ``p_ld``, to a ``p_ld`` variant.
+    What the pipeline derives from an instance is kept on it in one private
+    record, under ``_derived`` in its ``__dict__`` and outside its fields, as
+    ``functools.cached_property`` keeps a value: ``==``, ``hash``, ``repr``
+    and ``dataclasses.replace`` see the fields alone.  The record holds the
+    mark that ``validate`` passed, ``loads.moments()``, the sizing and the
+    precomputed table of each design.  ``validate`` fills it, and the sizing,
+    the tables, ``beta_set``, ``RiskModel`` and the study tables read it.  None
+    of it depends on ``p_ld``, so a solve handed a model lends the model
+    scenario's record whole to a ``p_ld`` variant once ``p_ld``'s own type
+    and range rule passes; no other rule can newly fail.
     """
 
     geometry: FrameGeometry = FrameGeometry(8, 9)
@@ -256,6 +261,23 @@ def _range_message(name: str, value, low, high, strict: bool, top) -> str:
     return f"{low} {'<' if strict else '<='} {name} <= {high} violated ({shown})"
 
 
+def _field_violations(rows, values) -> tuple[list[str], list[str]]:
+    """The type violations and the range violations of ``rows``, ``((name,
+    ok, what), rule, value)`` per field in the order of ``_TYPED_FIELDS``: a
+    range is checked only while every type before it holds, and a bound that
+    names another field reads it from ``values``, the values of all fields."""
+    wrong, out = [], []
+    for (name, ok, what), rule, value in rows:
+        if not ok(value):
+            wrong.append(f"{name} must be {what} ({name}={value!r})")
+        elif rule and not wrong:
+            low, high, strict = rule
+            top = values[_INDEX[high]] if isinstance(high, str) else high
+            if value < low or strict and value == low or value > top:
+                out.append(_range_message(name, value, *rule, top))
+    return wrong, out
+
+
 def violations(scenario: Scenario) -> list[str]:
     """Collect every violated invariant of ``scenario`` (empty when valid).
 
@@ -268,15 +290,7 @@ def violations(scenario: Scenario) -> list[str]:
     every reliability index over the factor range (see ``_design_violations``).
     """
     values = _scalars(scenario)
-    wrong, out = [], []
-    for (name, ok, what), rule, value in zip(_TYPED_FIELDS, _WALK, values):
-        if not ok(value):
-            wrong.append(f"{name} must be {what} ({name}={value!r})")
-        elif rule and not wrong:
-            low, high, strict = rule
-            top = values[_INDEX[high]] if isinstance(high, str) else high
-            if value < low or strict and value == low or value > top:
-                out.append(_range_message(name, value, *rule, top))
+    wrong, out = _field_violations(zip(_TYPED_FIELDS, _WALK, values), values)
     if wrong:
         return wrong
     g, dm, ld = scenario.geometry, scenario.damage, scenario.loads
@@ -288,6 +302,7 @@ def violations(scenario: Scenario) -> list[str]:
         moments = ld.moments()
     except OverflowError:
         moments = ()
+    _derived(scenario).moments = moments
     if not moments or not all(map(math.isfinite, moments)):
         out.append(f"load and resistance means and variances must be finite {moments or '(overflow)'}")
     elif 0 in moments[1::2]:  # a total variance is zero only where its two variances are
@@ -363,17 +378,54 @@ def _design_violations(scenario: Scenario, d: _design.MemberDesign | None, momen
     return out
 
 
+class _Derived:
+    """The record of one scenario instance, kept on it under ``_derived`` (see
+    :class:`Scenario`): ``valid`` once ``validate`` passed, the ``moments``
+    that ``violations`` computed, the ``sizing`` of ``design.size_members``
+    and the ``tables`` of ``risk.precomputed`` by design."""
+
+    __slots__ = ("valid", "moments", "sizing", "tables")
+
+    def __init__(self):
+        self.valid, self.moments, self.sizing, self.tables = False, None, None, {}
+
+
+def _derived(scenario: Scenario) -> _Derived:
+    """The record of ``scenario``, made empty on first use."""
+    record = vars(scenario).get("_derived")
+    if record is None:
+        record = vars(scenario)["_derived"] = _Derived()
+    return record
+
+
 def validate(scenario: Scenario) -> Scenario:
     """Return ``scenario`` unchanged if every invariant holds.
 
     Raises :class:`ValidationError` carrying the full violation list
-    otherwise; there is no partial acceptance.  A success is kept on the instance.
+    otherwise; there is no partial acceptance.  A success is kept in the
+    instance's record.
     """
-    if "_valid" not in vars(scenario):
+    record = _derived(scenario)
+    if not record.valid:
         if found := violations(scenario):
             raise ValidationError(found)
-        vars(scenario)["_valid"] = True
+        record.valid = True
     return scenario
+
+
+_P_LD_RULE = (_TYPED_FIELDS[_INDEX["p_ld"]], _WALK[_INDEX["p_ld"]])
+
+
+def _lend(source: Scenario, variant: Scenario) -> None:
+    """Give ``variant``, which differs from the validated ``source`` in
+    ``p_ld`` alone, the record of ``source`` once ``p_ld``'s own type and
+    range rule passes, or raise the :class:`ValidationError` of that rule.
+    No other rule reads ``p_ld`` (the cost rule weights every failure cost by
+    1), so the rule's violations are those of ``violations(variant)``."""
+    wrong, out = _field_violations(((*_P_LD_RULE, variant.p_ld),), ())
+    if wrong or out:
+        raise ValidationError(wrong + out)
+    vars(variant)["_derived"] = vars(source)["_derived"]
 
 
 def _check_factors(*factors: float) -> None:

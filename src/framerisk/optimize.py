@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import FACTOR_BOUNDS, DesignFactors, Scenario, validate
+from .model import FACTOR_BOUNDS, DesignFactors, Scenario, _lend
 from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
 from .simplex import minimize
@@ -75,12 +75,10 @@ def _clamp(x: float) -> float:
 
 def _checked(scenario: Scenario, model: RiskModel) -> RiskModel:
     """``model``, if it was built for ``scenario`` at some ``p_ld``; ``scenario`` then takes
-    the model's sizing and table, which do not depend on ``p_ld``, and is validated."""
+    the model scenario's record, free of ``p_ld``, once ``p_ld``'s own rule passes."""
     if replace(scenario, p_ld=model.p_ld) != model.scenario:
         raise ValueError("the model was built for another scenario than the one handed in")
-    for key in ("_sizing", "_precomputed"):
-        vars(scenario).setdefault(key, vars(model.scenario)[key])
-    validate(scenario)
+    _lend(model.scenario, scenario)
     return model
 
 

@@ -7,9 +7,11 @@ load enters at one of two horizons: the 50-year extreme for the intact frame
 and the sustained arbitrary-point-in-time level conditional on damage.
 
 Every scalar index comes from one routine, :func:`_mode_indexes`, on the
-floats of a validated :meth:`LoadModel.moments`: :func:`beta_set`, which
-:func:`beta_damaged` calls, validates its scenario and passes its moments,
-:meth:`RiskModel.trace` the model's own.
+floats of a validated :meth:`LoadModel.moments`, which the scenario's record
+keeps: :func:`beta_set`, which :func:`beta_damaged` calls, validates its
+scenario, checks its raw strengths and the indexes they give, and passes the
+record's moments; :meth:`RiskModel.trace` and the study's index grid pass
+their validated moments straight in.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 from . import mechanics
 from .design import MemberDesign
 from .mechanics import CollapseMode
-from .model import DesignFactors, Scenario, _check_factors, validate
+from .model import DesignFactors, Scenario, _check_factors, _derived, validate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,8 +123,26 @@ def beta_set(scenario: Scenario, strengths: BetaSet, factors: DesignFactors, liv
     """Indexes of the modes whose unit-factor ``strengths`` come from
     :func:`unit_strengths`, at the design ``factors`` and the ``live``
     horizon, by :func:`_mode_indexes` on the moments of ``scenario``, which
-    it validates; the strengths and factors it checks as raw numbers."""
-    return _mode_indexes(validate(scenario).loads.moments(), strengths, factors, live)
+    it validates.  The strengths and factors it checks as raw numbers, and
+    raises ``ValueError`` unless each strength is positive and finite (NaN
+    is neither) and, at factors that are not NaN, every index and the
+    variance under it are finite: from about 1e154 a factored strength's
+    variance overflows, and its index would read a silent 0.0.  A NaN factor
+    gives NaN indexes."""
+    moments = _derived(validate(scenario)).moments
+    if not all(0.0 < s < math.inf for s in strengths if s is not None):
+        raise ValueError(f"unit strengths must be positive and finite, got {strengths}")
+    betas = _mode_indexes(moments, strengths, factors, live)
+    lb, lc = factors.lambda_b, factors.lambda_c
+    if lb == lb and lc == lc:
+        # each index's variance rises with its strength: the largest of each resistance bounds the others
+        var_l = moments[_LOAD_MOMENTS[live] + 1]
+        beam = lb * max(strengths.beta_b, strengths.beta_cat)
+        column = lc * max(strengths.beta_pg, strengths.beta_pl or 0.0)
+        if not (math.isfinite(beam * beam * moments[1] + var_l) and math.isfinite(column * column * moments[3] + var_l)
+                and all(math.isfinite(beta) for beta in betas if beta is not None)):
+            raise ValueError(f"strengths {strengths} at {factors} give an index or its variance beyond float range")
+    return betas
 
 
 # The BetaSet field of each mode, in the row order of the study's index grid.

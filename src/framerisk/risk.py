@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import costs as costmod
-from .design import MemberDesign, design_members, size_members
-from .model import DesignFactors, Scenario, ValidationError, _check_factors, _design_violations, validate
+from .design import MemberDesign, design_members
+from .model import DesignFactors, Scenario, ValidationError, _check_factors, _derived, _design_violations, validate
 from .reliability import LIVE_APT, SQRT2, BetaSet, _mode_indexes, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
@@ -115,10 +115,11 @@ class Precomputed(NamedTuple):
 def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
     """The :class:`Precomputed` numbers of ``scenario`` and ``design``,
     computed once per scenario instance and design value and kept on the
-    instance, as :func:`functools.cached_property` keeps its value: a
-    scenario is frozen, so they never go stale.  ``dataclasses.replace`` starts a new
-    instance with none unless a solve lends it its model's; ``validate`` fills it for the sizing."""
-    tables = vars(scenario).setdefault("_precomputed", {})
+    instance's record (see :class:`Scenario`), as :func:`functools.cached_property`
+    keeps its value: a scenario is frozen, so they never go stale.
+    ``dataclasses.replace`` starts a new instance with none unless a solve lends it
+    its model's; ``validate`` fills it for the sizing."""
+    tables = _derived(scenario).tables
     table = tables.get(design)
     if table is None:
         cp, n_rs0 = scenario.costs, scenario.damage.n_rs0
@@ -155,11 +156,13 @@ class RiskModel:
     A design other than the scenario's own sizing must pass the rules ``validate`` holds the sizing to."""
 
     def __init__(self, scenario: Scenario, design: MemberDesign | None = None):
-        self.scenario = validate(scenario)
-        self.moments = scenario.loads.moments()
+        record = _derived(validate(scenario))
+        self.scenario, self.moments = scenario, record.moments
         if design is None:
             design = design_members(scenario)
-        elif design != size_members(scenario) and (found := _design_violations(scenario, design, self.moments)):
+        elif design is not record.sizing and design != record.sizing and (
+            found := _design_violations(scenario, design, self.moments)
+        ):
             raise ValidationError(found)
         self.design = design
         self.table = table = precomputed(scenario, self.design)

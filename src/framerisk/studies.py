@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -24,13 +25,14 @@ from .model import (
     RandomVarStats,
     Scenario,
     _LOAD_STATS,
+    _derived,
     _scalar_fields,
     annual_from_lifetime,
     validate,
 )
 from .optimize import BRACKETED, ThresholdResult, minimize_total_cost, threshold_probability
 from .output import Series, emit_csv, emit_svg
-from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, beta_set
+from .reliability import LIVE_50, LIVE_APT, MODE_FIELDS, _mode_indexes
 from .risk import ProgressionRow, RiskModel, precomputed
 
 _DEFAULT = Scenario()
@@ -40,11 +42,16 @@ def _keys(dataclass_or_instance) -> frozenset[str]:
     return frozenset(f.name for f in fields(dataclass_or_instance))
 
 
+def _values(instance) -> dict:
+    return {f.name: getattr(instance, f.name) for f in fields(instance)}
+
+
 # The JSON keys of each level of the field tree and the fields a sweep axis
 # may set (every scalar above the load statistics), built once from the
-# dataclasses and the model's walk of them so that neither can drift.
+# dataclasses and the model's walk of them so that neither can drift.  A
+# section's keys map to its default values, which a document's keys override.
 _TOP_KEYS = _keys(Scenario)
-_SECTIONS = {name: _keys(getattr(_DEFAULT, name)) for name in _TOP_KEYS if is_dataclass(getattr(_DEFAULT, name))}
+_SECTIONS = {name: _values(value) for name, value in _values(_DEFAULT).items() if is_dataclass(value)}
 _STATS_KEYS = _keys(RandomVarStats)
 _STATS_REQUIRED = frozenset(f.name for f in fields(RandomVarStats) if f.default is MISSING)
 # The statistics LoadModel derives from the nominal loads when left unset.
@@ -52,7 +59,7 @@ _DERIVED_STATS = dict.fromkeys((f.name for f in fields(LoadModel) if f.default i
 _AXES = frozenset(name for name, _ in _scalar_fields(Scenario) if name.count(".") < 2)
 
 
-def _section(value, allowed: frozenset[str], where: str) -> dict:
+def _section(value, allowed: Collection[str], where: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
     unknown = sorted(value.keys() - allowed)
@@ -94,8 +101,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key, value in _section(data, _TOP_KEYS, "scenario document").items():
         if key == "loads":
             value = _loads_from_dict(value)
-        elif key in _SECTIONS:
-            value = replace(getattr(_DEFAULT, key), **_section(value, _SECTIONS[key], key))
+        elif key in _SECTIONS:  # by its own class: replace would walk its fields again
+            value = type(getattr(_DEFAULT, key))(**{**_SECTIONS[key], **_section(value, _SECTIONS[key], key)})
         kwargs[key] = value
     return validate(Scenario(**kwargs))
 
@@ -244,6 +251,7 @@ def reliability_grid(
     horizons: the normal and strengthened intact frames, the strengthened
     frame conditional on the design damage, and the same at the optimized
     factors.  Local pancake has no intact index; its cells are empty."""
+    moments = _derived(validate(scenario)).moments
     table = precomputed(scenario, design_members(scenario))
     if optimized is None:
         optimized = minimize_total_cost(scenario).factors
@@ -253,10 +261,11 @@ def reliability_grid(
     header = ["live_load", "mode", "nlc", "strengthened", "damaged", "optimized"]
     rows: list[tuple] = []
     for live in (LIVE_APT, LIVE_50):
-        states = [beta_set(scenario, strengths, factors, live) for strengths, factors in columns]
+        # the routine behind beta_set, on the validated table's strengths
+        states = [_mode_indexes(moments, strengths, factors, live) for strengths, factors in columns]
         for mode, field in MODE_FIELDS.items():
-            cells = (getattr(state, field) for state in states)
-            rows.append((live, mode.value, *("" if beta is None else beta for beta in cells)))
+            cells = ["" if (beta := getattr(state, field)) is None else beta for state in states]
+            rows.append((live, mode.value, *cells))
     return header, rows
 
 

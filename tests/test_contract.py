@@ -92,17 +92,21 @@ def test_the_solve_validates_the_scenario_it_is_handed_with_a_model():
 
 @pytest.mark.parametrize("search", [minimize_total_cost, threshold_probability])
 def test_a_model_lends_its_sizing_and_table_only_to_its_own_scenario(search):
-    # a scenario that differs from the model's in p_ld alone takes its store
-    # and is still validated; one that differs elsewhere is refused untouched
+    # a scenario that differs from the model's in p_ld alone takes its record
+    # whole once p_ld's own rule passes, and is refused untouched where it
+    # does not; one that differs elsewhere is refused untouched
     model = RiskModel(Scenario())
     at_p_ld = replace(_REF, p_ld=2.0)
     with pytest.raises(ValidationError, match="p_ld"):
         search(at_p_ld, model=model)
-    assert vars(at_p_ld)["_precomputed"] is vars(model.scenario)["_precomputed"]
+    assert "_derived" not in vars(at_p_ld)
+    lent = replace(_REF, p_ld=0.5)
+    search(lent, model=model)
+    assert vars(lent)["_derived"] is vars(model.scenario)["_derived"]
     other = replace(_REF, psi=5.0)
     with pytest.raises(ValueError, match="another scenario"):
         search(other, model=model)
-    assert not {"_sizing", "_precomputed"} & vars(other).keys()
+    assert "_derived" not in vars(other)
 
 
 def test_a_model_at_another_p_ld_is_accepted_and_solves_as_a_fresh_one():
@@ -174,7 +178,7 @@ def test_a_failed_validation_is_not_remembered():
     for _ in range(2):
         with pytest.raises(ValidationError):
             validate(scenario)
-    assert "_valid" not in vars(scenario)
+    assert not vars(scenario)["_derived"].valid
 
 
 # -- the factor rule -----------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The numbers a scenario's builds share: its sizing and, per design, the
-strengths, chain costs and construction costs of :func:`risk.precomputed`.
-They are computed once per scenario instance and kept on it, so a build
-that reads them equals a build from scratch, models of one scenario keep
-their own state, and the dataclass's own behaviour does not see them."""
+"""The numbers a scenario's builds share: its load moments, its sizing and,
+per design, the strengths, chain costs and construction costs of
+:func:`risk.precomputed`.  They are computed once per scenario instance and
+kept in its one record, so a build that reads them equals a build from
+scratch, models of one scenario keep their own state, and the dataclass's
+own behaviour does not see them."""
 
 from __future__ import annotations
 
@@ -18,15 +19,16 @@ from framerisk import (
     DamageScenario,
     DesignFactors,
     FrameGeometry,
+    LoadModel,
     RiskModel,
     Scenario,
     design_members,
     nlc_member_design,
     validate,
 )
-from framerisk import costs, design, reliability
+from framerisk import costs, design, model, reliability
 from framerisk.risk import precomputed
-from framerisk.studies import _CURVE_P_GRID, _scenario_task, reliability_grid, trace_table
+from framerisk.studies import _CURVE_P_GRID, _scenario_task, reliability_grid, scenario_from_dict, trace_table
 
 SCENARIOS = {
     "reference": Scenario(),
@@ -75,6 +77,14 @@ def test_models_of_one_scenario_keep_their_own_state():
     assert RiskModel(scn).table is table
 
 
+def _counted(counts: Counter, name: str, original):
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    return counted
+
+
 def test_each_number_is_computed_once(monkeypatch):
     counts = Counter()
     for module, name in (
@@ -83,21 +93,21 @@ def test_each_number_is_computed_once(monkeypatch):
         (costs, "local_pancake_cost"),
         (costs, "construction_coefficients"),
         (design, "design_nlc"),
+        (model, "violations"),
     ):
         original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name):
-            counts[_name] += 1
-            return _original(*args)
-
         # every module that bound the function by name
         for mod in [m for key, m in sys.modules.items() if key.startswith("framerisk")]:
             if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+                monkeypatch.setattr(mod, name, _counted(counts, name, original))
+    monkeypatch.setattr(LoadModel, "moments", _counted(counts, "moments", LoadModel.moments))
 
-    scn = validate(Scenario(geometry=FRAME_CATALOG["4x16"]))
+    # one scenario-screen operation
+    scn = scenario_from_dict({"geometry": {"n_s": 4, "n_c": 17}})
     sizing = design_members(scn)
-    RiskModel(scn, sizing).evaluate(1.0, 1.0)
+    built = RiskModel(scn, sizing)
+    built.evaluate(1.0, 1.0)
+    built.evaluate_grid([0.5, 1.0, 2.0], [0.5, 1.0])
     trace_table(scn, sizing, DesignFactors(1.0, 1.0))
     reliability_grid(scn, DesignFactors(1.2, 0.8))
     stages = len(scn.chain_stages())
@@ -108,10 +118,12 @@ def test_each_number_is_computed_once(monkeypatch):
         "local_pancake_cost": stages,
         "construction_coefficients": 1,
         "design_nlc": 1,
+        "violations": 1,
+        "moments": 1,
     }
     # the threshold search's probes and the curve solves it did not probe
     # are other instances at other p_ld: they take the model scenario's
-    # sizing and table and compute none of these again
+    # record and compute none of these again, nor run violations
     before = counts.copy()
     th, solves = _scenario_task((scn, _CURVE_P_GRID, True))
     assert len(th.probes) > 2 and len(solves) == len(_CURVE_P_GRID)
@@ -123,7 +135,7 @@ def test_the_store_is_not_part_of_the_dataclass():
     before = (hash(scn), repr(scn), asdict(scn), astuple(scn))
     validate(scn)
     RiskModel(scn, nlc_member_design(scn))
-    assert set(vars(scn)) - set(vars(twin)) == {"_valid", "_sizing", "_precomputed"}
+    assert set(vars(scn)) - set(vars(twin)) == {"_derived"}
     assert scn == twin
     assert (hash(scn), repr(scn), asdict(scn), astuple(scn)) == before
     assert (hash(twin), repr(twin), asdict(twin), astuple(twin)) == before

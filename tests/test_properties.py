@@ -31,7 +31,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from framerisk import (  # noqa: E402
@@ -41,6 +41,7 @@ from framerisk import (  # noqa: E402
     FrameGeometry,
     RiskModel,
     Scenario,
+    ValidationError,
     beta_set,
     damaged_bending_strength,
     design_members,
@@ -54,6 +55,7 @@ from framerisk import (  # noqa: E402
     size_members,
     threshold_probability,
     validate,
+    violations,
 )
 from framerisk.cli import run_command  # noqa: E402
 from framerisk.model import MAX_FACTOR  # noqa: E402
@@ -329,6 +331,39 @@ def test_threshold_search_returns_finite_numbers_or_refuses(scenario):
         return
     assert result.p_th is None or 0.0 < result.p_th <= 1.0
     assert all(_finite((opt.c_te, opt.beta_damaged, opt.beta_intact)) for _, opt in result.probes)
+
+
+def _p_ld_rule(p_ld) -> list[str]:
+    """The violations of p_ld's own type and range rule, written out."""
+    if isinstance(p_ld, bool) or not isinstance(p_ld, (int, float)) or not math.isfinite(p_ld):
+        return [f"p_ld must be a finite number (p_ld={p_ld!r})"]
+    return [] if 0 <= p_ld <= 1 else [f"0 <= p_ld <= 1 violated (p_ld={p_ld})"]
+
+
+p_lds = _either(_spread(0.1), st.sampled_from((math.nan, math.inf, -math.inf, True, 0, 1, -1e-300, 1.5, "0.1", None)))
+
+
+# A p_ld variant of a valid scenario violates p_ld's own rule and nothing
+# else, so a solve or search handed a model of the scenario checks that rule
+# alone before the variant takes the model scenario's record: it refuses the
+# variant with the message validate would give, and only then.
+@pytest.mark.filterwarnings("ignore:strengthened beam requirement")
+@settings(max_examples=20, deadline=None)
+@given(scenario=scenarios, p_ld=p_lds)
+def test_a_p_ld_variant_violates_p_ld_s_own_rule_alone(scenario, p_ld):
+    assume(not violations(scenario))
+    want = _p_ld_rule(p_ld)
+    assert violations(replace(scenario, p_ld=p_ld)) == want
+    model = RiskModel(scenario)
+    for search in (minimize_total_cost, threshold_probability):
+        variant = replace(scenario, p_ld=p_ld)
+        if want:
+            with pytest.raises(ValidationError) as refused:
+                search(variant, model=model)
+            assert refused.value.violations == want
+        else:
+            search(variant, model=model)
+            assert validate(variant) is variant
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)

@@ -274,6 +274,46 @@ def zero_load_stds(scenario):
     ))
 
 
+def test_raw_strengths_give_finite_indexes_or_refuse(ref_scenario):
+    # near the top of float range an index is still the ratio of the
+    # resistance's mean to its std; from about 1e154 the factored strength's
+    # variance overflows, where the index read a silent 0.0, and an infinite
+    # or NaN strength gave NaN
+    loads = ref_scenario.loads
+    beam, column = loads.beam_resistance, loads.column_resistance
+    at = index_at_strengths(ref_scenario, 1e150, 1e150, "apt")
+    assert at.beta_b == at.beta_cat == pytest.approx(beam.mean / beam.std, rel=1e-12)
+    assert at.beta_pg == at.beta_pl == pytest.approx(column.mean / column.std, rel=1e-12)
+    with pytest.raises(ValueError, match="beyond float range"):
+        index_at_strengths(ref_scenario, 1e160, 1e160, "apt")
+    with pytest.raises(ValueError, match="beyond float range"):  # at a factor within the range
+        beta_set(ref_scenario, BetaSet(1e150, 1.0, 1.0, 1.0), DesignFactors(1e6, 1.0), "apt")
+    for strength in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="strengths must be positive and finite"):
+            index_at_strengths(ref_scenario, strength, 1.0, "50yr")
+        with pytest.raises(ValueError, match="strengths must be positive and finite"):
+            beta_set(ref_scenario, BetaSet(1.0, 1.0, strength, 1.0), UNIT, "apt")
+
+
+def test_an_index_that_overflows_from_finite_inputs_is_refused(ref_scenario):
+    # with no beam resistance std and a subnormal load variance, the variance
+    # under a beam index stays finite and nonzero while the index overflows
+    tiny = {name: RandomVarStats(getattr(ref_scenario.loads, name).mean, 1e-155)
+            for name in ("dead", "live_apt", "live_50")}
+    loads = replace(ref_scenario.loads, beam_resistance=RandomVarStats(1.22, 0.0), **tiny)
+    scenario = validate(replace(ref_scenario, loads=loads))
+    assert math.isfinite(index_at_strengths(scenario, 1e150, 1.0, "apt").beta_b)
+    with pytest.raises(ValueError, match="beyond float range"):
+        index_at_strengths(scenario, 1e154, 1.0, "apt")
+
+
+def test_a_nan_factor_gives_nan_indexes(ref_scenario, ref_design):
+    strengths = unit_strengths(ref_scenario, ref_design.b_y_0, ref_design.r_c_0, (1, 1))
+    betas = beta_set(ref_scenario, strengths, DesignFactors(math.nan, 1.0), "apt")
+    assert math.isnan(betas.beta_b) and math.isnan(betas.beta_cat)
+    assert math.isfinite(betas.beta_pg) and math.isfinite(betas.beta_pl)
+
+
 def test_degenerate_all_zero_stds_never_silent(ref_scenario, ref_design):
     d = ref_design
     loads = zero_load_stds(ref_scenario).loads
