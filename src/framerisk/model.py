@@ -155,10 +155,9 @@ class Scenario:
     and ``dataclasses.replace`` see the fields alone.  The record holds the
     mark that ``validate`` passed, ``loads.moments()``, the sizing and the
     precomputed table of each design.  ``validate`` fills it, and the sizing,
-    the tables, ``beta_set``, ``RiskModel`` and the study tables read it.  None
-    of it depends on ``p_ld``, so a solve handed a model lends the model
-    scenario's record whole to a ``p_ld`` variant once ``p_ld``'s own type
-    and range rule passes; no other rule can newly fail.
+    the tables, ``beta_set``, ``RiskModel`` and the study tables read it.  The
+    sizing and the tables do not depend on ``p_ld``, so a solve handed a
+    model lends them to a ``p_ld`` variant, which ``validate`` then checks in full.
     """
 
     geometry: FrameGeometry = FrameGeometry(8, 9)
@@ -261,23 +260,6 @@ def _range_message(name: str, value, low, high, strict: bool, top) -> str:
     return f"{low} {'<' if strict else '<='} {name} <= {high} violated ({shown})"
 
 
-def _field_violations(rows, values) -> tuple[list[str], list[str]]:
-    """The type violations and the range violations of ``rows``, ``((name,
-    ok, what), rule, value)`` per field in the order of ``_TYPED_FIELDS``: a
-    range is checked only while every type before it holds, and a bound that
-    names another field reads it from ``values``, the values of all fields."""
-    wrong, out = [], []
-    for (name, ok, what), rule, value in rows:
-        if not ok(value):
-            wrong.append(f"{name} must be {what} ({name}={value!r})")
-        elif rule and not wrong:
-            low, high, strict = rule
-            top = values[_INDEX[high]] if isinstance(high, str) else high
-            if value < low or strict and value == low or value > top:
-                out.append(_range_message(name, value, *rule, top))
-    return wrong, out
-
-
 def violations(scenario: Scenario) -> list[str]:
     """Collect every violated invariant of ``scenario`` (empty when valid).
 
@@ -290,7 +272,15 @@ def violations(scenario: Scenario) -> list[str]:
     every reliability index over the factor range (see ``_design_violations``).
     """
     values = _scalars(scenario)
-    wrong, out = _field_violations(zip(_TYPED_FIELDS, _WALK, values), values)
+    wrong, out = [], []
+    for (name, ok, what), rule, value in zip(_TYPED_FIELDS, _WALK, values):
+        if not ok(value):
+            wrong.append(f"{name} must be {what} ({name}={value!r})")
+        elif rule and not wrong:
+            low, high, strict = rule
+            top = values[_INDEX[high]] if isinstance(high, str) else high
+            if value < low or strict and value == low or value > top:
+                out.append(_range_message(name, value, *rule, top))
     if wrong:
         return wrong
     g, dm, ld = scenario.geometry, scenario.damage, scenario.loads
@@ -411,21 +401,6 @@ def validate(scenario: Scenario) -> Scenario:
             raise ValidationError(found)
         record.valid = True
     return scenario
-
-
-_P_LD_RULE = (_TYPED_FIELDS[_INDEX["p_ld"]], _WALK[_INDEX["p_ld"]])
-
-
-def _lend(source: Scenario, variant: Scenario) -> None:
-    """Give ``variant``, which differs from the validated ``source`` in
-    ``p_ld`` alone, the record of ``source`` once ``p_ld``'s own type and
-    range rule passes, or raise the :class:`ValidationError` of that rule.
-    No other rule reads ``p_ld`` (the cost rule weights every failure cost by
-    1), so the rule's violations are those of ``violations(variant)``."""
-    wrong, out = _field_violations(((*_P_LD_RULE, variant.p_ld),), ())
-    if wrong or out:
-        raise ValidationError(wrong + out)
-    vars(variant)["_derived"] = vars(source)["_derived"]
 
 
 def _check_factors(*factors: float) -> None:

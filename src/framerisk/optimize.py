@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import FACTOR_BOUNDS, DesignFactors, Scenario, _lend
+from .model import FACTOR_BOUNDS, DesignFactors, Scenario, _derived, validate
 from .reliability import LIVE_50, LIVE_APT, BetaSet, beta_set
 from .risk import RiskModel
 from .simplex import minimize
@@ -75,10 +75,13 @@ def _clamp(x: float) -> float:
 
 def _checked(scenario: Scenario, model: RiskModel) -> RiskModel:
     """``model``, if it was built for ``scenario`` at some ``p_ld``; ``scenario`` then takes
-    the model scenario's record, free of ``p_ld``, once ``p_ld``'s own rule passes."""
+    the model's sizing and tables, which do not depend on ``p_ld``, and is validated."""
     if replace(scenario, p_ld=model.p_ld) != model.scenario:
         raise ValueError("the model was built for another scenario than the one handed in")
-    _lend(model.scenario, scenario)
+    record, lent = _derived(scenario), _derived(model.scenario)
+    if record.sizing is None:
+        record.sizing, record.tables = lent.sizing, lent.tables
+    validate(scenario)
     return model
 
 

@@ -160,9 +160,7 @@ class RiskModel:
         self.scenario, self.moments = scenario, record.moments
         if design is None:
             design = design_members(scenario)
-        elif design is not record.sizing and design != record.sizing and (
-            found := _design_violations(scenario, design, self.moments)
-        ):
+        elif design != record.sizing and (found := _design_violations(scenario, design, self.moments)):
             raise ValidationError(found)
         self.design = design
         self.table = table = precomputed(scenario, self.design)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -42,16 +41,11 @@ def _keys(dataclass_or_instance) -> frozenset[str]:
     return frozenset(f.name for f in fields(dataclass_or_instance))
 
 
-def _values(instance) -> dict:
-    return {f.name: getattr(instance, f.name) for f in fields(instance)}
-
-
 # The JSON keys of each level of the field tree and the fields a sweep axis
 # may set (every scalar above the load statistics), built once from the
-# dataclasses and the model's walk of them so that neither can drift.  A
-# section's keys map to its default values, which a document's keys override.
+# dataclasses and the model's walk of them so that neither can drift.
 _TOP_KEYS = _keys(Scenario)
-_SECTIONS = {name: _values(value) for name, value in _values(_DEFAULT).items() if is_dataclass(value)}
+_SECTIONS = {name: _keys(getattr(_DEFAULT, name)) for name in _TOP_KEYS if is_dataclass(getattr(_DEFAULT, name))}
 _STATS_KEYS = _keys(RandomVarStats)
 _STATS_REQUIRED = frozenset(f.name for f in fields(RandomVarStats) if f.default is MISSING)
 # The statistics LoadModel derives from the nominal loads when left unset.
@@ -59,7 +53,7 @@ _DERIVED_STATS = dict.fromkeys((f.name for f in fields(LoadModel) if f.default i
 _AXES = frozenset(name for name, _ in _scalar_fields(Scenario) if name.count(".") < 2)
 
 
-def _section(value, allowed: Collection[str], where: str) -> dict:
+def _section(value, allowed: frozenset[str], where: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
     unknown = sorted(value.keys() - allowed)
@@ -101,8 +95,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key, value in _section(data, _TOP_KEYS, "scenario document").items():
         if key == "loads":
             value = _loads_from_dict(value)
-        elif key in _SECTIONS:  # by its own class: replace would walk its fields again
-            value = type(getattr(_DEFAULT, key))(**{**_SECTIONS[key], **_section(value, _SECTIONS[key], key)})
+        elif key in _SECTIONS:
+            value = replace(getattr(_DEFAULT, key), **_section(value, _SECTIONS[key], key))
         kwargs[key] = value
     return validate(Scenario(**kwargs))
 

@@ -92,21 +92,42 @@ def test_the_solve_validates_the_scenario_it_is_handed_with_a_model():
 
 @pytest.mark.parametrize("search", [minimize_total_cost, threshold_probability])
 def test_a_model_lends_its_sizing_and_table_only_to_its_own_scenario(search):
-    # a scenario that differs from the model's in p_ld alone takes its record
-    # whole once p_ld's own rule passes, and is refused untouched where it
-    # does not; one that differs elsewhere is refused untouched
+    # a scenario that differs from the model's in p_ld alone takes its sizing
+    # and tables and is still validated; one that differs elsewhere is
+    # refused untouched
     model = RiskModel(Scenario())
+    own = vars(model.scenario)["_derived"]
     at_p_ld = replace(_REF, p_ld=2.0)
     with pytest.raises(ValidationError, match="p_ld"):
         search(at_p_ld, model=model)
-    assert "_derived" not in vars(at_p_ld)
+    assert vars(at_p_ld)["_derived"].tables is own.tables
     lent = replace(_REF, p_ld=0.5)
     search(lent, model=model)
-    assert vars(lent)["_derived"] is vars(model.scenario)["_derived"]
+    record = vars(lent)["_derived"]
+    assert record.valid and record.sizing is own.sizing and record.tables is own.tables
     other = replace(_REF, psi=5.0)
     with pytest.raises(ValueError, match="another scenario"):
         search(other, model=model)
     assert "_derived" not in vars(other)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        replace(_REF, include_catenary=0),
+        replace(_REF, geometry=replace(_REF.geometry, n_s=8.0)),
+        replace(_REF, costs=replace(_REF.costs, n_reinf_s=2.0)),
+    ],
+    ids=["include_catenary=0", "n_s=8.0", "n_reinf_s=2.0"],
+)
+@pytest.mark.parametrize("search", [minimize_total_cost, threshold_probability])
+def test_a_p_ld_variant_of_another_type_is_validated_in_full(search, variant):
+    # equal to the model's scenario under == at its p_ld, so the model is
+    # its own, but a field's type breaks its rule
+    variant = replace(variant, p_ld=0.5)
+    assert replace(variant, p_ld=_REF.p_ld) == _REF
+    with pytest.raises(ValidationError, match="must be"):
+        search(variant, model=RiskModel(Scenario()))
 
 
 def test_a_model_at_another_p_ld_is_accepted_and_solves_as_a_fresh_one():

@@ -344,9 +344,8 @@ p_lds = _either(_spread(0.1), st.sampled_from((math.nan, math.inf, -math.inf, Tr
 
 
 # A p_ld variant of a valid scenario violates p_ld's own rule and nothing
-# else, so a solve or search handed a model of the scenario checks that rule
-# alone before the variant takes the model scenario's record: it refuses the
-# variant with the message validate would give, and only then.
+# else, and a solve or search handed a model of the scenario refuses the
+# variant with that message, and only then.
 @pytest.mark.filterwarnings("ignore:strengthened beam requirement")
 @settings(max_examples=20, deadline=None)
 @given(scenario=scenarios, p_ld=p_lds)
