@@ -21,7 +21,7 @@ from .output import emit_csv, format_value
 from .risk import RiskModel
 from .studies import (
     StudyDefinition,
-    parse_scenario,
+    _read_scenario,
     reliability_grid,
     run_study,
     trace_table,
@@ -52,7 +52,8 @@ def _add_factor_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scenario(args) -> Scenario:
-    scenario = parse_scenario(args.scenario) if args.scenario else Scenario()
+    # the flags override the document's fields before the one validation
+    scenario = _read_scenario(args.scenario) if args.scenario else Scenario()
     if args.frame:
         scenario = replace(scenario, geometry=parse_frame_token(args.frame))
     if args.damage:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .model import DamageScenario, FrameGeometry, LoadModel, Scenario, _derived, validate
+from .model import DamageScenario, FrameGeometry, LoadModel, Scenario, _check_range, _derived, validate
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ def design_nlc(geom: FrameGeometry, loads: LoadModel, phi: float) -> tuple[float
     """Required beam moment (kNm) and column capacity (kN) under normal
     loading, i.e. the intact-frame strength equations inverted at the
     factored design load."""
-    if not 0 < phi <= 1:
-        raise ValueError(f"phi must be in (0, 1], got {phi}")
+    _check_range("phi", phi, 0, 1, strict=True)
     q = 1.2 * loads.d_n + 1.6 * loads.l_n  # factored load, 1.2D + 1.6L
     b_y = geom.L**2 / (16.0 * phi) * q
     r_c = geom.L * geom.n_s * (geom.n_c - 1) / (phi * geom.n_c) * q
@@ -56,12 +55,8 @@ def strengthen_apm(
     columns adjacent to the removal must carry the redistributed load, but
     never less than their normal-condition requirement.
     """
-    if not 0 < phi <= 1:
-        raise ValueError(f"phi must be in (0, 1], got {phi}")
-    if damage.n_rc0 < 1:
-        raise ValueError("strengthening requires n_rc0 >= 1; size with design_nlc instead")
-    if damage.n_rc0 > geom.n_c - 2:
-        raise ValueError(f"n_rc0 must leave two intact columns (n_rc0={damage.n_rc0}, n_c={geom.n_c})")
+    _check_range("phi", phi, 0, 1, strict=True)
+    _check_range("n_rc0", damage.n_rc0, 1, geom.n_c - 2)
     q = 1.2 * loads.d_n + 0.5 * loads.l_n  # factored load, 1.2D + 0.5L
     b_y_0 = damage.n_rc0 * geom.L**2 / (4.0 * phi) * q
     share = 2.0 - (geom.n_c - 1) / geom.n_c + damage.n_rc0 * (1.0 - damage.n_rs0 / geom.n_s)

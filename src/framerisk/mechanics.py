@@ -4,14 +4,15 @@ All functions return the ultimate distributed load intensity (kN/m) at which
 the given mechanism forms: plastic hinge mechanisms for beams, brittle
 crushing for columns.  Beam strengths optionally include a catenary
 contribution through the dimensionless ``psi`` parameter.  Every strength is
-homogeneous of degree one in its capacity argument.
+homogeneous of degree one in its capacity argument.  An argument outside its
+range, NaN and ±inf included, raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .model import FrameGeometry
+from .model import FrameGeometry, _check_range
 
 
 class CollapseMode(enum.Enum):
@@ -24,10 +25,8 @@ class CollapseMode(enum.Enum):
 def intact_bending_strength(geom: FrameGeometry, b_y: float, psi: float = 0.0) -> float:
     """Triple-hinge mechanism of a single bay: 16*B_y/L^2, times (1 + psi/8)
     when catenary action is active."""
-    if b_y <= 0:
-        raise ValueError(f"b_y must be positive, got {b_y}")
-    if not 0.0 <= psi <= 4.0:
-        raise ValueError(f"psi must be in [0, 4], got {psi}")
+    _check_range("b_y", b_y, 0, strict=True)
+    _check_range("psi", psi, 0, 4)
     return 16.0 * b_y / geom.L**2 * (1.0 + psi / 8.0)
 
 
@@ -37,21 +36,15 @@ def damaged_bending_strength(geom: FrameGeometry, b_y: float, n_rc: int, psi: fl
     The effective-span rule uses n_rc * L^2 in the denominator, so strength
     falls off as 1/n_rc. Catenary action contributes a (1 + psi/4) factor.
     """
-    if b_y <= 0:
-        raise ValueError(f"b_y must be positive, got {b_y}")
-    if not 0.0 <= psi <= 4.0:
-        raise ValueError(f"psi must be in [0, 4], got {psi}")
-    if n_rc < 1:
-        raise ValueError("n_rc must be >= 1 for a damaged frame; use intact_bending_strength")
-    if n_rc > geom.n_c - 2:
-        raise ValueError(f"n_rc must leave two intact columns (n_rc={n_rc}, n_c={geom.n_c})")
+    _check_range("b_y", b_y, 0, strict=True)
+    _check_range("psi", psi, 0, 4)
+    _check_range("n_rc", n_rc, 1, geom.n_c - 2)
     return 4.0 * b_y / (n_rc * geom.L**2) * (1.0 + psi / 4.0)
 
 
 def intact_pancake_strength(geom: FrameGeometry, r_c: float) -> float:
     """Static crushing of the ground-story columns of the intact frame."""
-    if r_c <= 0:
-        raise ValueError(f"r_c must be positive, got {r_c}")
+    _check_range("r_c", r_c, 0, strict=True)
     return r_c / geom.L * geom.n_c / (geom.n_s * (geom.n_c - 1))
 
 
@@ -62,12 +55,9 @@ def local_pancake_strength(geom: FrameGeometry, r_c: float, n_rc: int, n_rs: int
     shrinks with the vertical damage extent ``n_rs`` (fewer stories bearing
     on them).
     """
-    if r_c <= 0:
-        raise ValueError(f"r_c must be positive, got {r_c}")
-    if not 1 <= n_rc <= geom.n_c - 2:
-        raise ValueError(f"n_rc must be in [1, n_c - 2], got {n_rc}")
-    if not 0 <= n_rs <= geom.n_s:
-        raise ValueError(f"n_rs must be in [0, n_s], got {n_rs}")
+    _check_range("r_c", r_c, 0, strict=True)
+    _check_range("n_rc", n_rc, 1, geom.n_c - 2)
+    _check_range("n_rs", n_rs, 0, geom.n_s)
     share = 2.0 - (geom.n_c - 1) / geom.n_c + n_rc * (1.0 - n_rs / geom.n_s)
     return r_c / geom.L / (geom.n_s * share)
 
@@ -77,12 +67,9 @@ def global_pancake_strength(geom: FrameGeometry, r_c: float, n_rc: int, n_rs: in
 
     Reduces exactly to :func:`intact_pancake_strength` at ``n_rc = 0``.
     """
-    if r_c <= 0:
-        raise ValueError(f"r_c must be positive, got {r_c}")
-    if not 0 <= n_rc <= geom.n_c - 1:
-        raise ValueError(f"n_rc must be in [0, n_c - 1], got {n_rc}")
-    if not 0 <= n_rs <= geom.n_s:
-        raise ValueError(f"n_rs must be in [0, n_s], got {n_rs}")
+    _check_range("r_c", r_c, 0, strict=True)
+    _check_range("n_rc", n_rc, 0, geom.n_c - 1)
+    _check_range("n_rs", n_rs, 0, geom.n_s)
     num = geom.n_c * (geom.n_c - n_rc)
     den = (geom.n_c - 1) * (geom.n_c + n_rc) - 2.0 * (n_rs / geom.n_s) * n_rc * geom.n_c
     if den <= 0:

@@ -410,6 +410,13 @@ def _check_factors(*factors: float) -> None:
             raise ValueError(f"design factors must be in [{FACTOR_BOUNDS[0]:g}, {MAX_FACTOR:g}], got {x}")
 
 
+def _check_range(name: str, value: float, low: float, high: float = sys.float_info.max, strict: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` lies in ``[low, high]`` (``(low, high]`` when ``strict``); the
+    comparisons are written so that NaN fails, and ±inf fails at any finite bound."""
+    if not (value > low if strict else value >= low) or not value <= high:
+        raise ValueError(f"{name} must be in {'(' if strict else '['}{low}, {high}], got {value}")
+
+
 def annual_from_lifetime(p_ld: float) -> float:
     """Convert a 50-year local damage probability to an annual rate.
 

@@ -104,8 +104,6 @@ def _mode_indexes(moments: tuple[float, ...], strengths: BetaSet, factors: Desig
     lb, lc, pl = factors.lambda_b, factors.lambda_c, strengths.beta_pl
     r_b, r_pg, r_cat = lb * strengths.beta_b, lc * strengths.beta_pg, lb * strengths.beta_cat
     r_pl = None if pl is None else lc * pl
-    if r_b <= 0 or r_pg <= 0 or r_cat <= 0 or (r_pl is not None and r_pl <= 0):
-        raise ValueError(f"factored strengths must be positive, got {strengths} at {factors}")
     try:
         betas = BetaSet(
             _moment_index(r_b, mu_rb, var_rb, mu_l, var_l, math.sqrt),

@@ -89,8 +89,8 @@ def _loads_from_dict(value) -> LoadModel:
     })
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a scenario from a (possibly partial) dict."""
+def _build_scenario(data: dict) -> Scenario:
+    """The scenario a (possibly partial) dict describes, not yet validated."""
     kwargs = {}
     for key, value in _section(data, _TOP_KEYS, "scenario document").items():
         if key == "loads":
@@ -98,17 +98,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         elif key in _SECTIONS:
             value = replace(getattr(_DEFAULT, key), **_section(value, _SECTIONS[key], key))
         kwargs[key] = value
-    return validate(Scenario(**kwargs))
+    return Scenario(**kwargs)
 
 
-def parse_scenario(path: str | Path) -> Scenario:
-    """Load a scenario JSON file; missing keys take reference defaults."""
+def scenario_from_dict(data: dict) -> Scenario:
+    """Build and validate a scenario from a (possibly partial) dict."""
+    return validate(_build_scenario(data))
+
+
+def _read_scenario(path: str | Path) -> Scenario:
+    """The scenario of a JSON file, not yet validated, so a caller can set fields first."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:  # a data error, not a fault of the program
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-    return scenario_from_dict(data)
+    return _build_scenario(data)
+
+
+def parse_scenario(path: str | Path) -> Scenario:
+    """Load a scenario JSON file; missing keys take reference defaults."""
+    return validate(_read_scenario(path))
 
 
 def set_scenario_field(scenario: Scenario, name: str, value) -> Scenario:

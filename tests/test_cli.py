@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from framerisk import ExpectedCost, OptimizationError, RiskModel, Scenario, cli, size_members, studies, validate
+from framerisk import model as model_module
 from framerisk.cli import run_command
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -38,6 +39,32 @@ def test_design_reference(capsys):
     out = capsys.readouterr().out
     assert "b_sf    = 2.0643" in out
     assert "r_sf    = 1.1531" in out
+
+
+@pytest.mark.parametrize("flags, b_sf", [([], "16.5143"), (["--damage", "1x1"], "2.0643"),
+                                         (["--p-ld", "0.01", "--catenary"], "16.5143")])
+def test_flags_apply_to_the_scenario_document_before_it_is_validated(tmp_path, capsys, monkeypatch, flags, b_sf):
+    # n_rc0 = 8 leaves two intact columns of the 8x16 frame, not of the reference 8x8
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"damage": {"n_rc0": 8}}))
+    calls = []
+    original = model_module.violations
+    monkeypatch.setattr(model_module, "violations", lambda scenario: calls.append(scenario) or original(scenario))
+    argv = ["design", "--scenario", str(path), "--frame", "8x16", *flags]
+    assert run_command(argv) == 0
+    assert f"b_sf    = {b_sf}" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, message", [("[1, 2]", "JSON object"), ("{not json", "Expecting"),
+                                           ("[" * 990 + "]" * 990, "nested too deeply")])
+def test_an_unreadable_document_is_a_data_error_under_flags(tmp_path, capsys, text, message):
+    path = tmp_path / "scn.json"
+    path.write_text(text)
+    assert run_command(["design", "--scenario", str(path), "--frame", "8x16", "--damage", "1x1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_bad_frame_token_is_data_error(capsys):

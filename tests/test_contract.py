@@ -222,6 +222,8 @@ def test_factors_out_of_range_are_value_errors(scenario, factors):
         model.trace(DesignFactors(*factors))
     with pytest.raises(ValueError):
         beta_set(scenario, model.table.stage_strengths[0], DesignFactors(*factors), LIVE_APT)
+    with pytest.raises(ValueError):
+        reliability_grid(scenario, DesignFactors(*factors))
 
 
 @pytest.mark.parametrize("scenario", [_REF, ZERO_STD], ids=["reference", "zero load stds"])

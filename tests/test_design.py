@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,11 @@ def test_factors_are_ratios(ref_scenario):
 
 
 def test_no_initial_damage_is_a_domain_error(ref_scenario):
-    with pytest.raises(ValueError):
-        strengthen_apm(
-            ref_scenario.geometry, ref_scenario.loads, DamageScenario(0, 0), 1.0, 140.55
-        )
+    for n_rc0 in (0, 8, math.nan, math.inf, -math.inf):  # n_c - 2 = 7 on the reference frame
+        with pytest.raises(ValueError, match="n_rc0 must be in"):
+            strengthen_apm(
+                ref_scenario.geometry, ref_scenario.loads, DamageScenario(n_rc0, 0), 1.0, 140.55
+            )
 
 
 def test_weak_removal_combo_warns():
@@ -120,7 +123,9 @@ def test_nlc_member_design(ref_scenario):
 
 
 def test_phi_bounds(ref_scenario):
-    with pytest.raises(ValueError):
-        design_nlc(ref_scenario.geometry, ref_scenario.loads, 0.0)
-    with pytest.raises(ValueError):
-        design_nlc(ref_scenario.geometry, ref_scenario.loads, 1.2)
+    g, loads = ref_scenario.geometry, ref_scenario.loads
+    for phi in (0.0, 1.2, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi must be in"):
+            design_nlc(g, loads, phi)
+        with pytest.raises(ValueError, match="phi must be in"):
+            strengthen_apm(g, loads, ref_scenario.damage, phi, 140.55)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ from framerisk import (
 )
 
 REF = FrameGeometry(8, 9, 6.0, 3.0)
+
+# each strength function with a call it accepts, by the arguments it checks
+ACCEPTED = [
+    (intact_bending_strength, {"b_y": 7.4118, "psi": 0.0}),
+    (damaged_bending_strength, {"b_y": 15.3, "n_rc": 1, "psi": 0.0}),
+    (intact_pancake_strength, {"r_c": 140.55}),
+    (local_pancake_strength, {"r_c": 162.07, "n_rc": 1, "n_rs": 1}),
+    (global_pancake_strength, {"r_c": 162.07, "n_rc": 1, "n_rs": 1}),
+]
 
 
 def random_geometries(n, seed=7):
@@ -145,3 +156,13 @@ def test_catenary_dominance():
         psi = float(rng.uniform(0.01, 4.0))
         assert intact_bending_strength(geom, b_y, psi) > intact_bending_strength(geom, b_y)
         assert damaged_bending_strength(geom, b_y, 1, psi) > damaged_bending_strength(geom, b_y, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function, kwargs, name",
+                         [pytest.param(f, kw, name, id=f"{f.__name__}-{name}") for f, kw in ACCEPTED for name in kw])
+def test_non_finite_arguments_are_value_errors(function, kwargs, name, value):
+    # a comparison with NaN is false, so a check such as b_y <= 0 lets NaN through
+    assert math.isfinite(function(REF, **kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be in"):
+        function(REF, **{**kwargs, name: value})

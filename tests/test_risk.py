@@ -509,15 +509,16 @@ class TestProgressionTrace:
                 assert [p.hex() for p in (row.p_b, row.p_pl, row.p_pg)] == [p.hex() for p in want], factors
 
     def test_zero_variance_is_a_data_error(self):
-        # all load stds zero: at a factor of 1e-200 r*r*var_r underflows, and
-        # trace, like beta_set, reports the zero variance as a ValueError
+        # all load stds zero: at a factor of 1e-200 r*r*var_r underflows (at 0
+        # it is 0), and trace, like beta_set, reports the zero variance as a ValueError
         zero = {"mean": 1.0, "std": 0.0}
         scn = scenario_from_dict({"loads": {"dead": zero, "live_apt": zero, "live_50": zero}})
-        model, tiny = RiskModel(scn), DesignFactors(1e-200, 1e-200)
-        with pytest.raises(ValueError, match="degenerate"):
-            model.trace(tiny)
-        with pytest.raises(ValueError, match="degenerate"):
-            beta_set(scn, model.table.stage_strengths[0], tiny, LIVE_APT)
+        model = RiskModel(scn)
+        for tiny in (DesignFactors(1e-200, 1e-200), DesignFactors(0.0, 0.0)):
+            with pytest.raises(ValueError, match="degenerate"):
+                model.trace(tiny)
+            with pytest.raises(ValueError, match="degenerate"):
+                beta_set(scn, model.table.stage_strengths[0], tiny, LIVE_APT)
 
     def test_failure_costs_constant_across_design_points(self, ref_scenario, ref_design):
         low = RiskModel(ref_scenario, ref_design).trace(DesignFactors(0.3, 0.3))
