@@ -31,11 +31,17 @@ class MemberDesign:
     r_sf: float
 
 
+def _check_loads(loads: LoadModel) -> None:
+    _check_range("d_n", loads.d_n, 0)
+    _check_range("l_n", loads.l_n, 0)
+
+
 def design_nlc(geom: FrameGeometry, loads: LoadModel, phi: float) -> tuple[float, float]:
     """Required beam moment (kNm) and column capacity (kN) under normal
     loading, i.e. the intact-frame strength equations inverted at the
     factored design load."""
     _check_range("phi", phi, 0, 1, strict=True)
+    _check_loads(loads)
     q = 1.2 * loads.d_n + 1.6 * loads.l_n  # factored load, 1.2D + 1.6L
     b_y = geom.L**2 / (16.0 * phi) * q
     r_c = geom.L * geom.n_s * (geom.n_c - 1) / (phi * geom.n_c) * q
@@ -56,7 +62,10 @@ def strengthen_apm(
     never less than their normal-condition requirement.
     """
     _check_range("phi", phi, 0, 1, strict=True)
+    _check_loads(loads)
     _check_range("n_rc0", damage.n_rc0, 1, geom.n_c - 2)
+    _check_range("n_rs0", damage.n_rs0, 0, geom.n_s)
+    _check_range("r_c_nlc", r_c_nlc, 0, strict=True)
     q = 1.2 * loads.d_n + 0.5 * loads.l_n  # factored load, 1.2D + 0.5L
     b_y_0 = damage.n_rc0 * geom.L**2 / (4.0 * phi) * q
     share = 2.0 - (geom.n_c - 1) / geom.n_c + damage.n_rc0 * (1.0 - damage.n_rs0 / geom.n_s)

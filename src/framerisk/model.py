@@ -303,7 +303,7 @@ def violations(scenario: Scenario) -> list[str]:
     if not out:
         try:
             d = _design.size_members(scenario)
-        except (OverflowError, ZeroDivisionError):  # L**2 beyond float range, or a capacity of 0
+        except (OverflowError, ZeroDivisionError, ValueError):  # L**2 beyond float range, a zero or infinite capacity
             d = None
         out += _design_violations(scenario, d, moments)
     return out

@@ -61,11 +61,19 @@ class ThresholdResult:
 
     status: str
     p_th: float | None
-    evaluations: int  # objective calls, summed over the probes
-    memo_hits: int  # of which answered from the memo
     # (log10_p, solve) per probe, in probe order: the range's ends first, then the midpoints
     probes: tuple[tuple[float, OptimizationResult], ...]
     bracket: tuple[float, float]  # the final (lo, hi) in log10_p
+
+    @property
+    def evaluations(self) -> int:
+        """Objective calls, summed over the probes."""
+        return sum(opt.evaluations for _, opt in self.probes)
+
+    @property
+    def memo_hits(self) -> int:
+        """Of the objective calls, those answered from the memo."""
+        return sum(opt.memo_hits for _, opt in self.probes)
 
 
 def _clamp(x: float) -> float:
@@ -165,5 +173,4 @@ def threshold_probability(scenario: Scenario, *, model: RiskModel | None = None)
             else:
                 hi = mid
         p_th = 10.0 ** (0.5 * (lo + hi))
-    evaluations, memo_hits = sum(p.evaluations for _, p in probes), sum(p.memo_hits for _, p in probes)
-    return ThresholdResult(status, p_th, evaluations, memo_hits, tuple(probes), (lo, hi))
+    return ThresholdResult(status, p_th, tuple(probes), (lo, hi))

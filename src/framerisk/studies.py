@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -202,8 +202,21 @@ def _map_tasks(jobs: int, fn, tasks: list) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the module attribute, so that the pool is imported here and a patched one is found
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def __getattr__(name: str):
+    # concurrent.futures loads multiprocessing and about 30 more modules, which
+    # only a run with more than one worker needs: the pool class is imported at
+    # its first access and kept as a module attribute from then on
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def run_study(study: StudyDefinition) -> tuple[list[str], list[tuple]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,3 +130,26 @@ def test_phi_bounds(ref_scenario):
             design_nlc(g, loads, phi)
         with pytest.raises(ValueError, match="phi must be in"):
             strengthen_apm(g, loads, ref_scenario.damage, phi, 140.55)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_sizing_arguments_out_of_range_are_value_errors(ref_scenario, bad):
+    # max(r_c_nlc, nan) keeps r_c_nlc, so a NaN n_rs0 once sized the columns silently
+    g, loads, damage = ref_scenario.geometry, ref_scenario.loads, ref_scenario.damage
+    with pytest.raises(ValueError, match="r_c_nlc must be in"):
+        strengthen_apm(g, loads, damage, 1.0, bad)
+    with pytest.raises(ValueError, match="n_rs0 must be in"):
+        strengthen_apm(g, loads, DamageScenario(1, bad), 1.0, 140.55)
+    for name in ("d_n", "l_n"):
+        bad_loads = replace(loads, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            design_nlc(g, bad_loads, 1.0)
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            strengthen_apm(g, bad_loads, damage, 1.0, 140.55)
+
+
+def test_sizing_arguments_at_their_bounds_are_accepted(ref_scenario):
+    g, loads = ref_scenario.geometry, ref_scenario.loads
+    assert design_nlc(g, replace(loads, l_n=0.0), 1.0)[1] > 0.0
+    for n_rs0 in (0, g.n_s):
+        assert strengthen_apm(g, loads, DamageScenario(1, n_rs0), 1.0, 1e-300)[1] > 0.0
