@@ -355,11 +355,15 @@ def _design_violations(scenario: Scenario, d: _design.MemberDesign | None, momen
         elif not lo * lo * var_r + least_var_l:
             out.append(f"{member} unit strengths down to {low:.4g} kN/m times factors down to {FACTOR_BOUNDS[0]:g} "
                        f"must keep every reliability index's variance nonzero")
-        elif not all(math.isfinite(_reliability._moment_index(r, mu_r, var_r, mu_l, var_l, math.sqrt))
-                     for mu_l, var_l in horizons
-                     for r in ((lo, hi, min(max(mu_r * var_l / -mu_l / var_r, lo), hi)) if mu_l < 0 < var_r else (lo, hi))):
-            out.append(f"{member} unit strengths from {low:.4g} to {top:.4g} kN/m times factors from "
-                       f"{FACTOR_BOUNDS[0]:g} to {MAX_FACTOR:g} must keep every reliability index finite")
+        else:
+            finite = True
+            for mu_l, var_l in horizons:
+                for r in (lo, hi, min(max(mu_r * var_l / -mu_l / var_r, lo), hi)) if mu_l < 0 < var_r else (lo, hi):
+                    beta = _reliability._moment_index(r, mu_r, var_r, mu_l, var_l, math.sqrt)
+                    finite = finite and math.isfinite(beta)
+            if not finite:
+                out.append(f"{member} unit strengths from {low:.4g} to {top:.4g} kN/m times factors from "
+                           f"{FACTOR_BOUNDS[0]:g} to {MAX_FACTOR:g} must keep every reliability index finite")
     c0, cb, cc = table.construction  # the largest stage term is at most the cap or an initial-extent cost
     if not math.isfinite(c0 + cb * MAX_FACTOR + cc * MAX_FACTOR + (table.c_nlc_bending + table.c_pg)
                          + (table.c_id + max(table.cap, *table.chain[0][3:]))):

@@ -6,12 +6,14 @@ second-moment index beta = E[g]/std[g] is exact for Gaussian inputs.  Live
 load enters at one of two horizons: the 50-year extreme for the intact frame
 and the sustained arbitrary-point-in-time level conditional on damage.
 
-Every scalar index comes from one routine, :func:`_mode_indexes`, on the
-floats of a validated :meth:`LoadModel.moments`, which the scenario's record
-keeps: :func:`beta_set`, which :func:`beta_damaged` calls, validates its
-scenario, checks its raw strengths and the indexes they give, and passes the
-record's moments; :meth:`RiskModel.trace` and the study's index grid pass
-their validated moments straight in.
+Every index comes from one formula, :func:`_moment_index`, on the floats
+of a validated :meth:`LoadModel.moments`, which the scenario's record keeps.
+:func:`_mode_indexes` forms a :class:`BetaSet` of every mode with it:
+:func:`beta_set`, which :func:`beta_damaged` calls, validates its scenario,
+checks its raw strengths and the indexes they give, and passes the record's
+moments; the study's index grid passes its validated moments straight in.
+:meth:`RiskModel.trace` forms only its three indexes per stage with the
+formula itself, as the objective grid and the design rules in ``model`` do.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def _moment_index(r, mu_r, var_r, mu_l, var_l, sqrt):
 
     Works elementwise on broadcast arrays when ``sqrt`` is ``np.sqrt``:
     :mod:`risk` calls it once per stacked block of index rows for the grid,
-    and :func:`_mode_indexes` once per mode on floats.
+    and three times per stage on floats for ``trace``, and
+    :func:`_mode_indexes` once per mode on floats.
     """
     return (r * mu_r - mu_l) / sqrt(r * r * var_r + var_l)
 

@@ -23,13 +23,15 @@ grids and multi-start optimization.  What depends only on the scenario and
 the design, :func:`precomputed` computes once and keeps on the scenario
 instance, where ``validate``, every build and the study tables read it; a
 model reads it as ``RiskModel.table``, whose ``chain``, never empty, is
-the one per-stage table.  One walk over it yields each stage's terms: the
-vectorized grid runs it on arrays, and :meth:`RiskModel.trace` runs it on
-floats and keeps a row per stage.  Every scalar number comes from one
-closure built by ``RiskModel.objective``, which clamps, reads the memo and
-runs the float kernel, the walk's arithmetic written out in one frame with
-an exact exit against one cap: a solve calls it, and
-:meth:`RiskModel.breakdown` reads its terms from the memo entry of one call.
+the one per-stage table.  The chain is read in three forms, each with its
+measured reason.  Every scalar number comes from one closure built by
+``RiskModel.objective``, which clamps, reads the memo and runs the float
+kernel, the walk's arithmetic written out in one frame with an exact exit
+against one cap: a solve calls it, and :meth:`RiskModel.breakdown` reads
+its terms from the memo entry of one call.  :meth:`RiskModel.trace` keeps a
+row per stage from ``_walk`` on floats, with no numpy.  The vectorized grid
+folds the chain over stacked per-stage rows, each of one factor, with the
+same bits as the walk at every point.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import costs as costmod
 from .design import MemberDesign, design_members
 from .model import DesignFactors, Scenario, ValidationError, _check_factors, _derived, _design_violations, validate
-from .reliability import LIVE_APT, SQRT2, BetaSet, _mode_indexes, _moment_index, _pf_float, unit_strengths
+from .reliability import SQRT2, BetaSet, _moment_index, _pf_float, unit_strengths
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,13 +125,14 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
     table = tables.get(design)
     if table is None:
         cp, n_rs0 = scenario.costs, scenario.damage.n_rs0
-        stages = scenario.chain_stages()
-        stage_strengths = tuple(unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, n_rs0)) for j in stages)
+        stages, stage_strengths, chain = scenario.chain_stages(), [], []
         bending_cost, local_cost = costmod.bending_collapse_cost, costmod.local_pancake_cost
-        chain = tuple(
-            (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
-            for j, s in zip(stages, stage_strengths)
-        )
+        for j in stages:
+            s = unit_strengths(scenario, design.b_y_0, design.r_c_0, (j, n_rs0))
+            stage_strengths.append(s)
+            chain.append(
+                (s.beta_b, s.beta_pl, s.beta_pg, bending_cost(scenario, design, j), local_cost(scenario, design, j))
+            )
         c0, cb, cc = costmod.construction_coefficients(scenario, design)
         c_unit = c0 + cb * 1.0 + cc * 1.0  # RiskModel.construction(1.0, 1.0)
         c_pg = cp.k_brittle * c_unit
@@ -137,8 +140,8 @@ def precomputed(scenario: Scenario, design: MemberDesign) -> Precomputed:
             unit_strengths(scenario, design.b_y_nlc, design.r_c_nlc),
             unit_strengths(scenario, design.b_y_0, design.r_c_0),
             stages,
-            stage_strengths,
-            chain,
+            tuple(stage_strengths),
+            tuple(chain),
             # The objective's one cap, >= 0 and >= every cost after the initial
             # extent, bounds the stages not yet costed at every check; costs
             # never fall along the chain, so no cap over fewer stages would be lower.
@@ -172,8 +175,9 @@ class RiskModel:
     # -- the progression chain ---------------------------------------------
 
     def _walk(self, probs):
-        """Yield ``(terms, weight, reach)`` per stage from its failure
-        probabilities ``(p_b, p_pl, p_pg)`` in ``probs``, floats or arrays.
+        """Yield ``(terms, weight, reach)`` per stage from its float failure
+        probabilities ``(p_b, p_pl, p_pg)`` in ``probs``: the walk behind
+        :meth:`trace`'s rows, whose arithmetic the kernel and the grid's fold keep.
 
         ``terms`` are the expected costs of bending, local pancake and
         global pancake.  At the initial extent the damage is given, so every
@@ -288,13 +292,19 @@ class RiskModel:
         """Objective on the outer grid of the two factor vectors.
 
         Returns an array of shape ``(len(lambda_b), len(lambda_c))``; used
-        for brute-force minima and for surface plots.  Every chain stage is
-        walked.  Each index depends on one factor, so the index rows of each
-        factor are stacked and ``math.erfc`` maps once over both blocks, which
-        gives every point the bits of :meth:`evaluate`.  As there, a factor
-        outside ``[FACTOR_BOUNDS[0], MAX_FACTOR]`` raises ``ValueError``,
-        here before any arithmetic.  Only the grid needs numpy, so it is
-        imported here.
+        for brute-force minima and for surface plots.  Each index depends on
+        one factor, so the index rows of each factor are stacked and
+        ``math.erfc`` maps once over both blocks.  The chain is then folded
+        over every stage's rows: the weights ``reach * p_pl`` are one running
+        product of the ``p_pl`` rows, and as rounding is monotone, ``w *
+        max(a, b)`` has the bits of ``max(w * a, w * b)`` for ``w >= 0``, so
+        the largest stage cost is the larger of a ``lambda_c``-only part
+        ``max_j w_j * max(t_pl_j, t_pg_j)`` and a bending part ``max_j w_j *
+        t_b_j`` over the grid, taken 8 stages a block so that no temporary
+        holds more than 8 grids.  Every point has the bits of
+        :meth:`evaluate`, NaN where it is NaN.  As there, a factor outside
+        ``[FACTOR_BOUNDS[0], MAX_FACTOR]`` raises ``ValueError``, here before
+        any arithmetic.  Only the grid needs numpy, so it is imported here.
         """
         import numpy as np
 
@@ -302,7 +312,7 @@ class RiskModel:
         _check_factors(*lb.tolist(), *lc.tolist())
         table, (mu_rb, var_rb, mu_rc, var_rc, mu_l50, var_l50, mu_lapt, var_lapt) = self.table, self.moments
         n = len(table.chain)
-        a_b, a_pl, a_pg = ([stage[k] for stage in table.chain] for k in range(3))
+        a_b, a_pl, a_pg, c_b, c_pl = zip(*table.chain)
         mu_l = np.array([mu_l50] + [mu_lapt] * 2 * n)[:, None]
         var_l = np.array([var_l50] + [var_lapt] * 2 * n)[:, None]
         r_b = np.array([table.intact_strengths.beta_b, *a_b])[:, None] * lb
@@ -311,26 +321,42 @@ class RiskModel:
         beta_c = _moment_index(r_c, mu_rc, var_rc, mu_l, var_l, np.sqrt)
         x = np.concatenate((beta_b.ravel(), beta_c.ravel())) / SQRT2
         pf = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
-        pf_b = pf[: r_b.size].reshape(n + 1, len(lb), 1)
-        pf_c = pf[r_b.size :].reshape(2 * n + 1, 1, len(lc))
-        best = None
-        for (t_b, t_pl, t_pg), weight, _ in self._walk(zip(pf_b[1:], pf_c[1 : n + 1], pf_c[n + 1 :])):
-            stage = weight * np.maximum(t_b, np.maximum(t_pl, t_pg))
-            best = stage if best is None else np.maximum(best, stage)
-        normal = table.c_nlc_bending * pf_b[0] + table.c_pg * pf_c[0]
+        pf_b = pf[: r_b.size].reshape(n + 1, len(lb))
+        pf_c = pf[r_b.size :].reshape(2 * n + 1, len(lc))
+        # the walk's weights: 1 at the initial extent, then reach * p_pl, the running product of p_pl
+        weight = np.multiply.accumulate(pf_c[1 : n + 1])
+        weight[0] = 1.0
+        t_pg = pf_c[n + 1 :] * table.c_pg
+        top = np.maximum(np.array(c_pl)[:, None], t_pg)
+        top[0] = np.maximum(pf_c[1] * c_pl[0], t_pg[0])  # the initial extent weights local pancake too
+        best = (weight * top).max(axis=0)  # the lambda_c-only part
+        t_b = pf_b[1:] * np.array(c_b)[:, None]
+        for k in range(0, n, 8):  # at most 8 grids a block, so a catalog or screen frame folds in one
+            best = np.maximum(best, (t_b[k : k + 8, :, None] * weight[k : k + 8, None, :]).max(axis=0))
+        normal = table.c_nlc_bending * pf_b[0][:, None] + table.c_pg * pf_c[0]
         return self.construction(lb[:, None], lc) + normal + self.p_ld * (table.c_id + best)
 
     def trace(self, factors: DesignFactors) -> list[ProgressionRow]:
         """One row per damage extent on the chain, for tables and plots: the
-        chain's one scalar walk over every stage.  Each stage's indexes come
-        from the routine behind :func:`~framerisk.reliability.beta_set`, on
-        the model's moments at the arbitrary-point-in-time horizon, with the
-        objective kernel's arithmetic, so the largest ``expected_cost`` is the
-        kernel's damage branch."""
-        table, probs = self.table, []
-        for strengths in table.stage_strengths:
-            betas = _mode_indexes(self.moments, strengths, factors, LIVE_APT)
-            probs.append((_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg)))
+        chain's one scalar walk over every stage.  Each stage's three indexes,
+        bending, local and global pancake, come from the one index formula
+        :func:`~framerisk.reliability._moment_index` on the model's moments at
+        the arbitrary-point-in-time horizon, with the bits of
+        :func:`~framerisk.reliability.beta_set`.  A zero total variance raises
+        ``ValueError`` at any factor; then the factors are checked.  The walk
+        has the objective kernel's arithmetic, so the largest
+        ``expected_cost`` is the kernel's damage branch."""
+        table, probs, sqrt = self.table, [], math.sqrt
+        mu_rb, var_rb, mu_rc, var_rc, _, _, mu_l, var_l = self.moments  # the arbitrary-point-in-time horizon
+        lb, lc = factors.lambda_b, factors.lambda_c
+        try:
+            for a_b, a_pl, a_pg, _, _ in table.chain:
+                probs.append((_pf_float(_moment_index(lb * a_b, mu_rb, var_rb, mu_l, var_l, sqrt)),
+                              _pf_float(_moment_index(lc * a_pl, mu_rc, var_rc, mu_l, var_l, sqrt)),
+                              _pf_float(_moment_index(lc * a_pg, mu_rc, var_rc, mu_l, var_l, sqrt))))
+        except ZeroDivisionError:
+            raise ValueError("degenerate statistics: an index's total variance is zero") from None
+        _check_factors(lb, lc)  # after the indexes, which report a zero variance at any factor
         pairwise = [1.0] + [prev[1] * cur[1] for prev, cur in zip(probs, probs[1:])]
         c_pg, rows = table.c_pg, []
         for n_fc, (p_b, p_pl, p_pg), (*_, c_b, c_pl), (terms, w, reach), pair in zip(

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+from framerisk import reliability, risk
 from framerisk import (
     DAMAGE_VARIANTS,
     FRAME_CATALOG,
@@ -26,6 +28,7 @@ from framerisk import (
     unit_strengths,
     validate,
 )
+from framerisk.model import MAX_FACTOR
 from framerisk.optimize import FACTOR_BOUNDS
 from framerisk.reliability import LIVE_APT, _moment_index, _pf_float
 from framerisk.risk import _first_max
@@ -242,6 +245,40 @@ def test_grid_matches_scalar_on_every_catalog_frame(frame, damage, catenary):
     # so every point has the bits of evaluate, over the optimizer's bounds
     scn = validate(Scenario(geometry=FRAME_CATALOG[frame], damage=damage, include_catenary=catenary))
     assert_grid_equals_evaluate(RiskModel(scn), np.geomspace(*FACTOR_BOUNDS, 13), np.linspace(*FACTOR_BOUNDS, 11))
+
+
+@pytest.mark.parametrize("costs", [CostParameters(), CostParameters(k_ductile=5.0, k_brittle=2.0)],
+                         ids=["catalog-costs", "dear-bending"])
+@pytest.mark.parametrize("catenary", [False, True])
+@pytest.mark.parametrize("damage", [DamageScenario(1, 1), DamageScenario(2, 0), DamageScenario(3, 2)],
+                         ids=lambda d: f"{d.n_rc0}x{d.n_rs0}")
+@pytest.mark.parametrize("geometry", [FrameGeometry(6, 40), FrameGeometry(6, 60)], ids=lambda g: f"{g.n_s}x{g.n_c}")
+def test_grid_matches_scalar_past_one_fold_block(geometry, damage, catenary, costs):
+    # 19 to 29 stages: the grid folds its bending terms over more than one
+    # block of stages, and a NaN or MAX_FACTOR column keeps evaluate's bits;
+    # with ductile collapse dearer than brittle, bending can top a stage past the first block
+    scn = Scenario(geometry=geometry, damage=damage, include_catenary=catenary, costs=costs)
+    model = RiskModel(validate(scn))
+    assert len(model.stages) > 16
+    lb = np.geomspace(*FACTOR_BOUNDS, 7)
+    lc = np.array([*np.linspace(*FACTOR_BOUNDS, 5), math.nan, MAX_FACTOR])
+    grid = model.evaluate_grid(lb, lc).tolist()
+    want = [[model.evaluate(b, c) for c in lc.tolist()] for b in lb.tolist()]
+    assert [[x.hex() for x in row] for row in grid] == [[x.hex() for x in row] for row in want]
+
+
+def test_grid_on_a_long_chain_holds_a_few_stages_a_block():
+    # 499 stages on a 200x200 grid: folding them in one block would take ~160 MB
+    model = RiskModel(validate(Scenario(geometry=FrameGeometry(4, 1000))))
+    assert len(model.stages) == 499
+    factors = np.linspace(*FACTOR_BOUNDS, 200)
+    tracemalloc.start()
+    try:
+        model.evaluate_grid(factors, factors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def unpruned(model, lb, lc):
@@ -507,6 +544,26 @@ class TestProgressionTrace:
                 betas = beta_set(scn, strengths, factors, LIVE_APT)
                 want = (_pf_float(betas.beta_b), _pf_float(betas.beta_pl), _pf_float(betas.beta_pg))
                 assert [p.hex() for p in (row.p_b, row.p_pl, row.p_pg)] == [p.hex() for p in want], factors
+
+    def test_three_indexes_a_stage(self, ref_scenario, ref_design, monkeypatch):
+        # trace forms bending, local and global pancake per stage by the one
+        # index formula, and no catenary index or BetaSet through _mode_indexes
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _moment_index(*args)
+
+        def refused(*args):
+            raise AssertionError("trace called _mode_indexes")
+
+        model = RiskModel(ref_scenario, ref_design)
+        want = model.trace(OPTIMIZED)
+        monkeypatch.setattr(risk, "_moment_index", counted)
+        monkeypatch.setattr(reliability, "_mode_indexes", refused)
+        monkeypatch.setattr(risk, "_mode_indexes", refused, raising=False)
+        assert model.trace(OPTIMIZED) == want
+        assert len(calls) == 3 * len(model.stages)
 
     def test_zero_variance_is_a_data_error(self):
         # all load stds zero: at a factor of 1e-200 r*r*var_r underflows (at 0
